@@ -9,9 +9,9 @@
 // Three rungs are measured on strided panels: the scalar kernels
 // (unpacked vs packed — note the packed kernel now packs each A tile once
 // per (i0,k0), not once per column panel), the SIMD kernel, and the
-// *persistent* prepacked path: one panel snapshot feeding all four
-// MinPlusOuter quadrants of a blocked-FW round, the way blocked_fw and
-// parallel_fw now run (BM_FwRound*).
+// *persistent* prepacked path: one panel snapshot feeding every
+// MinPlusOuter product of a blocked-FW round, the way blocked_fw's round
+// tiles and parallel_fw run (BM_FwRound*).
 #include <benchmark/benchmark.h>
 
 #include "graph/graph.hpp"
@@ -98,8 +98,8 @@ double fw_round_flops(std::size_t n, std::size_t b) {
   return parfw::srgemm::flops(n - b, n - b, b);
 }
 
-/// The pre-tentpole default: every quadrant re-packs its own strided
-/// slices of the pivot panels inside the kernel.
+/// Per-quadrant repacking: every quadrant re-packs its own strided slices
+/// of the pivot panels inside the kernel.
 void BM_FwRoundRepack(benchmark::State& state) {
   const std::size_t n = 1024, b = static_cast<std::size_t>(state.range(0));
   FwRound fw(n, b);
@@ -121,8 +121,8 @@ void BM_FwRoundRepack(benchmark::State& state) {
 BENCHMARK(BM_FwRoundRepack)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 /// Persistent panel packing: snapshot the pivot panels once per round and
-/// run every quadrant through multiply_prepacked (what blocked_fw does
-/// with prepack_panels, the default).
+/// run every quadrant through multiply_prepacked (blocked_fw's round tiles
+/// read the same snapshots).
 void BM_FwRoundPrepacked(benchmark::State& state) {
   const std::size_t n = 1024, b = static_cast<std::size_t>(state.range(0));
   FwRound fw(n, b);

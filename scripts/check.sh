@@ -19,7 +19,8 @@
 # --san builds a separate instrumented tree (-DPARFW_SAN=<san>) and runs
 # the concurrency-heavy suites under it — mpisim ranks are real OS
 # threads, so `--san thread` is the data-race gate for the runtime and
-# the trace sinks.
+# the trace sinks, and for the blocked solver's self-scheduled rounds
+# and the thread pool they run on.
 #
 # --faults is the resilience gate: the fault-injection matrix and the
 # crash-restart suites under AddressSanitizer, so recovery paths
@@ -439,11 +440,17 @@ if [[ -n "$san" ]]; then
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPARFW_SAN="$san" -DPARFW_BUILD_BENCH=OFF -DPARFW_BUILD_EXAMPLES=OFF
   cmake --build "$build_dir" -j"$(nproc)" \
-    --target test_mpisim_stress test_mpisim test_sched test_telemetry
+    --target test_mpisim_stress test_mpisim test_sched test_telemetry \
+    test_core test_core_ext test_util
   "$build_dir/tests/test_mpisim_stress"
   "$build_dir/tests/test_mpisim"
   "$build_dir/tests/test_sched"
   "$build_dir/tests/test_telemetry"
+  # The blocked solver's look-ahead: pivot(k+1) writes panels while other
+  # workers still run round k's tiles.
+  "$build_dir/tests/test_core" --gtest_filter='*BlockedFw*'
+  "$build_dir/tests/test_core_ext" --gtest_filter='Checkpoint.Resume*'
+  "$build_dir/tests/test_util" --gtest_filter='ThreadPool*'
   echo "check.sh --san $san: OK"
   exit 0
 fi

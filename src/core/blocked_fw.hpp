@@ -1,10 +1,27 @@
-// Blocked Floyd-Warshall (paper Algorithm 2).
+// Blocked Floyd-Warshall (paper Algorithm 2) with a one-round look-ahead
+// (paper Algorithm 4).
 //
 // The n x n matrix is processed in nb = ⌈n/b⌉ block iterations. Iteration k:
 //   1. DiagUpdate  — close A(k,k)
 //   2. PanelUpdate — A(k,j) ← A(k,j) ⊕ A(k,k) ⊗ A(k,j)   (block row)
 //                    A(i,k) ← A(i,k) ⊕ A(i,k) ⊗ A(k,k)   (block column)
 //   3. MinPlusOuter — A(i,j) ← A(i,j) ⊕ A(i,k) ⊗ A(k,j)  ∀ i,j ≠ k
+//
+// Steps 1-2 form pivot(k), which ends by snapshotting block row and block
+// column k into half k % 2 of a double-buffered panel scratch. Round k is
+// step 3, cut into tiles of one block-row strip × at most kOuterTileCols
+// columns. Pool workers take tiles from a shared atomic cursor. The tiles
+// of block row k+1 and block column k+1 come first, and the worker that
+// finishes the last of them runs pivot(k+1) inline while the others drain
+// round k's remaining tiles. One parallel_for join ends each round, so
+// pivot(start_block) is the only serial work. With no pool (or a 1-worker
+// pool) the caller runs the same loop alone.
+//
+// No locks are needed: round k's tiles read only the round-k snapshots and
+// never write block row or column k or k+1, while pivot(k+1) touches only
+// block row and column k+1 and the other snapshot half. A release/acquire
+// countdown hands the finished (k+1) tiles to pivot(k+1), and the round's
+// join hands the new snapshots to round k+1.
 //
 // PanelUpdate runs in place (C aliases an SRGEMM operand). That is safe
 // here because ⊕ is idempotent and A(k,k) is closed: any prematurely
@@ -14,8 +31,11 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "core/diag_update.hpp"
 #include "core/solve_options.hpp"
@@ -28,24 +48,41 @@ namespace parfw {
 /// block_size / diag live in the shared SolveCommon base (one source of
 /// defaults for all three option structs — see core/solve_options.hpp).
 struct BlockedFwOptions : SolveCommon {
-  /// Thread pool for the SRGEMM driver; nullptr = sequential.
+  /// Pool whose workers drain each round's tiles; nullptr = sequential.
   ThreadPool* pool = nullptr;
   srgemm::Config gemm{};
-  /// Persistent panel packing: in round k the pivot row panel A(k,·) and
-  /// column panel A(·,k) feed all four MinPlusOuter quadrants, so pack
-  /// each exactly once into reusable aligned scratch and run the quadrant
-  /// updates through multiply_prepacked — instead of letting every
-  /// quadrant's kernel re-pack its own strided slice of the same panels
-  /// (4x the panel traffic). Costs 2·n·b scratch elements.
-  bool prepack_panels = true;
 };
+
+namespace detail {
+
+/// Width cap of a MinPlusOuter tile. At b = 64 floats a tile's snapshot
+/// slice and destination are 128 KiB each, so both stay in L2.
+inline constexpr std::size_t kOuterTileCols = 512;
+
+/// One MinPlusOuter tile: rows [r0, r0+nr) × columns [c0, c0+nc).
+struct OuterTile {
+  std::size_t r0, nr, c0, nc;
+};
+
+/// Append the tiles of row strip [r0, r0+nr) over columns [c0, c1).
+inline void push_strip(std::vector<OuterTile>& tiles, std::size_t r0,
+                       std::size_t nr, std::size_t c0, std::size_t c1) {
+  for (std::size_t c = c0; c < c1; c += kOuterTileCols)
+    tiles.push_back({r0, nr, c, std::min(kOuterTileCols, c1 - c)});
+}
+
+}  // namespace detail
 
 /// Blocked FW over block iterations [start_block, nb) — the restartable
 /// core. With start_block = 0 this is the full Algorithm 2; resuming from
 /// a checkpoint's next_block continues an interrupted run exactly
 /// (in-place FW state after iteration k fully determines the rest).
 /// `on_block(k_done, view)` fires after each completed iteration — the
-/// hook periodic checkpointing uses (see core/checkpoint.hpp).
+/// hook periodic checkpointing uses (see core/checkpoint.hpp). Because of
+/// the look-ahead, the state it sees may already include pivot(k_done):
+/// A(k_done,k_done) closed and its panels updated. Resuming from that
+/// state is still bit-identical, since re-applying a closed pivot is a
+/// no-op under idempotent ⊕.
 template <typename S>
 void blocked_floyd_warshall_range(
     MatrixView<typename S::value_type> a, std::size_t start_block,
@@ -60,15 +97,22 @@ void blocked_floyd_warshall_range(
   const std::size_t b = opt.block_size;
   const std::size_t nb = (n + b - 1) / b;
   PARFW_CHECK_MSG(start_block <= nb, "resume point beyond the last block");
+  if (start_block == nb) return;
 
+  // Tiles are the unit of parallelism, so every product runs on one thread.
   srgemm::Config cfg = opt.gemm;
-  cfg.pool = opt.pool;
+  cfg.pool = nullptr;
+  const std::size_t workers = opt.pool != nullptr ? opt.pool->size() : 0;
+
+  // Per-solve scratch: DiagUpdate's squaring buffer and the two halves of
+  // the pivot panel snapshots (a single block has no MinPlusOuter).
   Matrix<T> scratch(b, b);
-  // Reusable pivot-panel scratch for the prepacked quadrant updates.
-  Matrix<T> row_panel, col_panel;
-  if (opt.prepack_panels && n > b) {
-    row_panel = Matrix<T>(b, n);
-    col_panel = Matrix<T>(n, b);
+  Matrix<T> row_snap[2], col_snap[2];
+  if (nb > 1) {
+    for (int h : {0, 1}) {
+      row_snap[h] = Matrix<T>(b, n);
+      col_snap[h] = Matrix<T>(n, b);
+    }
   }
 
   auto block_range = [&](std::size_t blk) {
@@ -76,54 +120,76 @@ void blocked_floyd_warshall_range(
     return std::pair<std::size_t, std::size_t>{lo, std::min(n, lo + b) - lo};
   };
 
-  for (std::size_t k = start_block; k < nb; ++k) {
+  auto pivot = [&](std::size_t k) {
     const auto [k0, bk] = block_range(k);
     auto akk = a.sub(k0, k0, bk, bk);
-
-    // 1. DiagUpdate
     diag_update<S>(akk, opt.diag, scratch.view(), cfg);
+    // PanelUpdate on the panel parts left/above and right/below A(k,k).
+    // The panels are dense strips already, so the kernel reads them in
+    // place instead of packing a copy per call.
+    for (const auto& [c0, nc] :
+         {std::pair{std::size_t{0}, k0}, std::pair{k0 + bk, n - k0 - bk}}) {
+      if (nc == 0) continue;
+      const auto row = a.sub(k0, c0, bk, nc);
+      const auto col = a.sub(c0, k0, nc, bk);
+      srgemm::multiply_prepacked<S>(akk, row, row, cfg);
+      srgemm::multiply_prepacked<S>(col, akk, col, cfg);
+    }
+    if (nb == 1) return;
+    row_snap[k % 2].sub(0, 0, bk, n).copy_from(a.sub(k0, 0, bk, n));
+    col_snap[k % 2].sub(0, 0, n, bk).copy_from(a.sub(0, k0, n, bk));
+  };
 
-    // 2. PanelUpdate — row panel (left-multiply by closed A(k,k)) and
-    //    column panel (right-multiply), both in place.
-    if (k0 > 0) {
-      srgemm::multiply<S>(akk, a.sub(k0, 0, bk, k0), a.sub(k0, 0, bk, k0), cfg);
-      srgemm::multiply<S>(a.sub(0, k0, k0, bk), akk, a.sub(0, k0, k0, bk), cfg);
+  std::vector<detail::OuterTile> tiles;
+  std::atomic<std::size_t> cursor{0}, ahead_left{0};
+  pivot(start_block);
+  for (std::size_t k = start_block; k < nb; ++k) {
+    const auto [k0, bk] = block_range(k);
+    const std::size_t k1 = k0 + bk, bk1 = std::min(n, k1 + b) - k1;
+    const bool ahead = bk1 > 0;
+
+    // Look-ahead tiles first: block row k+1, then block column k+1. The
+    // other block rows skip block columns k and k+1.
+    tiles.clear();
+    if (ahead) {
+      detail::push_strip(tiles, k1, bk1, 0, k0);
+      detail::push_strip(tiles, k1, bk1, k1, n);
+      for (std::size_t i = 0; i < nb; ++i) {
+        if (i == k || i == k + 1) continue;
+        const auto [r0, nr] = block_range(i);
+        tiles.push_back({r0, nr, k1, bk1});
+      }
     }
-    if (k0 + bk < n) {
-      const std::size_t rest = n - (k0 + bk);
-      srgemm::multiply<S>(akk, a.sub(k0, k0 + bk, bk, rest),
-                          a.sub(k0, k0 + bk, bk, rest), cfg);
-      srgemm::multiply<S>(a.sub(k0 + bk, k0, rest, bk), akk,
-                          a.sub(k0 + bk, k0, rest, bk), cfg);
+    const std::size_t n_ahead = tiles.size();
+    for (std::size_t i = 0; i < nb; ++i) {
+      if (i == k || i == k + 1) continue;
+      const auto [r0, nr] = block_range(i);
+      detail::push_strip(tiles, r0, nr, 0, k0);
+      detail::push_strip(tiles, r0, nr, k1 + bk1, n);
     }
 
-    // 3. MinPlusOuter on the four off-panel quadrants. With persistent
-    //    panel packing the pivot row/column panels are snapshotted into
-    //    contiguous scratch once and every quadrant runs prepacked; the
-    //    fallback lets each quadrant's kernel pack (and re-pack) strided
-    //    panel views itself.
-    const std::size_t after0 = k0 + bk;
-    const std::size_t after_n = n - after0;
-    const bool prepack = opt.prepack_panels && n > b;
-    if (prepack) {
-      row_panel.sub(0, 0, bk, n).copy_from(a.sub(k0, 0, bk, n));
-      col_panel.sub(0, 0, n, bk).copy_from(a.sub(0, k0, n, bk));
-    }
-    auto outer = [&](std::size_t r0, std::size_t nr, std::size_t c0,
-                     std::size_t nc) {
-      if (nr == 0 || nc == 0) return;
-      if (prepack)
-        srgemm::multiply_prepacked<S>(col_panel.sub(r0, 0, nr, bk),
-                                      row_panel.sub(0, c0, bk, nc),
-                                      a.sub(r0, c0, nr, nc), cfg);
-      else
-        srgemm::multiply<S>(a.sub(r0, k0, nr, bk), a.sub(k0, c0, bk, nc),
-                            a.sub(r0, c0, nr, nc), cfg);
+    cursor.store(0, std::memory_order_relaxed);
+    ahead_left.store(n_ahead, std::memory_order_relaxed);
+    const auto& row_panel = row_snap[k % 2];
+    const auto& col_panel = col_snap[k % 2];
+    auto drain = [&] {
+      for (;;) {
+        const std::size_t t = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (t >= tiles.size()) return;
+        const detail::OuterTile& x = tiles[t];
+        srgemm::multiply_prepacked<S>(col_panel.sub(x.r0, 0, x.nr, bk),
+                                      row_panel.sub(0, x.c0, bk, x.nc),
+                                      a.sub(x.r0, x.c0, x.nr, x.nc), cfg);
+        if (t < n_ahead &&
+            ahead_left.fetch_sub(1, std::memory_order_acq_rel) == 1)
+          pivot(k + 1);
+      }
     };
-    outer(0, k0, 0, k0);
-    outer(0, k0, after0, after_n);
-    outer(after0, after_n, 0, k0);
-    outer(after0, after_n, after0, after_n);
+    if (workers > 1)
+      opt.pool->parallel_for(std::min(workers, tiles.size()),
+                             [&](std::size_t) { drain(); });
+    else
+      drain();
     if (on_block) on_block(k + 1, a);
   }
 }

@@ -57,6 +57,7 @@ void ThreadPool::parallel_for(std::size_t n,
       for (std::size_t i = lo; i < hi; ++i) fn(i);
     }));
   }
+  for (auto& f : futs) f.wait();
   for (auto& f : futs) f.get();
 }
 

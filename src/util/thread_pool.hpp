@@ -108,7 +108,10 @@ class ThreadPool {
 
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
   /// Work is divided into contiguous chunks, one per worker, which matches
-  /// the row-panel decomposition the SRGEMM driver uses.
+  /// the row-panel decomposition the SRGEMM driver uses. If chunks throw,
+  /// the first chunk's exception is rethrown only after every chunk has
+  /// finished, so `fn` and what it captures by reference are never used
+  /// after this call returns.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// A process-wide default pool sized to the hardware concurrency.

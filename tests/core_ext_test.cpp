@@ -14,6 +14,7 @@
 #include "core/seidel.hpp"
 #include "graph/generators.hpp"
 #include "sssp/sssp.hpp"
+#include "util/thread_pool.hpp"
 
 namespace parfw {
 namespace {
@@ -200,28 +201,37 @@ TEST(Checkpoint, ResumeReproducesUninterruptedRun) {
 
 TEST(Checkpoint, ResumeFromEveryIteration) {
   // For every possible interruption point: snapshot the state there, load
-  // it back, resume, and compare against the uninterrupted run.
+  // it back, resume, and compare against the uninterrupted run. With a
+  // pool, the snapshot may already hold the look-ahead's pivot closure of
+  // the next block; resuming re-applies it, which must change nothing.
   using Sf = MinPlus<float>;
   DenseEntryGen<float> gen(33, 1.0, 1.0f, 30.0f, /*integral=*/true);
   const std::size_t n = 40, b = 8, nb = n / b;
   auto full = gen.full(static_cast<vertex_t>(n));
   blocked_floyd_warshall<Sf>(full.view(), {{.block_size = b}});
 
-  for (std::size_t stop = 1; stop <= nb; ++stop) {
-    std::stringstream ss;
-    auto scratch = gen.full(static_cast<vertex_t>(n));
-    blocked_floyd_warshall_range<Sf>(
-        scratch.view(), 0, {{.block_size = b}},
-        [&](std::size_t k_done, MatrixView<float> v) {
-          if (k_done == stop)
-            save_checkpoint<float>(ss, MatrixView<const float>(v), k_done, b);
-        });
-    auto loaded = load_checkpoint<float>(ss);
-    EXPECT_EQ(loaded.next_block, stop);
-    blocked_floyd_warshall_range<Sf>(loaded.dist.view(), loaded.next_block,
-                                     {{.block_size = loaded.block_size}});
-    EXPECT_EQ(max_abs_diff<float>(full.view(), loaded.dist.view()), 0.0)
-        << "resume from " << stop;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    BlockedFwOptions opt;
+    opt.block_size = b;
+    opt.pool = p;
+    for (std::size_t stop = 1; stop <= nb; ++stop) {
+      std::stringstream ss;
+      auto scratch = gen.full(static_cast<vertex_t>(n));
+      blocked_floyd_warshall_range<Sf>(
+          scratch.view(), 0, opt,
+          [&](std::size_t k_done, MatrixView<float> v) {
+            if (k_done == stop)
+              save_checkpoint<float>(ss, MatrixView<const float>(v), k_done, b);
+          });
+      auto loaded = load_checkpoint<float>(ss);
+      EXPECT_EQ(loaded.next_block, stop);
+      opt.block_size = loaded.block_size;
+      blocked_floyd_warshall_range<Sf>(loaded.dist.view(), loaded.next_block,
+                                       opt);
+      EXPECT_EQ(max_abs_diff<float>(full.view(), loaded.dist.view()), 0.0)
+          << "resume from " << stop << (p ? " with a 4-worker pool" : "");
+    }
   }
 }
 

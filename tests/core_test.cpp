@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 #include <tuple>
 
 #include "core/apsp.hpp"
@@ -111,22 +113,57 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 8, 16, 33, 64, 200),
                        ::testing::Values(0, 1)));  // kClassic, kLogSquaring
 
-TEST(BlockedFw, PrepackedPanelsMatchPerQuadrantPacking) {
-  // Persistent panel packing (the default) must be bit-identical to the
-  // repack-per-quadrant path across block sizes, including fringe blocks.
-  const auto g = gen::erdos_renyi(130, 0.2, 91, 1.0, 100.0, /*integral=*/true);
-  for (std::size_t b : {16u, 33u, 64u}) {
-    auto pre = g.distance_matrix<S>();
-    auto re = pre.clone();
-    BlockedFwOptions opt;
-    opt.block_size = b;
-    opt.prepack_panels = true;
-    blocked_floyd_warshall<S>(pre.view(), opt);
-    opt.prepack_panels = false;
-    blocked_floyd_warshall<S>(re.view(), opt);
-    EXPECT_EQ(max_abs_diff<double>(pre.view(), re.view()), 0.0) << "b=" << b;
-  }
+// The look-ahead schedule across pool sizes (0 and 1 run on the caller),
+// shapes with one, two, three and many block rows — each with a fringe
+// block, the last also wider than one tile — and both DiagUpdate
+// strategies, bit for bit against Algorithm 1 on integral weights.
+struct FwShape {
+  int n, b;
+};
+
+class BlockedFwSchedule
+    : public ::testing::TestWithParam<std::tuple<int, FwShape, int>> {};
+// (pool workers, shape, diag_strategy)
+
+Graph schedule_graph(int n) {
+  return gen::erdos_renyi(n, 0.1, 700 + n, 1.0, 100.0, /*integral=*/true);
 }
+
+/// Algorithm 1 on schedule_graph(n), computed once per n.
+const Matrix<double>& schedule_oracle(int n) {
+  static std::map<int, Matrix<double>> cache;
+  auto it = cache.find(n);
+  if (it == cache.end()) it = cache.emplace(n, fw_oracle(schedule_graph(n))).first;
+  return it->second;
+}
+
+std::string schedule_case_name(
+    const ::testing::TestParamInfo<BlockedFwSchedule::ParamType>& info) {
+  const auto [workers, shape, diag] = info.param;
+  return "w" + std::to_string(workers) + "_n" + std::to_string(shape.n) +
+         "_b" + std::to_string(shape.b) + (diag ? "_logsq" : "_classic");
+}
+
+TEST_P(BlockedFwSchedule, MatchesAlgorithm1) {
+  const auto [workers, shape, diag] = GetParam();
+  ThreadPool pool(static_cast<std::size_t>(workers));
+  auto d = schedule_graph(shape.n).distance_matrix<S>();
+  BlockedFwOptions opt;
+  opt.block_size = static_cast<std::size_t>(shape.b);
+  opt.diag = static_cast<DiagStrategy>(diag);
+  opt.pool = &pool;
+  blocked_floyd_warshall<S>(d.view(), opt);
+  EXPECT_EQ(max_abs_diff<double>(schedule_oracle(shape.n).view(), d.view()),
+            0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pools, BlockedFwSchedule,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 7),
+                       ::testing::Values(FwShape{29, 32}, FwShape{50, 32},
+                                         FwShape{70, 32}, FwShape{600, 32}),
+                       ::testing::Values(0, 1)),  // kClassic, kLogSquaring
+    schedule_case_name);
 
 TEST(BlockedFw, ParallelPoolMatchesSequential) {
   ThreadPool pool(4);

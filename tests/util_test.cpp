@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/aligned_buffer.hpp"
@@ -44,6 +47,27 @@ TEST(ThreadPool, ZeroThreadsExecutesInline) {
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPool, ParallelForRethrowsOnlyAfterEveryChunkFinished) {
+  // Chunk 0 throws while chunks 1..3 are still running. The exception must
+  // reach the caller, and not before the other chunks are done with `fn`.
+  ThreadPool pool(4);
+  std::atomic<int> started{0}, finished{0};
+  EXPECT_THROW(pool.parallel_for(4,
+                                 [&](std::size_t i) {
+                                   if (i == 0) {
+                                     while (started.load() < 3)
+                                       std::this_thread::yield();
+                                     throw std::runtime_error("chunk 0");
+                                   }
+                                   started.fetch_add(1);
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(50));
+                                   finished.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
 }
 
 TEST(AlignedBuffer, SixtyFourByteAlignment) {
