@@ -1,15 +1,14 @@
 // Ablation — the APSP engine family on one host.
 //
 // Compares every solver in the library on identical inputs: sequential FW
-// (Algorithm 1), blocked FW (Algorithm 2) with two block sizes, R-Kleene
-// divide-and-conquer, Johnson's algorithm (sparse comparator, §6), and
-// component-wise solving on a multi-component input. All outputs are
+// (Algorithm 1), blocked FW (Algorithm 2) with two block sizes, Johnson's
+// algorithm (sparse comparator, §6), and component-wise solving on a
+// multi-component input. All outputs are
 // cross-validated before timing is reported.
 #include <cstdio>
 
 #include "core/apsp.hpp"
 #include "core/component_apsp.hpp"
-#include "core/rkleene.hpp"
 #include "fig_common.hpp"
 #include "graph/generators.hpp"
 #include "sssp/sssp.hpp"
@@ -64,12 +63,6 @@ int main() {
     const double ms = time_it(
         [&] { blocked_floyd_warshall<S>(m.view(), {{.block_size = 192}}); });
     report("blocked FW b=192", std::move(m), ms);
-  }
-  {
-    auto m = dense_g.distance_matrix<S>();
-    const double ms =
-        time_it([&] { rkleene_apsp<S>(m.view(), {.base_size = 64}); });
-    report("R-Kleene", std::move(m), ms);
   }
   {
     Matrix<double> jd;

@@ -10,10 +10,8 @@
 #include <cstdio>
 
 #include "core/floyd_warshall.hpp"
-#include "dist/dc_apsp.hpp"
 #include "dist/driver.hpp"
 #include "fig_common.hpp"
-#include "util/timer.hpp"
 
 using namespace parfw;
 using namespace parfw::dist;
@@ -50,30 +48,10 @@ int main() {
                Table::num(r.traffic.bytes_internode / 1e6, 2),
                ok ? "yes" : "NO (BUG)"});
   }
-  // The divide-and-conquer engine on the same runtime and input.
-  {
-    Matrix<float> gathered;
-    Timer timer;
-    const auto traffic = mpi::Runtime::run(grid.size(), [&](mpi::Comm& world) {
-      BlockCyclicMatrix<float> local(n, b, grid, grid.coord_of(world.rank()));
-      local.fill(gen);
-      dc_apsp<MinPlus<float>>(world, local);
-      auto out = local.gather(world);
-      if (world.rank() == 0) gathered = std::move(out);
-    }, {grid.node_model(3)});
-    const bool ok =
-        max_abs_diff<float>(expected.view(), gathered.view()) == 0.0;
-    t.add_row({"dc-apsp [37]", Table::num(timer.seconds() * 1e3, 1),
-               std::to_string(traffic.messages),
-               Table::num(traffic.bytes_total / 1e6, 2),
-               Table::num(traffic.bytes_internode / 1e6, 2),
-               ok ? "yes" : "NO (BUG)"});
-  }
   std::printf("%s", t.str().c_str());
 
   bench::footer(
-      "expect: every row validates; the ParallelFw variants move the same\n"
-      "total volume (tree and ring broadcasts are both volume-minimal);\n"
-      "dc-apsp trades message count against volume (SUMMA sweeps).");
+      "expect: every row validates; the variants move the same total\n"
+      "volume (tree and ring broadcasts are both volume-minimal).");
   return 0;
 }

@@ -32,7 +32,7 @@ class FigTrace {
   ~FigTrace() {
     if (path_.empty() || sink_.size() == 0) return;
     std::ofstream os(path_);
-    sink_.write(os);
+    sink_.write_chrome(os);
     std::fprintf(stderr, "[trace] wrote %zu events to %s", sink_.size(),
                  path_.c_str());
     if (sink_.truncated() > 0)
@@ -63,7 +63,7 @@ class FigTrace {
     return static_cast<std::size_t>(std::strtoull(p, nullptr, 10));
   }
   std::string path_ = env_path();
-  sched::ChromeTraceSink sink_{env_max_events()};
+  sched::CollectTraceSink sink_{env_max_events()};
   bool used_ = false;
 };
 

@@ -2,54 +2,41 @@
 // (the paper's Me-ParallelFw / ooGSrGemm machinery, §4.3-4.4).
 //
 // The host matrix here is 16 MiB while the simulated device gets only
-// 3 MiB — the same 5x ratio as the paper's 10 TB problem on 4 TB of
-// aggregate GPU memory. The offload engine closes the matrix by cycling
-// panels and result chunks through the device with a 3-stream pipeline.
+// 6 MiB. The kOffload variant on a single rank keeps the matrix on the
+// host and streams every outer update through the device with a
+// 3-stream ooGSrGemm pipeline; the device throws if the pipeline ever
+// tries to hold more than its capacity.
 #include <cstdio>
 
-#include "core/floyd_warshall.hpp"
-#include "devsim/device.hpp"
+#include "dist/driver.hpp"
 #include "graph/graph.hpp"
-#include "offload/offload_fw.hpp"
+#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 using namespace parfw;
 
 int main() {
   const std::size_t n = 2048;  // 2048^2 floats = 16 MiB
-  const std::size_t b = 128;
   DenseEntryGen<float> gen(/*seed=*/99, 1.0, 1.0f, 60.0f);
-  auto dist = gen.full(static_cast<vertex_t>(n));
   const double host_mb = n * n * sizeof(float) / 1048576.0;
 
-  dev::DeviceConfig dc;
-  dc.memory_bytes = 6 << 20;  // 6 MiB "GPU" vs a 16 MiB problem
-  dev::Device device(dc);
-  std::printf("host matrix: %.0f MiB; device memory: %.0f MiB (%.1fx smaller)\n",
-              host_mb, dc.memory_bytes / 1048576.0,
-              host_mb * 1048576.0 / dc.memory_bytes);
-
-  offload::OffloadFwOptions opt;
-  opt.block_size = b;
+  dist::DistFwOptions opt;
+  opt.variant = dist::Variant::kOffload;
+  opt.block_size = 128;
+  opt.diag = DiagStrategy::kLogSquaring;
+  opt.device_memory_bytes = 6 << 20;  // 6 MiB "GPU" vs a 16 MiB problem
   opt.oog.mx = opt.oog.nx = 256;
   opt.oog.num_streams = 3;
-  opt.diag = DiagStrategy::kLogSquaring;
+  std::printf("host matrix: %.0f MiB; device memory: %.0f MiB (%.1fx smaller)\n",
+              host_mb, opt.device_memory_bytes / 1048576.0,
+              host_mb * 1048576.0 / opt.device_memory_bytes);
 
   Timer t;
-  const auto stats = offload::offload_blocked_fw<MinPlus<float>>(
-      device, dist.view(), opt);
-  device.synchronize();
-  const double secs = t.seconds();
-
-  const auto c = device.counters();
-  std::printf("closed in %.2f s over %zu block iterations\n", secs,
-              stats.iterations);
-  std::printf("device traffic: %.1f MiB h2d, %.1f MiB d2h, %llu kernels, "
-              "peak residency %.2f MiB\n",
-              c.bytes_h2d / 1048576.0, c.bytes_d2h / 1048576.0,
-              static_cast<unsigned long long>(c.kernels_launched),
-              c.peak_bytes_in_use / 1048576.0);
-  std::printf("ooGSrGemm chunks processed: %zu\n", stats.oog_blocks);
+  const auto r = dist::run_parallel_fw<MinPlus<float>>(
+      n, gen, dist::GridSpec::row_major(1, 1), /*ranks_per_node=*/1, opt);
+  const auto& dist = r.dist;
+  std::printf("closed in %.2f s over %zu block iterations\n", t.seconds(),
+              n / opt.block_size);
 
   // Spot-validate a few entries against sequential FW on a sub-problem is
   // impractical at this size; instead verify the triangle inequality and

@@ -1,7 +1,7 @@
 // trace_io — load a Chrome-trace JSON document (the format
-// sched::ChromeTraceSink writes) back into sched::TraceEvent records, so
-// the causal analysis layer can consume traces from disk as well as from
-// an in-process CollectTraceSink.
+// sched::write_chrome_trace emits) back into sched::TraceEvent records, so
+// the causal analysis layer can consume traces from disk as well as
+// straight from an in-process CollectTraceSink.
 //
 // The loader is a strict, self-contained JSON-subset parser (no external
 // dependencies): a syntax error, truncated document, or a trace event

@@ -117,12 +117,6 @@ struct ApspResult {
 
   /// Answer a batch through the shared query API (core/query.hpp).
   std::vector<QueryResult<T>> answer(const QueryBatch& batch) const;
-
-  /// Shortest path src→dst (vertex ids, inclusive); empty if unreachable
-  /// or paths were not tracked — callers cannot tell which.
-  [[deprecated("returns {} for both 'unreachable' and 'paths not tracked'; "
-               "use query()/answer() which carry an explicit PathStatus")]]
-  std::vector<std::int64_t> path(std::int64_t src, std::int64_t dst) const;
 };
 
 /// Solve APSP on a graph over semiring S (default: the paper's min-plus).
@@ -206,13 +200,6 @@ std::vector<QueryResult<T>> ApspResult<T>::answer(
   for (const PathQuery& q : batch.pairs)
     out.push_back(query(q.src, q.dst, batch.want_paths));
   return out;
-}
-
-template <typename T>
-std::vector<std::int64_t> ApspResult<T>::path(std::int64_t src,
-                                              std::int64_t dst) const {
-  if (!pred.has_value()) return {};
-  return reconstruct_path(pred->view(), src, dst);
 }
 
 }  // namespace parfw

@@ -6,14 +6,15 @@
 // determines the remaining work, so a checkpoint is (header, k, matrix)
 // and restart is "run the block loop from k".
 //
-// Format v2: the fixed 40-byte v1 header (magic, version, element size,
-// n, next block iteration, block size) followed by a 40-byte extension
+// Format v2: a fixed 40-byte header (magic, version, element size, n,
+// next block iteration, block size) followed by a 40-byte extension
 // (schedule position: variant + sched op index; distribution: grid shape,
 // grid coordinate, per-rank tile manifest length), the tile manifest
 // (tile_count pairs of global block coordinates) and the raw row-major
 // matrix payload — the full matrix for single-node blobs (tile_count = 0),
 // a rank's packed local matrix for distributed blobs (dist/checkpoint.hpp).
-// v1 blobs (bare header + full matrix) still load.
+// Only v2 loads; the loaders check every size the header claims against
+// the bytes actually present before allocating.
 //
 // Blobs travel through any std::iostream or, preferably, through a
 // CheckpointStore key (checkpoint_store.hpp) — the sink/source the
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -98,11 +100,11 @@ struct LoadedCheckpoint {
   Matrix<T> dist;
   std::size_t next_block = 0;
   std::size_t block_size = 0;
-  CheckpointExtV2 ext{};  ///< defaults for v1 blobs
+  CheckpointExtV2 ext{};
 };
 
-/// Read the common header and validate magic/version/element size.
-/// Returns the header; v2 blobs additionally fill `ext`.
+/// Read the header and extension and validate magic/version/element
+/// size. Returns the header and fills `ext`.
 template <typename T>
 CheckpointHeader read_checkpoint_header(std::istream& in,
                                         CheckpointExtV2& ext) {
@@ -110,20 +112,17 @@ CheckpointHeader read_checkpoint_header(std::istream& in,
   in.read(reinterpret_cast<char*>(&h), sizeof(h));
   PARFW_CHECK_MSG(in.good() && h.magic == CheckpointHeader::kMagic,
                   "not a parallelfw checkpoint");
-  PARFW_CHECK_MSG(h.version == 1 || h.version == 2,
+  PARFW_CHECK_MSG(h.version == CheckpointHeader::kVersion,
                   "unsupported checkpoint version " << h.version);
   PARFW_CHECK_MSG(h.elem_size == sizeof(T),
                   "checkpoint element size " << h.elem_size
                                              << " != requested " << sizeof(T));
-  ext = CheckpointExtV2{};
-  if (h.version >= 2) {
-    in.read(reinterpret_cast<char*>(&ext), sizeof(ext));
-    PARFW_CHECK_MSG(in.good(), "checkpoint extension truncated");
-  }
+  in.read(reinterpret_cast<char*>(&ext), sizeof(ext));
+  PARFW_CHECK_MSG(in.good(), "checkpoint extension truncated");
   return h;
 }
 
-/// Load a single-matrix checkpoint (v1, or v2 with an empty manifest).
+/// Load a single-matrix checkpoint (v2 with an empty manifest).
 /// Distributed per-rank blobs load through dist::load_rank_checkpoint.
 template <typename T>
 LoadedCheckpoint<T> load_checkpoint(std::istream& in) {
@@ -131,6 +130,22 @@ LoadedCheckpoint<T> load_checkpoint(std::istream& in) {
   const CheckpointHeader h = read_checkpoint_header<T>(in, out.ext);
   PARFW_CHECK_MSG(out.ext.tile_count == 0,
                   "per-rank tile checkpoint; use dist::load_rank_checkpoint");
+  PARFW_CHECK_MSG(h.block_size > 0, "checkpoint block size is 0");
+  // The header is untrusted: n*n*sizeof(T) must neither wrap nor exceed
+  // the payload actually present, or Matrix would be sized from a wrapped
+  // (or absurd) product.
+  const std::istream::pos_type here = in.tellg();
+  PARFW_CHECK_MSG(here != std::istream::pos_type(-1),
+                  "checkpoint stream is not seekable");
+  in.seekg(0, std::ios::end);
+  const auto left = static_cast<std::uint64_t>(in.tellg() - here);
+  in.seekg(here);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  PARFW_CHECK_MSG(h.n == 0 || (h.n <= kMax / h.n &&
+                               h.n * h.n <= kMax / sizeof(T) &&
+                               h.n * h.n * sizeof(T) <= left),
+                  "checkpoint claims n = " << h.n << ", more than its "
+                                           << left << "-byte payload holds");
   out.dist = Matrix<T>(static_cast<std::size_t>(h.n),
                        static_cast<std::size_t>(h.n));
   in.read(reinterpret_cast<char*>(out.dist.data()),

@@ -150,7 +150,7 @@ SchedulePosition load_rank_checkpoint(
 
   CheckpointExtV2 ext;
   const CheckpointHeader h = read_checkpoint_header<T>(in, ext);
-  PARFW_CHECK_MSG(h.version >= 2 && ext.tile_count > 0,
+  PARFW_CHECK_MSG(ext.tile_count > 0,
                   "not a per-rank tile checkpoint: '" << key << "'");
   PARFW_CHECK_MSG(h.n == a.n() && h.block_size == a.block_size(),
                   "checkpoint geometry mismatch (n=" << h.n << " b="

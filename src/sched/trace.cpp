@@ -58,25 +58,6 @@ std::map<std::string, StatsTraceSink::OpStats> StatsTraceSink::table() const {
   return stats_;
 }
 
-void ChromeTraceSink::record(const TraceEvent& e) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (max_events_ != 0 && events_.size() >= max_events_) {
-    ++truncated_;
-    return;
-  }
-  events_.push_back(e);
-}
-
-std::size_t ChromeTraceSink::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-std::uint64_t ChromeTraceSink::truncated() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return truncated_;
-}
-
 TraceEvent make_truncated_marker(int rank, double t, std::uint64_t missing) {
   TraceEvent m;
   m.rank = rank;
@@ -181,23 +162,6 @@ void write_chrome_trace(const std::vector<TraceEvent>& events,
   os.precision(old_precision);
 }
 
-void ChromeTraceSink::write(std::ostream& os) const {
-  std::vector<TraceEvent> events;
-  std::uint64_t truncated = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    events = events_;
-    truncated = truncated_;
-  }
-  if (truncated > 0) {
-    // The TAIL is missing (drop-new cap): the marker sits at the last
-    // recorded timestamp.
-    const double t = events.empty() ? 0.0 : events.back().t_end;
-    events.push_back(make_truncated_marker(0, t, truncated));
-  }
-  write_chrome_trace(events, os);
-}
-
 void CollectTraceSink::record(const TraceEvent& e) {
   std::lock_guard<std::mutex> lock(mu_);
   if (max_events_ != 0 && events_.size() >= max_events_) {
@@ -220,6 +184,23 @@ std::size_t CollectTraceSink::size() const {
 std::uint64_t CollectTraceSink::truncated() const {
   std::lock_guard<std::mutex> lock(mu_);
   return truncated_;
+}
+
+void CollectTraceSink::write_chrome(std::ostream& os) const {
+  std::vector<TraceEvent> events;
+  std::uint64_t truncated = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    events = events_;
+    truncated = truncated_;
+  }
+  if (truncated > 0) {
+    // The TAIL is missing (drop-new cap): the marker sits at the last
+    // recorded timestamp.
+    const double t = events.empty() ? 0.0 : events.back().t_end;
+    events.push_back(make_truncated_marker(0, t, truncated));
+  }
+  write_chrome_trace(events, os);
 }
 
 RingTraceSink::RingTraceSink(std::size_t capacity_bytes)

@@ -73,7 +73,7 @@ class TraceSink {
 /// Seconds since a process-wide monotonic epoch — the shared time base of
 /// every real-execution recorder (dist interpreter, mpisim deliveries,
 /// offload pipeline), so their events land on one coherent timeline. DES
-/// events use virtual clocks instead; ChromeTraceSink::write normalises
+/// events use virtual clocks instead; write_chrome_trace normalises
 /// either to t = 0.
 ///
 /// Monotonicity guarantee: the epoch is a single steady_clock time point
@@ -125,7 +125,7 @@ class StatsTraceSink final : public TraceSink {
 /// Perfetto draws the send→recv arrows, and causal annotations are
 /// serialised into args so src/causal/trace_io.hpp can load the document
 /// back losslessly. Timestamps are normalised so the earliest event sits
-/// at t = 0. Shared by ChromeTraceSink::write and the flight-recorder
+/// at t = 0. Shared by CollectTraceSink::write_chrome and the flight-recorder
 /// snapshots (RingTraceSink / incident dumps).
 void write_chrome_trace(const std::vector<TraceEvent>& events,
                         std::ostream& os);
@@ -139,38 +139,14 @@ void write_chrome_trace(const std::vector<TraceEvent>& events,
 inline constexpr const char* kTruncatedMarker = "truncated";
 TraceEvent make_truncated_marker(int rank, double t, std::uint64_t missing);
 
-/// Records every event and serialises them via write_chrome_trace.
+/// Keeps every raw event — the capture sink for Chrome-trace files, for
+/// the causal analysis layer (src/causal/) and for tests that inspect
+/// individual events rather than per-name aggregates.
 ///
 /// `max_events` bounds the buffer: once full, NEW events are counted but
 /// dropped (the head of the run is usually what a capped capture is for),
-/// and write() appends a kTruncatedMarker instant carrying the dropped
-/// count. 0 = unbounded (the historical behaviour).
-class ChromeTraceSink final : public TraceSink {
- public:
-  explicit ChromeTraceSink(std::size_t max_events = 0)
-      : max_events_(max_events) {}
-
-  void record(const TraceEvent& e) override;
-
-  /// Write the JSON document. Timestamps are normalised so the earliest
-  /// recorded event sits at t = 0.
-  void write(std::ostream& os) const;
-
-  std::size_t size() const;
-  /// Events rejected because the cap was hit.
-  std::uint64_t truncated() const;
-
- private:
-  const std::size_t max_events_;
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
-  std::uint64_t truncated_ = 0;
-};
-
-/// Keeps every raw event — the capture sink for the causal analysis layer
-/// (src/causal/) and for tests that inspect individual events rather than
-/// per-name aggregates. `max_events` caps the buffer like ChromeTraceSink
-/// (drop-new, counted); 0 = unbounded.
+/// and write_chrome() appends a kTruncatedMarker instant carrying the
+/// dropped count. 0 = unbounded.
 class CollectTraceSink final : public TraceSink {
  public:
   explicit CollectTraceSink(std::size_t max_events = 0)
@@ -183,6 +159,10 @@ class CollectTraceSink final : public TraceSink {
   std::size_t size() const;
   /// Events rejected because the cap was hit.
   std::uint64_t truncated() const;
+
+  /// Write the capture as a Chrome-trace JSON document. Timestamps are
+  /// normalised so the earliest recorded event sits at t = 0.
+  void write_chrome(std::ostream& os) const;
 
  private:
   const std::size_t max_events_;

@@ -58,7 +58,8 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
     CheckpointExtV2 ext;
     std::memcpy(&h, header_bytes, sizeof(h));
     std::memcpy(&ext, header_bytes + sizeof(h), sizeof(ext));
-    PARFW_CHECK_MSG(h.magic == CheckpointHeader::kMagic && h.version >= 2,
+    PARFW_CHECK_MSG(h.magic == CheckpointHeader::kMagic &&
+                        h.version == CheckpointHeader::kVersion,
                     "'" << rb.key << "' is not a checkpoint-v2 blob");
     PARFW_CHECK_MSG(h.n == m.n_ && h.block_size == m.block_size_ &&
                         h.next_block == commit->k0,

@@ -88,9 +88,6 @@ struct Config {
   std::size_t tile_k = 256;
   Kernel kernel = Kernel::kAuto;
   MicroShape micro = MicroShape::kAuto;
-  /// Legacy switch: force the scalar packed kernel (same as kernel =
-  /// kPacked; kept for the pre-dispatch call sites and benches).
-  bool pack = false;
   /// Pool used to parallelise over C row panels; nullptr = sequential.
   ThreadPool* pool = nullptr;
 
@@ -314,9 +311,7 @@ inline void multiply_impl(MatrixView<const typename S::value_type> A,
                           MatrixView<typename S::value_type> C,
                           const Config& caller_cfg, bool prepacked) {
   const Config cfg = apply_env_pins(caller_cfg);
-  Kernel kernel = resolve_kernel<S>(cfg.pack && cfg.kernel == Kernel::kAuto
-                                        ? Kernel::kPacked
-                                        : cfg.kernel);
+  const Kernel kernel = resolve_kernel<S>(cfg.kernel);
   const std::size_t m = C.rows();
   const auto dispatch = [&] {
     if (cfg.pool != nullptr && cfg.pool->size() > 1 && m >= 2 * cfg.tile_m) {

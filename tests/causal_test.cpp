@@ -484,7 +484,7 @@ TEST(RealTrace, CheckpointCutsBecomeBarrierJoins) {
 // Chrome-trace round trip and loader diagnostics (ISSUE satellites 1-2).
 
 TEST(TraceIo, ChromeRoundTripPreservesCausalAnnotations) {
-  sched::ChromeTraceSink sink;
+  sched::CollectTraceSink sink;
   TraceEvent a = span(0, "OuterUpdate", 1.0, 2.0);
   a.k = 4;
   a.bytes = 123;
@@ -493,7 +493,7 @@ TEST(TraceIo, ChromeRoundTripPreservesCausalAnnotations) {
   sink.record(send_at(0, 1, 2.0, 1007, 3, 5));
   sink.record(recv_span(1, 0, 1.2, 2.4, 1007, 3, 5, /*attempt=*/1));
   std::ostringstream os;
-  sink.write(os);
+  sink.write_chrome(os);
   const std::string json = os.str();
 
   // Flow events for the matched pair (satellite: Chrome arrows).
@@ -526,10 +526,10 @@ TEST(TraceIo, ChromeRoundTripPreservesCausalAnnotations) {
 }
 
 TEST(TraceIo, TruncatedDocumentFailsWithByteOffset) {
-  sched::ChromeTraceSink sink;
+  sched::CollectTraceSink sink;
   sink.record(span(0, "OuterUpdate", 0.0, 1.0));
   std::ostringstream os;
-  sink.write(os);
+  sink.write_chrome(os);
   const std::string json = os.str();
   const causal::LoadResult lr =
       causal::load_chrome_trace(json.substr(0, json.size() / 2));

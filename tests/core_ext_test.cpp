@@ -1,17 +1,15 @@
-// Tests for the extension features: component-wise APSP, Seidel's
-// algorithm, checkpoint/restart, bit-packed transitive closure.
+// Tests for the extension features: component-wise APSP,
+// checkpoint/restart, incremental updates, block-sparse FW.
 #include <gtest/gtest.h>
 
 #include <span>
 #include <sstream>
 
-#include "core/bitset_closure.hpp"
 #include "core/block_sparse_fw.hpp"
 #include "core/checkpoint.hpp"
 #include "core/component_apsp.hpp"
 #include "core/floyd_warshall.hpp"
 #include "core/incremental.hpp"
-#include "core/seidel.hpp"
 #include "graph/generators.hpp"
 #include "sssp/sssp.hpp"
 #include "util/thread_pool.hpp"
@@ -85,64 +83,6 @@ TEST(ComponentApsp, FlopSavingsEstimate) {
   const double split = component_apsp_flops(labels);
   const double dense = 2.0 * 40.0 * 40.0 * 40.0;
   EXPECT_DOUBLE_EQ(dense / split, 16.0);
-}
-
-// --- Seidel ----------------------------------------------------------------
-
-TEST(Seidel, MatchesBfsDistancesOnConnectedGraphs) {
-  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    // Connected undirected graph: grid plus random chords.
-    Graph g = gen::grid2d(5, 6, seed);
-    Rng rng(seed * 7 + 1);
-    Graph uw(g.num_vertices());
-    for (const Edge& e : g.edges()) uw.add_edge(e.src, e.dst, 1.0);
-    for (int extra = 0; extra < 10; ++extra) {
-      const auto a = static_cast<vertex_t>(rng.next_below(30));
-      const auto b = static_cast<vertex_t>(rng.next_below(30));
-      if (a != b) uw.add_undirected_edge(a, b, 1.0);
-    }
-    auto fw = uw.distance_matrix<S>();
-    floyd_warshall<S>(fw.view());
-    const auto sd = seidel_apsp(uw);
-    EXPECT_EQ(max_abs_diff<double>(fw.view(), sd.view()), 0.0) << "seed " << seed;
-  }
-}
-
-TEST(Seidel, CompleteGraphBaseCase) {
-  Graph g(6);
-  for (vertex_t i = 0; i < 6; ++i)
-    for (vertex_t j = 0; j < 6; ++j)
-      if (i != j) g.add_edge(i, j, 1.0);
-  const auto d = seidel_apsp(g);
-  for (vertex_t i = 0; i < 6; ++i)
-    for (vertex_t j = 0; j < 6; ++j)
-      EXPECT_EQ(d(i, j), i == j ? 0.0 : 1.0);
-}
-
-TEST(Seidel, RingDiameter) {
-  // Undirected ring of 16: max distance 8, dist(i,j) = cyclic distance.
-  Graph g(16);
-  for (vertex_t i = 0; i < 16; ++i) g.add_undirected_edge(i, (i + 1) % 16, 1.0);
-  const auto d = seidel_apsp(g);
-  for (vertex_t i = 0; i < 16; ++i)
-    for (vertex_t j = 0; j < 16; ++j) {
-      const vertex_t fwd = (j - i + 16) % 16;
-      EXPECT_EQ(d(i, j), static_cast<double>(std::min(fwd, 16 - fwd)));
-    }
-}
-
-TEST(Seidel, RejectsDirectedGraph) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0);  // one-directional
-  g.add_undirected_edge(1, 2, 1.0);
-  EXPECT_THROW(seidel_apsp(g), check_error);
-}
-
-TEST(Seidel, RejectsDisconnectedGraph) {
-  Graph g(4);
-  g.add_undirected_edge(0, 1, 1.0);
-  g.add_undirected_edge(2, 3, 1.0);
-  EXPECT_THROW(seidel_apsp(g), check_error);
 }
 
 // --- checkpoint/restart -----------------------------------------------------
@@ -303,54 +243,6 @@ TEST(InsertVertex, NewShortcutImprovesOldPairs) {
                                       std::span<const double>(out_e));
   EXPECT_EQ(grown(0, 3), 1.0 + 2.0 + 3.0 + 1.0);  // 0-1-v-2-3
   EXPECT_EQ(grown(1, 2), 5.0);
-}
-
-// --- bit-packed transitive closure ----------------------------------------------
-
-TEST(BitsetClosure, MatchesBooleanFloydWarshall) {
-  for (std::uint64_t seed : {5u, 6u, 7u}) {
-    const auto g = gen::erdos_renyi(70, 0.04, seed);
-    const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-    // Oracle: byte-matrix or-and FW.
-    Matrix<std::uint8_t> m(n, n, 0);
-    for (std::size_t v = 0; v < n; ++v) m(v, v) = 1;
-    for (const Edge& e : g.edges()) m(e.src, e.dst) = 1;
-    floyd_warshall<BoolOrAnd>(m.view());
-
-    const BitMatrix reach = transitive_closure(g);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        ASSERT_EQ(reach.get(i, j), m(i, j) == 1)
-            << "(" << i << "," << j << ") seed " << seed;
-  }
-}
-
-TEST(BitsetClosure, CountAndBasicShapes) {
-  const auto ring = gen::ring(65);  // crosses the 64-bit word boundary
-  const BitMatrix r = transitive_closure(ring);
-  EXPECT_EQ(r.count(), 65u * 65u);  // a cycle reaches everything
-
-  Graph chain(65);
-  for (vertex_t i = 0; i + 1 < 65; ++i) chain.add_edge(i, i + 1, 1.0);
-  const BitMatrix c = transitive_closure(chain);
-  EXPECT_EQ(c.count(), 65u * 66u / 2u);  // upper triangle incl. diagonal
-  EXPECT_TRUE(c.get(0, 64));
-  EXPECT_FALSE(c.get(64, 0));
-}
-
-TEST(BitsetClosure, AgreesWithConnectedComponentsOnSymmetricGraphs) {
-  const auto g = gen::multi_component(3, 21, 0.3, 44);
-  // Symmetrise.
-  Graph sym(g.num_vertices());
-  for (const Edge& e : g.edges()) sym.add_undirected_edge(e.src, e.dst, 1.0);
-  const BitMatrix reach = transitive_closure(sym);
-  const auto labels = connected_components(sym);
-  for (vertex_t i = 0; i < sym.num_vertices(); ++i)
-    for (vertex_t j = 0; j < sym.num_vertices(); ++j)
-      EXPECT_EQ(reach.get(static_cast<std::size_t>(i),
-                          static_cast<std::size_t>(j)),
-                labels[static_cast<std::size_t>(i)] ==
-                    labels[static_cast<std::size_t>(j)]);
 }
 
 // --- block-sparse FW ----------------------------------------------------------

@@ -10,7 +10,6 @@
 #include "dist/driver.hpp"
 #include "dist/grid.hpp"
 #include "dist/parallel_fw.hpp"
-#include "dist/dc_apsp.hpp"
 
 namespace parfw::dist {
 namespace {
@@ -332,72 +331,6 @@ TEST(DistPaths, RectangularGridsAlsoBitIdentical) {
         if (got_pred(i, j) != exp_pred(i, j)) ++mismatches;
     EXPECT_EQ(mismatches, 0u) << pr << "x" << pc;
   }
-}
-
-// --- divide-and-conquer APSP (paper §6, Solomonik et al.) ----------------------
-
-class DcApspParam : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-// (pr, pc, nb)
-
-TEST_P(DcApspParam, MatchesSequentialOracle) {
-  const auto [pr, pc, nbi] = GetParam();
-  const std::size_t b = 8;
-  const std::size_t n = static_cast<std::size_t>(nbi) * b;
-  DenseEntryGen<float> gen(6100 + static_cast<std::uint64_t>(pr * 100 + nbi),
-                           0.5, 1.0f, 70.0f, /*integral=*/true);
-  const auto expected = oracle(n, gen);
-
-  const auto grid = GridSpec::row_major(pr, pc);
-  Matrix<float> gathered;
-  mpi::Runtime::run(grid.size(), [&](mpi::Comm& world) {
-    BlockCyclicMatrix<float> local(n, b, grid, grid.coord_of(world.rank()));
-    local.fill(gen);
-    dc_apsp<S>(world, local);
-    auto out = local.gather(world);
-    if (world.rank() == 0) gathered = std::move(out);
-  });
-  ASSERT_EQ(gathered.rows(), n);
-  EXPECT_EQ(max_abs_diff<float>(expected.view(), gathered.view()), 0.0)
-      << pr << "x" << pc << " nb=" << nbi;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grids, DcApspParam,
-    ::testing::Values(std::tuple{1, 1, 4}, std::tuple{2, 2, 4},
-                      std::tuple{2, 2, 7},   // odd split
-                      std::tuple{2, 3, 6}, std::tuple{3, 2, 9},
-                      std::tuple{2, 2, 8}, std::tuple{1, 4, 5}));
-
-TEST(DcApsp, AgreesWithParallelFwAndMovesComparableVolume) {
-  const std::size_t n = 96, b = 8;
-  DenseEntryGen<float> gen(6200, 0.8, 1.0f, 90.0f, /*integral=*/true);
-  const auto grid = GridSpec::row_major(2, 2);
-
-  Matrix<float> via_fw, via_dc;
-  const auto t_fw = mpi::Runtime::run(grid.size(), [&](mpi::Comm& world) {
-    BlockCyclicMatrix<float> local(n, b, grid, grid.coord_of(world.rank()));
-    local.fill(gen);
-    DistFwOptions opt;
-    opt.variant = Variant::kBaseline;
-    opt.block_size = b;
-    parallel_fw<S>(world, local, opt);
-    auto out = local.gather(world);
-    if (world.rank() == 0) via_fw = std::move(out);
-  });
-  const auto t_dc = mpi::Runtime::run(grid.size(), [&](mpi::Comm& world) {
-    BlockCyclicMatrix<float> local(n, b, grid, grid.coord_of(world.rank()));
-    local.fill(gen);
-    dc_apsp<S>(world, local);
-    auto out = local.gather(world);
-    if (world.rank() == 0) via_dc = std::move(out);
-  });
-  EXPECT_EQ(max_abs_diff<float>(via_fw.view(), via_dc.view()), 0.0);
-  // Same asymptotic volume class (each moves O(n²·√P-ish) per the SUMMA /
-  // panel-broadcast structure); sanity-bound the ratio.
-  EXPECT_LT(static_cast<double>(t_dc.bytes_total),
-            3.0 * static_cast<double>(t_fw.bytes_total));
-  EXPECT_GT(static_cast<double>(t_dc.bytes_total),
-            0.2 * static_cast<double>(t_fw.bytes_total));
 }
 
 // --- traffic properties --------------------------------------------------------

@@ -1,14 +1,15 @@
 // Offload engine tests: ooGSrGemm correctness vs in-core SRGEMM across
 // chunk geometries and stream counts, transfer-volume accounting against
-// the §4.5 cost model, and the full offload blocked FW vs sequential FW.
+// the §4.5 cost model, and the kOffload interpreter closing a matrix
+// larger than device memory.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "core/floyd_warshall.hpp"
+#include "dist/driver.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "offload/offload_fw.hpp"
 #include "offload/oog_srgemm.hpp"
 #include "semiring/semiring.hpp"
 
@@ -194,79 +195,26 @@ TEST(OogSrgemmDevice, StridedPanelViews) {
   EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0);
 }
 
-class OffloadFwParam : public ::testing::TestWithParam<std::tuple<int, int>> {};
-// (n, block_size)
-
-TEST_P(OffloadFwParam, MatchesSequentialFw) {
-  const auto [n, b] = GetParam();
-  DenseEntryGen<float> gen(500 + n, 0.9, 1.0f, 80.0f, /*integral=*/true);
-  auto expected = gen.full(n);
-  floyd_warshall<S>(expected.view());
-
-  auto m = gen.full(n);
-  dev::Device device;
-  offload::OffloadFwOptions opt;
-  opt.block_size = static_cast<std::size_t>(b);
-  opt.oog.mx = opt.oog.nx = 32;
-  opt.oog.num_streams = 3;
-  const auto stats = offload::offload_blocked_fw<S>(device, m.view(), opt);
-  device.synchronize();
-  EXPECT_EQ(max_abs_diff<float>(expected.view(), m.view()), 0.0)
-      << "n=" << n << " b=" << b;
-  EXPECT_EQ(stats.iterations, (static_cast<std::size_t>(n) + b - 1) / b);
-  // Panels are uploaded exactly once per iteration (§4.4): total h2d =
-  // Σ_k (b_k² + 2·n·b_k); the outer update streams results only.
-  std::size_t expected_h2d = 0;
-  const std::size_t ns = static_cast<std::size_t>(n);
-  for (std::size_t k0 = 0; k0 < ns; k0 += b) {
-    const std::size_t bk = std::min<std::size_t>(b, ns - k0);
-    expected_h2d += bk * bk + 2 * ns * bk;
-  }
-  EXPECT_EQ(stats.elems_h2d, expected_h2d);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, OffloadFwParam,
-                         ::testing::Values(std::tuple{32, 8},
-                                           std::tuple{64, 16},
-                                           std::tuple{96, 32},
-                                           std::tuple{100, 30},
-                                           std::tuple{128, 64}));
-
-TEST(OffloadFw, ClassicDiagStrategyAlsoCorrect) {
-  const int n = 80;
-  DenseEntryGen<float> gen(901, 1.0, 1.0f, 40.0f, /*integral=*/true);
-  auto expected = gen.full(n);
-  floyd_warshall<S>(expected.view());
-  auto m = gen.full(n);
-  dev::Device device;
-  offload::OffloadFwOptions opt;
-  opt.block_size = 20;
-  opt.diag = DiagStrategy::kClassic;
-  opt.oog.mx = opt.oog.nx = 40;
-  offload::offload_blocked_fw<S>(device, m.view(), opt);
-  device.synchronize();
-  EXPECT_EQ(max_abs_diff<float>(expected.view(), m.view()), 0.0);
-}
-
 TEST(OffloadFw, HostMatrixLargerThanDeviceMemory) {
   // The headline property: close a matrix whose footprint exceeds device
-  // capacity. n=128 floats = 64 KiB host matrix; device gets 24 KiB.
+  // capacity. The kOffload variant on a 1x1 grid keeps the whole 64 KiB
+  // host matrix on one rank whose device holds only 40 KiB; dev::Device
+  // throws on any allocation past capacity, so a bitwise match proves the
+  // ooGSrGemm pipeline streamed it through.
   const std::size_t n = 128, b = 16;
   DenseEntryGen<float> gen(903, 1.0, 1.0f, 25.0f, /*integral=*/true);
   auto expected = gen.full(static_cast<vertex_t>(n));
   floyd_warshall<S>(expected.view());
-  auto m = gen.full(static_cast<vertex_t>(n));
-  dev::DeviceConfig dc;
-  dc.memory_bytes = 40 << 10;  // 40 KiB device vs a 64 KiB host matrix
-  dev::Device device(dc);
-  offload::OffloadFwOptions opt;
+  dist::DistFwOptions opt;
+  opt.variant = dist::Variant::kOffload;
   opt.block_size = b;
+  opt.device_memory_bytes = 40 << 10;
   opt.oog.mx = opt.oog.nx = 16;
   opt.oog.num_streams = 2;
-  offload::offload_blocked_fw<S>(device, m.view(), opt);
-  device.synchronize();
-  EXPECT_LT(device.counters().peak_bytes_in_use, n * n * sizeof(float));
-  EXPECT_EQ(max_abs_diff<float>(expected.view(), m.view()), 0.0);
+  ASSERT_LT(opt.device_memory_bytes, n * n * sizeof(float));
+  const auto r = dist::run_parallel_fw<S>(
+      n, gen, dist::GridSpec::row_major(1, 1), /*ranks_per_node=*/1, opt);
+  EXPECT_EQ(max_abs_diff<float>(expected.view(), r.dist.view()), 0.0);
 }
 
 }  // namespace

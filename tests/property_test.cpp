@@ -6,7 +6,6 @@
 
 #include "core/apsp.hpp"
 #include "core/blocked_fw.hpp"
-#include "core/rkleene.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -77,8 +76,7 @@ TEST_P(ClosureProperties, MonotoneInEdgeWeights) {
 }
 
 TEST_P(ClosureProperties, SolverFamilyAgreesBitwise) {
-  // Sequential FW, blocked FW (two block sizes), and R-Kleene must agree
-  // exactly on integral weights.
+  // Sequential FW and blocked FW must agree exactly on integral weights.
   const auto g = gen::erdos_renyi(52, 0.2, GetParam() + 12000, 1.0, 90.0, true);
   auto seq = g.distance_matrix<S>();
   floyd_warshall<S>(seq.view());
@@ -86,53 +84,10 @@ TEST_P(ClosureProperties, SolverFamilyAgreesBitwise) {
   auto blocked = g.distance_matrix<S>();
   blocked_floyd_warshall<S>(blocked.view(), {{.block_size = 13}});
   EXPECT_EQ(max_abs_diff<double>(seq.view(), blocked.view()), 0.0);
-
-  auto rk = g.distance_matrix<S>();
-  rkleene_apsp<S>(rk.view(), {.base_size = 8});
-  EXPECT_EQ(max_abs_diff<double>(seq.view(), rk.view()), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClosureProperties,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-// --- R-Kleene specifics -------------------------------------------------------
-
-TEST(RKleene, OddSizesAndTinyBases) {
-  for (int n : {1, 2, 3, 17, 33, 65}) {
-    const auto g = gen::erdos_renyi(n, 0.3, 700 + n, 1.0, 50.0, true);
-    auto seq = g.distance_matrix<S>();
-    floyd_warshall<S>(seq.view());
-    auto rk = g.distance_matrix<S>();
-    rkleene_apsp<S>(rk.view(), {.base_size = 2});
-    EXPECT_EQ(max_abs_diff<double>(seq.view(), rk.view()), 0.0) << "n=" << n;
-  }
-}
-
-TEST(RKleene, MaxMinSemiring) {
-  using W = MaxMin<float>;
-  DenseEntryGen<float> gen(71, 0.5, 1.0f, 100.0f, true);
-  const std::size_t n = 48;
-  Matrix<float> a(n, n, W::zero());
-  for (std::size_t i = 0; i < n; ++i) a(i, i) = W::one();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const float w = gen(static_cast<vertex_t>(i), static_cast<vertex_t>(j));
-      if (!value_traits<float>::is_inf(w)) a(i, j) = w;
-    }
-  auto expected = a.clone();
-  floyd_warshall<W>(expected.view());
-  rkleene_apsp<W>(a.view(), {.base_size = 8});
-  EXPECT_EQ(max_abs_diff<float>(expected.view(), a.view()), 0.0);
-}
-
-TEST(RKleene, EmptyAndDegenerate) {
-  Matrix<double> empty(0, 0);
-  rkleene_apsp<S>(empty.view());  // must not crash
-  Matrix<double> one(1, 1, 0.0);
-  rkleene_apsp<S>(one.view());
-  EXPECT_EQ(one(0, 0), 0.0);
-}
 
 }  // namespace
 }  // namespace parfw

@@ -1,5 +1,5 @@
 // Resilience subsystem tests (DESIGN.md "Resilience"): CheckpointStore
-// round-trips, checkpoint v1/v2 format compatibility, crash-restart
+// round-trips, checkpoint v2 format and hostile-header rejection, crash-restart
 // bit-identity for every ParallelFw variant on both placements, retry
 // completion under seeded message drops, and the parfw::solve front door.
 #include <gtest/gtest.h>
@@ -82,34 +82,69 @@ TEST(CheckpointStore, FileStoreRejectsPathTraversalKeys) {
   std::filesystem::remove_all(dir);
 }
 
-// --- Checkpoint format: v1 compatibility, v2 round trip -------------------------
+// --- Checkpoint format: v2 round trip, hostile headers ----------------------
 
-TEST(CheckpointFormat, V1StreamsStillLoad) {
-  // Hand-assemble a version-1 checkpoint (the pre-resilience 40-byte
-  // header followed immediately by row-major payload) and load it.
-  const std::size_t n = 4, next_block = 1, b = 2;
-  Matrix<float> m(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      m(i, j) = static_cast<float>(i * n + j);
-
-  CheckpointHeader h;
-  h.version = 1;
-  h.elem_size = sizeof(float);
-  h.n = n;
-  h.next_block = next_block;
-  h.block_size = b;
+/// Hand-assemble a single-matrix blob: `h`, a default extension unless
+/// `with_ext` is false, then `payload_floats` floats of payload.
+std::string hand_built_blob(const CheckpointHeader& h, bool with_ext,
+                            std::size_t payload_floats) {
   std::ostringstream os(std::ios::binary);
   os.write(reinterpret_cast<const char*>(&h), sizeof h);
-  os.write(reinterpret_cast<const char*>(m.data()),
-           static_cast<std::streamsize>(n * n * sizeof(float)));
+  if (with_ext) {
+    const CheckpointExtV2 ext;
+    os.write(reinterpret_cast<const char*>(&ext), sizeof ext);
+  }
+  const std::vector<float> payload(payload_floats, 1.0f);
+  os.write(reinterpret_cast<const char*>(payload.data()),
+           static_cast<std::streamsize>(payload.size() * sizeof(float)));
+  return std::move(os).str();
+}
 
-  std::istringstream is(os.str(), std::ios::binary);
-  const auto loaded = load_checkpoint<float>(is);
-  EXPECT_EQ(loaded.next_block, next_block);
-  EXPECT_EQ(loaded.block_size, b);
-  EXPECT_EQ(loaded.ext.tile_count, 0u);  // v1 carries no extension
-  EXPECT_EQ(max_abs_diff<float>(m.view(), loaded.dist.view()), 0.0);
+/// Load `blob` as a float checkpoint; returns the check_error message
+/// ("" when the load succeeded).
+std::string load_error(const std::string& blob) {
+  std::istringstream is(blob, std::ios::binary);
+  try {
+    (void)load_checkpoint<float>(is);
+  } catch (const check_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+CheckpointHeader float_header(std::uint64_t n) {
+  CheckpointHeader h;
+  h.elem_size = sizeof(float);
+  h.n = n;
+  h.next_block = 1;
+  h.block_size = 2;
+  return h;
+}
+
+TEST(CheckpointFormat, V1StreamsAreRejected) {
+  // The version-1 layout: the 40-byte header followed immediately by the
+  // row-major payload, no extension.
+  CheckpointHeader h = float_header(4);
+  h.version = 1;
+  const std::string err = load_error(hand_built_blob(h, false, 16));
+  EXPECT_NE(err.find("version 1"), std::string::npos) << err;
+}
+
+TEST(CheckpointFormat, HostileHeadersAreRejected) {
+  // 2^32: n*n wraps to 0 in 64 bits. 2^31: n*n*sizeof(float) wraps.
+  // 5: fits in 64 bits but needs more payload than the 4x4 blob holds.
+  for (std::uint64_t n : {std::uint64_t{1} << 32, std::uint64_t{1} << 31,
+                          std::uint64_t{5}}) {
+    const std::string err =
+        load_error(hand_built_blob(float_header(n), true, 16));
+    EXPECT_NE(err.find("n = " + std::to_string(n)), std::string::npos)
+        << "n=" << n << ": " << err;
+  }
+  CheckpointHeader zero_block = float_header(4);
+  zero_block.block_size = 0;
+  const std::string err = load_error(hand_built_blob(zero_block, true, 16));
+  EXPECT_NE(err.find("block size"), std::string::npos) << err;
+  EXPECT_EQ(load_error(hand_built_blob(float_header(4), true, 16)), "");
 }
 
 TEST(CheckpointFormat, V2RoundTripThroughStore) {
@@ -420,7 +455,7 @@ TEST(MessageFaults, FivePercentDropRunCompletesWithinRetryBudget) {
   DenseEntryGen<float> gen(2024, 0.85, 1.0f, 90.0f, /*integral=*/true);
   const auto expected = oracle(n, gen);
 
-  sched::ChromeTraceSink trace;
+  sched::CollectTraceSink trace;
   dist::DistFwOptions opt;
   opt.variant = sched::Variant::kAsync;
   opt.block_size = b;
@@ -438,7 +473,7 @@ TEST(MessageFaults, FivePercentDropRunCompletesWithinRetryBudget) {
   EXPECT_EQ(result.restarts, 0) << "drops must be absorbed by retries";
 
   std::ostringstream os;
-  trace.write(os);
+  trace.write_chrome(os);
   EXPECT_NE(os.str().find("\"retry\""), std::string::npos)
       << "retransmissions must appear as instants in the Chrome trace";
   EXPECT_NE(os.str().find("\"drop\""), std::string::npos);

@@ -220,14 +220,6 @@ TEST(QueryApi, StatusDistinguishesUnreachableFromNotTracked) {
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[1].status, PathStatus::kUnreachable);  // 1 -> 0
   EXPECT_EQ(results[2].path, (std::vector<std::int64_t>{1, 2}));
-
-  // The deprecated shim still answers (ambiguously) for old callers.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_EQ(tracked.path(0, 2), (std::vector<std::int64_t>{0, 1, 2}));
-  EXPECT_TRUE(tracked.path(0, 3).empty());
-  EXPECT_TRUE(untracked.path(0, 2).empty());
-#pragma GCC diagnostic pop
 }
 
 // --- Publish + serve round trip ---------------------------------------------
@@ -640,7 +632,7 @@ TEST(QTrace, ChromeTraceRoundTrip) {
   // reassembled span trees still tile (within the µs-rounding tolerance)
   // and causal::build_graph/analyze consume them unchanged.
   Published p = publish_case(48, 8, 1, 2, /*paths=*/true);
-  sched::ChromeTraceSink sink;
+  sched::CollectTraceSink sink;
   serve::ServeOptions sopt;
   sopt.cache_budget_bytes = 4 * 8 * 8 * sizeof(std::int64_t);
   sopt.trace = &sink;
@@ -655,7 +647,7 @@ TEST(QTrace, ChromeTraceRoundTrip) {
   ASSERT_EQ(service.answer(batch).size(), batch.size());
 
   std::ostringstream os;
-  sink.write(os);
+  sink.write_chrome(os);
   const causal::LoadResult loaded = causal::load_chrome_trace(os.str());
   ASSERT_TRUE(loaded.ok) << loaded.error;
 

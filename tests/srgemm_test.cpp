@@ -121,7 +121,7 @@ TEST(Srgemm, PackedKernelMatchesUnpacked) {
     auto C0 = random_matrix<float>(m, n, 73);
     auto C1 = C0.clone();
     srgemm::Config packed{};
-    packed.pack = true;
+    packed.kernel = srgemm::Kernel::kPacked;
     srgemm::multiply<S>(A.view(), B.view(), C0.view());
     srgemm::multiply<S>(A.view(), B.view(), C1.view(), packed);
     EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0)
@@ -134,7 +134,7 @@ TEST(Srgemm, PackedKernelOnStridedViews) {
   auto big = random_matrix<float>(300, 300, 74);
   auto expected = big.clone();
   srgemm::Config packed{};
-  packed.pack = true;
+  packed.kernel = srgemm::Kernel::kPacked;
   srgemm::multiply<S>(expected.sub(0, 0, 100, 50), expected.sub(0, 100, 50, 80),
                       expected.sub(100, 100, 100, 80));
   srgemm::multiply<S>(big.sub(0, 0, 100, 50), big.sub(0, 100, 50, 80),

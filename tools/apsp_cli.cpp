@@ -152,7 +152,7 @@ int serve_queries(const CliArgs& args) {
     incidents.emplace(icfg, &*ring);
   }
 
-  sched::ChromeTraceSink trace;
+  sched::CollectTraceSink trace;
   sched::TeeTraceSink tee;
   if (args.has("serve-trace")) tee.add(&trace);
   if (ring.has_value()) tee.add(&*ring);
@@ -199,7 +199,7 @@ int serve_queries(const CliArgs& args) {
     const std::string path = args.get("serve-trace", "");
     std::ofstream os(path);
     PARFW_CHECK_MSG(os.good(), "cannot open --serve-trace " << path);
-    trace.write(os);
+    trace.write_chrome(os);
     std::fprintf(stderr, "wrote %zu serve trace events to %s\n", trace.size(),
                  path.c_str());
   }

@@ -84,7 +84,7 @@ int parse_variant(const std::string& name, dist::Variant* out) {
 }
 
 int run_real(const CliArgs& args, dist::Variant variant,
-             sched::ChromeTraceSink& sink) {
+             sched::CollectTraceSink& sink) {
   using S = MinPlus<float>;
   const int pr = static_cast<int>(args.get_int("pr", 2));
   const int pc = static_cast<int>(args.get_int("pc", 2));
@@ -120,7 +120,7 @@ int run_real(const CliArgs& args, dist::Variant variant,
 }
 
 int run_des(const CliArgs& args, dist::Variant variant,
-            sched::ChromeTraceSink& sink) {
+            sched::CollectTraceSink& sink) {
   const perf::MachineConfig m = perf::MachineConfig::summit();
   const int nodes = static_cast<int>(args.get_int("nodes", 4));
   const double n = static_cast<double>(args.get_int("n", 65536));
@@ -278,7 +278,7 @@ int run_check(const CliArgs& args) {
   std::fprintf(stderr, "%s: ok, %zu events\n", in.c_str(),
                loaded.events.size());
   if (args.has("out")) {
-    sched::ChromeTraceSink sink;
+    sched::CollectTraceSink sink;
     for (const sched::TraceEvent& e : loaded.events) sink.record(e);
     const std::string out = args.get("out", "");
     std::ofstream os(out);
@@ -286,7 +286,7 @@ int run_check(const CliArgs& args) {
       std::fprintf(stderr, "cannot open '%s'\n", out.c_str());
       return 1;
     }
-    sink.write(os);
+    sink.write_chrome(os);
     os.flush();
     if (!os) {
       std::fprintf(stderr, "write failed on '%s'\n", out.c_str());
@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
   if (int rc = parse_variant(args.get("variant", "async"), &variant)) return rc;
   if (mode == "metrics") return run_metrics(args, variant);
 
-  sched::ChromeTraceSink sink;
+  sched::CollectTraceSink sink;
   int rc;
   if (mode == "real")
     rc = run_real(args, variant, sink);
@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open '%s'\n", out.c_str());
     return 1;
   }
-  sink.write(os);
+  sink.write_chrome(os);
   os.flush();
   if (!os) {
     std::fprintf(stderr, "write failed on '%s'\n", out.c_str());
