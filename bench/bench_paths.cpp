@@ -1,24 +1,42 @@
 // Path-tracking benchmarks: the argmin-SIMD fused kernel vs the scalar
-// reference, and the end-to-end overhead a paths run adds to a value run
-// of the distributed solver.
+// reference, the end-to-end overhead a paths run adds to a value run of
+// the distributed solver, and a single-node paths solve on the pool.
 //
 // Acceptance claims this binary measures:
 //   * srgemm::multiply_with_pred (SIMD argmin tracking) is >= 5x the
-//     scalar detail::srgemm_with_pred oracle at n = 512 — check.sh
-//     --paths enforces the ratio from the emitted JSON;
+//     scalar srgemm::multiply_with_pred_reference oracle at n = 512 —
+//     check.sh --paths enforces the ratio from the emitted JSON;
 //   * the paths overhead of the distributed solve stays a small constant
 //     factor (pred companion broadcasts roughly triple the row-panel
-//     volume; compute roughly doubles per improving element).
+//     volume; compute roughly doubles per improving element);
+//   * BM_ApspPathsParallel: the default front door (kBlockedParallel)
+//     with track_paths on ER n = 3072, b = 64 — the look-ahead tile loop
+//     over the global pool.
 //
-// Baseline numbers live in BENCH_paths.json (regenerate with
-//   bench_paths --benchmark_out=BENCH_paths.json
-//               --benchmark_out_format=json).
+// Every row times wall clock per iteration, and its GFLOP/s counter (the
+// metric check.sh --paths gates) is the flop count over the
+// first-quartile iteration time. On a shared 4-vCPU VM, other tenants'
+// load stretches a varying share of the iterations, by up to 3x on the
+// distributed rows: the mean follows that share, the first quartile
+// mostly does not.
+//
+// Baseline numbers live in BENCH_paths.json: each row is its second
+// slowest of seven runs of
+//   bench_paths --benchmark_min_time=0.5 --benchmark_out=run.json
+//               --benchmark_out_format=json
+// (the same flags check.sh --paths uses), since even the single-threaded
+// rows move by 25% between runs on a shared host.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
-#include "core/blocked_fw_paths.hpp"
+#include "core/apsp.hpp"
 #include "dist/driver.hpp"
+#include "graph/generators.hpp"
 #include "semiring/semiring.hpp"
 #include "srgemm/srgemm.hpp"
 
@@ -41,23 +59,35 @@ parfw::Matrix<std::int64_t> make_pred(std::size_t r, std::size_t c) {
   return p;
 }
 
-/// Scalar reference: the triple loop blocked_floyd_warshall_paths used
-/// before the fused kernel existed.
+/// Runs `body` once per iteration and sets GFLOP/s from the
+/// first-quartile iteration time.
+template <typename F>
+void timed_loop(benchmark::State& state, double flops, F&& body) {
+  std::vector<double> secs;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    secs.push_back(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
+  }
+  const auto q1 = secs.begin() + static_cast<std::ptrdiff_t>(secs.size() / 4);
+  std::nth_element(secs.begin(), q1, secs.end());
+  state.counters["GFLOP/s"] = flops / *q1 / 1e9;
+}
+
+/// Scalar reference: the triple loop the fused kernel replaced.
 void BM_PredScalar(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   auto A = make(n, n, 1), B = make(n, n, 2), C = make(n, n, 3);
   auto predB = make_pred(n, n);
   parfw::Matrix<std::int64_t> predC(n, n, -1);
-  for (auto _ : state) {
-    parfw::detail::srgemm_with_pred<S>(A.view(), B.view(), C.view(),
-                                       predB.view(), predC.view());
+  timed_loop(state, parfw::srgemm::flops(n, n, n), [&] {
+    parfw::srgemm::multiply_with_pred_reference<S>(
+        A.view(), B.view(), C.view(), predB.view(), predC.view());
     benchmark::DoNotOptimize(C.data());
     benchmark::DoNotOptimize(predC.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      parfw::srgemm::flops(n, n, n) * static_cast<double>(state.iterations()) /
-          1e9,
-      benchmark::Counter::kIsRate);
+  });
 }
 BENCHMARK(BM_PredScalar)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
@@ -68,21 +98,21 @@ void BM_PredFused(benchmark::State& state) {
   auto A = make(n, n, 1), B = make(n, n, 2), C = make(n, n, 3);
   auto predB = make_pred(n, n);
   parfw::Matrix<std::int64_t> predC(n, n, -1);
-  for (auto _ : state) {
+  timed_loop(state, parfw::srgemm::flops(n, n, n), [&] {
     parfw::srgemm::multiply_with_pred<S>(A.view(), B.view(), C.view(),
                                          predB.view(), predC.view());
     benchmark::DoNotOptimize(C.data());
     benchmark::DoNotOptimize(predC.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      parfw::srgemm::flops(n, n, n) * static_cast<double>(state.iterations()) /
-          1e9,
-      benchmark::Counter::kIsRate);
+  });
 }
 BENCHMARK(BM_PredFused)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// End-to-end distributed solve, values only — the denominator of the
-/// paths-overhead claim.
+/// paths-overhead claim. The rows warm up for 2 s first: the first second
+/// after the vCPUs idle (e.g. behind the single-threaded BM_PredFused
+/// rows) runs these thread-handoff-heavy solves 1.5-2.5x slower.
+/// google-benchmark 1.7 honours a row's warm-up only when the row also
+/// sets its own MinTime.
 void run_dist(benchmark::State& state, bool track_paths) {
   const std::size_t n = 256, b = 32;
   const auto grid = parfw::dist::GridSpec::row_major(2, 2);
@@ -90,18 +120,47 @@ void run_dist(benchmark::State& state, bool track_paths) {
   parfw::dist::DistFwOptions opt;
   opt.variant = parfw::sched::Variant::kAsync;
   opt.block_size = b;
-  for (auto _ : state) {
+  timed_loop(state, parfw::blocked_fw_flops(n), [&] {
     const auto r = parfw::dist::run_parallel_fw<S>(n, gen, grid, 2, opt,
                                                    track_paths);
     benchmark::DoNotOptimize(r.dist.data());
-  }
+  });
 }
 
 void BM_DistValue(benchmark::State& state) { run_dist(state, false); }
-BENCHMARK(BM_DistValue)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DistValue)
+    ->MinWarmUpTime(2.0)
+    ->MinTime(0.5)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_DistPaths(benchmark::State& state) { run_dist(state, true); }
-BENCHMARK(BM_DistPaths)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DistPaths)
+    ->MinWarmUpTime(2.0)
+    ->MinTime(0.5)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// Single-node paths solve through apsp(): kBlockedParallel on the global
+/// pool, ER n = 3072 (p = 0.01, integral weights), b = 64. The graph is
+/// built once; each iteration rebuilds the distance matrix inside apsp().
+void BM_ApspPathsParallel(benchmark::State& state) {
+  const parfw::vertex_t n = 3072;
+  const auto g = parfw::gen::erdos_renyi(n, 0.01, 7, 1.0, 100.0,
+                                         /*integral=*/true);
+  parfw::ApspOptions opt;
+  opt.algorithm = parfw::ApspAlgorithm::kBlockedParallel;
+  opt.block_size = 64;
+  opt.track_paths = true;
+  timed_loop(state, parfw::blocked_fw_flops(n), [&] {
+    const auto r = parfw::apsp<S>(g, opt);
+    benchmark::DoNotOptimize(r.pred->data());
+  });
+}
+BENCHMARK(BM_ApspPathsParallel)
+    ->Iterations(3)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

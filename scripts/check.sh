@@ -57,8 +57,9 @@
 # --paths is the path-tracking gate: bench_paths (argmin-SIMD kernel vs
 # the scalar oracle, plus the end-to-end paths overhead of a distributed
 # solve) diffed against BENCH_paths.json, the >= 5x fused-kernel speedup
-# acceptance enforced from the fresh JSON, and an apsp --paths
-# end-to-end run (distributed) that must answer a path query.
+# acceptance enforced from the fresh JSON, and apsp --paths end-to-end
+# runs (distributed 2x2, then single-node on the pool) that must answer
+# a path query with the same path.
 #
 # --serve is the serving-tier gate (DESIGN.md §4.12-4.13): the
 # test_serve and test_cli suites, bench_serve diffed against
@@ -247,7 +248,7 @@ if [[ "$paths" == 1 ]]; then
 
   echo "== paths bench vs BENCH_paths.json =="
   "$build_dir/bench/bench_paths" \
-    --benchmark_min_time=0.1 \
+    --benchmark_min_time=0.5 \
     --benchmark_out="$out_dir/paths_fresh.json" \
     --benchmark_out_format=json
   python3 "$repo_root/scripts/bench_compare.py" \
@@ -269,6 +270,15 @@ EOF
     | tee "$out_dir/paths_query.txt"
   grep -q "^path:" "$out_dir/paths_query.txt" \
     || { echo "apsp --paths did not print a path"; exit 1; }
+
+  echo "== apsp --paths end-to-end (single node, pool) =="
+  # Bit-identical pred matrices imply the same path as the 2x2 run.
+  "$build_dir/tools/apsp" --gen er --n 240 --p 0.2 --seed 7 \
+    --algorithm parallel --block 48 --paths --query 0,199 \
+    | tee "$out_dir/paths_query_1node.txt"
+  [[ "$(grep '^path:' "$out_dir/paths_query_1node.txt")" == \
+     "$(grep '^path:' "$out_dir/paths_query.txt")" ]] \
+    || { echo "single-node and 2x2 --paths runs print different paths"; exit 1; }
 
   echo "== apsp --paths --variant auto (tuner prices the paths schedule) =="
   rm -f "$out_dir/cache.json"

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/blocked_fw.hpp"
-#include "core/blocked_fw_paths.hpp"
 #include "core/checkpoint_store.hpp"
 #include "core/floyd_warshall.hpp"
 #include "core/query.hpp"
@@ -36,7 +35,7 @@ class ScheduleObserver;   // fwd: sched/ir.hpp
 enum class ApspAlgorithm {
   kSequential,       ///< Algorithm 1
   kBlocked,          ///< Algorithm 2, single thread
-  kBlockedParallel,  ///< Algorithm 2, SRGEMM over the global thread pool
+  kBlockedParallel,  ///< Algorithm 2, tiles over the global thread pool
   kDistributed,      ///< ParallelFw over mpisim (dispatched by parfw::solve)
 };
 
@@ -130,34 +129,29 @@ ApspResult<typename S::value_type> apsp(const Graph& g,
   ApspResult<T> result;
   result.dist = g.distance_matrix<S>();
   auto d = result.dist.view();
-
+  MatrixView<std::int64_t> pred;  // empty = values only
   if (opt.track_paths) {
     result.pred.emplace(d.rows(), d.cols());
-    init_predecessors<S>(d, result.pred->view());
-    if (opt.algorithm == ApspAlgorithm::kSequential)
-      floyd_warshall_paths<S>(d, result.pred->view());
-    else
-      blocked_floyd_warshall_paths<S>(d, result.pred->view(), opt.block_size);
-  } else {
-    switch (opt.algorithm) {
-      case ApspAlgorithm::kSequential:
+    pred = result.pred->view();
+    init_predecessors<S>(d, pred);
+  }
+
+  BlockedFwOptions bopt;
+  static_cast<SolveCommon&>(bopt) = opt;  // shared knobs, verbatim
+  switch (opt.algorithm) {
+    case ApspAlgorithm::kSequential:
+      if (opt.track_paths)
+        floyd_warshall_paths<S>(d, pred);
+      else
         floyd_warshall<S>(d);
-        break;
-      case ApspAlgorithm::kBlocked: {
-        BlockedFwOptions bopt;
-        static_cast<SolveCommon&>(bopt) = opt;  // shared knobs, verbatim
-        blocked_floyd_warshall<S>(d, bopt);
-        break;
-      }
-      case ApspAlgorithm::kBlockedParallel: {
-        BlockedFwOptions bopt;
-        static_cast<SolveCommon&>(bopt) = opt;
-        bopt.pool = &ThreadPool::global();
-        blocked_floyd_warshall<S>(d, bopt);
-        break;
-      }
-      case ApspAlgorithm::kDistributed: break;  // rejected above
-    }
+      break;
+    case ApspAlgorithm::kBlockedParallel:
+      bopt.pool = &ThreadPool::global();
+      [[fallthrough]];
+    case ApspAlgorithm::kBlocked:
+      blocked_floyd_warshall<S>(d, bopt, pred);
+      break;
+    case ApspAlgorithm::kDistributed: break;  // rejected above
   }
 
   if (opt.reject_negative_cycles) {

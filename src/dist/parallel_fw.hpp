@@ -49,7 +49,6 @@
 #include <span>
 #include <thread>
 
-#include "core/blocked_fw_paths.hpp"
 #include "core/checkpoint_store.hpp"
 #include "core/diag_update.hpp"
 #include "core/solve_options.hpp"
@@ -299,7 +298,7 @@ void parallel_fw_resume(mpi::Comm& world,
           auto pstrip = plocal.sub(pred->local_row(k) * b, 0, b, nlc * b);
           srgemm::multiply_with_pred<S>(
               akk.view(), MatrixView<const T>(strip), strip,
-              MatrixView<const std::int64_t>(pstrip), pstrip, opt.gemm);
+              MatrixView<const std::int64_t>(pstrip), pstrip);
           rowp_pred.view().copy_from(MatrixView<const std::int64_t>(pstrip));
         } else {
           srgemm::multiply<S>(akk.view(), strip, strip, opt.gemm);
@@ -316,8 +315,7 @@ void parallel_fw_resume(mpi::Comm& world,
           auto pstrip = plocal.sub(0, pred->local_col(k) * b, nlr * b, b);
           srgemm::multiply_with_pred<S>(
               MatrixView<const T>(strip), akk.view(), strip,
-              MatrixView<const std::int64_t>(akk_pred.view()), pstrip,
-              opt.gemm);
+              MatrixView<const std::int64_t>(akk_pred.view()), pstrip);
         } else {
           srgemm::multiply<S>(strip, akk.view(), strip, opt.gemm);
         }
@@ -358,8 +356,7 @@ void parallel_fw_resume(mpi::Comm& world,
           auto pstrip = plocal.sub(pred->local_row(k1) * b, 0, b, nlc * b);
           srgemm::multiply_with_pred<S>(
               MatrixView<const T>(cp_blk), rowp.view(), strip,
-              MatrixView<const std::int64_t>(rowp_pred.view()), pstrip,
-              opt.gemm);
+              MatrixView<const std::int64_t>(rowp_pred.view()), pstrip);
         } else {
           srgemm::multiply_prepacked<S>(cp_blk, rowp.view(), strip, opt.gemm);
         }
@@ -375,7 +372,7 @@ void parallel_fw_resume(mpi::Comm& world,
           auto prp_blk = rowp_pred.sub(0, a.local_col(k1) * b, b, b);
           srgemm::multiply_with_pred<S>(
               colp.view(), MatrixView<const T>(rp_blk), strip,
-              MatrixView<const std::int64_t>(prp_blk), pstrip, opt.gemm);
+              MatrixView<const std::int64_t>(prp_blk), pstrip);
         } else {
           srgemm::multiply_prepacked<S>(colp.view(), rp_blk, strip, opt.gemm);
         }
@@ -396,7 +393,7 @@ void parallel_fw_resume(mpi::Comm& world,
                                               rowp_pred.view(), plocal, oog);
           } else {
             srgemm::multiply_with_pred<S>(colp.view(), rowp.view(), local,
-                                          rowp_pred.view(), plocal, opt.gemm);
+                                          rowp_pred.view(), plocal);
           }
         } else if (op.offload) {
           (void)offload::oog_srgemm<S>(*device, colp.view(), rowp.view(),

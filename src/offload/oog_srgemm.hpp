@@ -160,7 +160,7 @@ OogStats oog_srgemm(dev::Device& device,
     const bool timed = cfg.trace != nullptr || cfg.metrics != nullptr;
     const double t0 = timed ? sched::now_seconds() : 0.0;
     MatrixView<const T> xv(staging[p.r].data(), nr, nc, cfg.nx);
-    srgemm::ewise_add<S>(xv, C.sub(r0, c0, nr, nc), cfg.gemm.pool);
+    srgemm::ewise_add<S>(xv, C.sub(r0, c0, nr, nc));
     if (timed) {
       const double t1 = sched::now_seconds();
       if (cfg.trace)
@@ -377,7 +377,7 @@ OogStats oog_srgemm_pred(dev::Device& device,
     MatrixView<const T> xv(staging[p.r].data(), nr, nc, cfg.nx);
     MatrixView<const P> xpv(staging_pred[p.r].data(), nr, nc, cfg.nx);
     srgemm::ewise_add_with_pred<S>(xv, xpv, C.sub(r0, c0, nr, nc),
-                                   predC.sub(r0, c0, nr, nc), cfg.gemm.pool);
+                                   predC.sub(r0, c0, nr, nc));
     if (timed) {
       const double t1 = sched::now_seconds();
       if (cfg.trace)
@@ -430,7 +430,6 @@ OogStats oog_srgemm_pred(dev::Device& device,
       const T* a_panel = dA.data() + r0 * k;
       const T* b_panel = dB.data() + c0;
       const P* pb_panel = dPB.data() + c0;
-      const srgemm::Config gemm = cfg.gemm;
       const std::size_t ldx = cfg.nx;
       device.launch(st, [=] {
         a_ev.wait();
@@ -442,7 +441,7 @@ OogStats oog_srgemm_pred(dev::Device& device,
         srgemm::multiply_with_pred<S>(
             MatrixView<const T>(a_panel, nr, k, k),
             MatrixView<const T>(b_panel, k, nc, n), xv,
-            MatrixView<const P>(pb_panel, k, nc, n), xpv, gemm);
+            MatrixView<const P>(pb_panel, k, nc, n), xpv);
       });
       device.memcpy_d2h(st, staging[r].data(), xr,
                         ((nr - 1) * ldx + nc) * sizeof(T));
@@ -529,7 +528,7 @@ OogStats oog_srgemm_device(dev::Device& device,
     const bool timed = cfg.trace != nullptr || cfg.metrics != nullptr;
     const double t0 = timed ? sched::now_seconds() : 0.0;
     MatrixView<const T> xv(staging[p.r].data(), nr, nc, cfg.nx);
-    srgemm::ewise_add<S>(xv, C.sub(r0, c0, nr, nc), cfg.gemm.pool);
+    srgemm::ewise_add<S>(xv, C.sub(r0, c0, nr, nc));
     if (timed) {
       const double t1 = sched::now_seconds();
       if (cfg.trace)

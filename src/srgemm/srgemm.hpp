@@ -14,9 +14,9 @@
 //     naive → tiled (scalar) → packed (scalar) → SIMD (packed) → prepacked
 // selected at runtime by Config::kernel; kAuto resolves to the explicit
 // SIMD kernel whenever the semiring has simd_ops (MinPlus/MaxMin/BoolOr/
-// PlusTimes) and falls back to the scalar tiled kernel otherwise. The
-// multi-threaded driver partitions C by row panels across a thread pool,
-// mirroring how a GPU partitions C across thread blocks.
+// PlusTimes) and falls back to the scalar tiled kernel otherwise. Every
+// call runs on the calling thread: the callers (blocked FW's tile loop,
+// the distributed ranks) own the parallelism.
 #pragma once
 
 #include <algorithm>
@@ -34,7 +34,6 @@
 #include "srgemm/srgemm_kernels.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/matrix.hpp"
-#include "util/thread_pool.hpp"
 
 namespace parfw::srgemm {
 
@@ -88,8 +87,6 @@ struct Config {
   std::size_t tile_k = 256;
   Kernel kernel = Kernel::kAuto;
   MicroShape micro = MicroShape::kAuto;
-  /// Pool used to parallelise over C row panels; nullptr = sequential.
-  ThreadPool* pool = nullptr;
 
   /// Cache-geometry-derived configuration. Deterministic for a fixed
   /// machine profile (computed once, then cached).
@@ -250,9 +247,8 @@ inline void run_simd(MatrixView<const typename S::value_type> A,
   }
 }
 
-/// Kernel body on one (possibly row-partitioned) slice of the product.
-/// `prepacked` suppresses operand packing — the operands are promised to
-/// be panel-resident already.
+/// Kernel body of one product. `prepacked` suppresses operand packing —
+/// the operands are promised to be panel-resident already.
 template <typename S>
 inline void run_slice(MatrixView<const typename S::value_type> A,
                       MatrixView<const typename S::value_type> B,
@@ -312,33 +308,17 @@ inline void multiply_impl(MatrixView<const typename S::value_type> A,
                           const Config& caller_cfg, bool prepacked) {
   const Config cfg = apply_env_pins(caller_cfg);
   const Kernel kernel = resolve_kernel<S>(cfg.kernel);
-  const std::size_t m = C.rows();
-  const auto dispatch = [&] {
-    if (cfg.pool != nullptr && cfg.pool->size() > 1 && m >= 2 * cfg.tile_m) {
-      // Row-panel parallelism: each worker owns disjoint rows of C, so no
-      // synchronisation is needed inside the kernel.
-      const std::size_t panels = (m + cfg.tile_m - 1) / cfg.tile_m;
-      cfg.pool->parallel_for(panels, [&](std::size_t p) {
-        const std::size_t r0 = p * cfg.tile_m;
-        const std::size_t nr = std::min(cfg.tile_m, m - r0);
-        run_slice<S>(A.sub(r0, 0, nr, A.cols()), B,
-                     C.sub(r0, 0, nr, C.cols()), cfg, kernel, prepacked);
-      });
-    } else {
-      run_slice<S>(A, B, C, cfg, kernel, prepacked);
-    }
-  };
   if (!telemetry::enabled()) {
-    dispatch();
+    run_slice<S>(A, B, C, cfg, kernel, prepacked);
     return;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  dispatch();
+  run_slice<S>(A, B, C, cfg, kernel, prepacked);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  record_dispatch_metrics<S>(kernel, cfg, m, C.cols(), A.cols(), prepacked,
-                             secs);
+  record_dispatch_metrics<S>(kernel, cfg, C.rows(), C.cols(), A.cols(),
+                             prepacked, secs);
 }
 
 }  // namespace detail
@@ -370,7 +350,7 @@ void multiply(MatrixView<const typename S::value_type> A,
 /// products — blocked FW's pivot panels, the distributed drivers' received
 /// panel buffers, the offload engine's device-resident panels. Skips the
 /// per-call operand packing the kernels would otherwise do; everything
-/// else (dispatch, tiling, row-panel threading) matches multiply().
+/// else (dispatch, tiling) matches multiply().
 template <typename S>
 void multiply_prepacked(MatrixView<const typename S::value_type> A,
                         MatrixView<const typename S::value_type> B,
@@ -396,19 +376,35 @@ void multiply_reference(MatrixView<const typename S::value_type> A,
   detail::naive_kernel<S>(A, B, C);
 }
 
-/// Argmin-tracking SRGEMM for path reconstruction:
-///     where C[i,j] improves via index t, set Arg[i,j] = t + arg_offset.
-/// `arg_offset` converts the local k index into a global vertex id.
-/// Used by the predecessor-tracking blocked FW (DESIGN.md §6).
+/// Scalar reference for multiply_with_pred: the oracle the fused kernel
+/// is diffed against and the baseline bench_paths measures it by. On
+/// non-aliased operands the two are bit-identical (each (i,j) is the same
+/// ascending-t first-strict-improvement scan).
 template <typename S>
-void multiply_argmin(MatrixView<const typename S::value_type> A,
-                     MatrixView<const typename S::value_type> B,
-                     MatrixView<typename S::value_type> C,
-                     MatrixView<std::int64_t> Arg, std::int64_t arg_offset) {
+void multiply_with_pred_reference(MatrixView<const typename S::value_type> A,
+                                  MatrixView<const typename S::value_type> B,
+                                  MatrixView<typename S::value_type> C,
+                                  MatrixView<const std::int64_t> predB,
+                                  MatrixView<std::int64_t> predC) {
+  using T = typename S::value_type;
   PARFW_CHECK(A.rows() == C.rows() && B.cols() == C.cols() &&
               A.cols() == B.rows());
-  PARFW_CHECK(Arg.rows() == C.rows() && Arg.cols() == C.cols());
-  detail::argmin_kernel<S>(A, B, C, Arg, arg_offset);
+  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      T best = C(i, j);
+      std::int64_t bp = predC(i, j);
+      for (std::size_t t = 0; t < k; ++t) {
+        const T cand = S::mul(A(i, t), B(t, j));
+        if (S::less_add(cand, best)) {
+          best = cand;
+          bp = predB(t, j);
+        }
+      }
+      C(i, j) = best;
+      predC(i, j) = bp;
+    }
+  }
 }
 
 /// Fused predecessor-tracking SRGEMM:
@@ -422,15 +418,13 @@ void multiply_argmin(MatrixView<const typename S::value_type> A,
 /// Aliasing: the blocked-FW panel updates deliberately alias (row panel
 /// B ≡ C, column panel A ≡ C); both are well-defined under the kernel's
 /// row-buffered order. Row-panel aliasing carries cross-row dependencies,
-/// so the pool split is only applied when B does not alias C (rows of C
-/// are then independent sub-problems and the split cannot change results).
+/// so a caller may cut such a product into column ranges but not rows.
 template <typename S>
 void multiply_with_pred(MatrixView<const typename S::value_type> A,
                         MatrixView<const typename S::value_type> B,
                         MatrixView<typename S::value_type> C,
                         MatrixView<const std::int64_t> predB,
-                        MatrixView<std::int64_t> predC,
-                        const Config& caller_cfg = {}) {
+                        MatrixView<std::int64_t> predC) {
   PARFW_CHECK_MSG(A.rows() == C.rows() && B.cols() == C.cols() &&
                       A.cols() == B.rows(),
                   "srgemm shape mismatch: C(" << C.rows() << "x" << C.cols()
@@ -439,20 +433,7 @@ void multiply_with_pred(MatrixView<const typename S::value_type> A,
   PARFW_CHECK(predB.rows() == B.rows() && predB.cols() == B.cols());
   PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
   if (C.empty() || A.cols() == 0) return;
-  const Config cfg = detail::apply_env_pins(caller_cfg);
-  const std::size_t m = C.rows();
-  const bool rows_independent = B.data() != C.data();
-  if (rows_independent && cfg.pool != nullptr && cfg.pool->size() > 1 &&
-      m >= 2 * cfg.tile_m) {
-    const std::size_t panels = (m + cfg.tile_m - 1) / cfg.tile_m;
-    cfg.pool->parallel_for(panels, [&](std::size_t p) {
-      const std::size_t lo = p * cfg.tile_m;
-      detail::pred_sweep_rows<S>(A, B, C, predB, predC, lo,
-                                 std::min(m, lo + cfg.tile_m));
-    });
-  } else {
-    detail::pred_sweep_rows<S>(A, B, C, predB, predC, 0, m);
-  }
+  detail::pred_sweep_rows<S>(A, B, C, predB, predC);
 }
 
 /// Element-wise accumulate with predecessor attachment (the offload
@@ -465,90 +446,63 @@ template <typename S>
 void ewise_add_with_pred(MatrixView<const typename S::value_type> X,
                          MatrixView<const std::int64_t> Xpred,
                          MatrixView<typename S::value_type> C,
-                         MatrixView<std::int64_t> predC,
-                         ThreadPool* pool = nullptr) {
+                         MatrixView<std::int64_t> predC) {
   PARFW_CHECK(X.rows() == C.rows() && X.cols() == C.cols());
   PARFW_CHECK(Xpred.rows() == C.rows() && Xpred.cols() == C.cols());
   PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
   using T = typename S::value_type;
   const std::size_t rows = C.rows(), cols = C.cols();
-  auto run_rows = [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const T* x = X.data() + i * X.ld();
-      const std::int64_t* xp = Xpred.data() + i * Xpred.ld();
-      T* c = C.data() + i * C.ld();
-      std::int64_t* pc = predC.data() + i * predC.ld();
-      std::size_t j = 0;
-      if constexpr (simd_ops<S>::available) {
-        if constexpr (simd::kNativeBytes > 0) {
-          constexpr std::size_t W = simd::native_lanes<T>();
-          for (; j + W <= cols; j += W) {
-            const auto xv = simd::load<T, W>(x + j);
-            const auto cv = simd::load<T, W>(c + j);
-            const auto imp = simd_ops<S>::vimproves(xv, cv);
-            if (simd::vany(imp)) {
-              simd::store<T, W>(c + j, simd::vselect(imp, xv, cv));
-              simd::vblend_ids(imp, xp + j, pc + j);
-            }
+  for (std::size_t i = 0; i < rows; ++i) {
+    const T* x = X.data() + i * X.ld();
+    const std::int64_t* xp = Xpred.data() + i * Xpred.ld();
+    T* c = C.data() + i * C.ld();
+    std::int64_t* pc = predC.data() + i * predC.ld();
+    std::size_t j = 0;
+    if constexpr (simd_ops<S>::available) {
+      if constexpr (simd::kNativeBytes > 0) {
+        constexpr std::size_t W = simd::native_lanes<T>();
+        for (; j + W <= cols; j += W) {
+          const auto xv = simd::load<T, W>(x + j);
+          const auto cv = simd::load<T, W>(c + j);
+          const auto imp = simd_ops<S>::vimproves(xv, cv);
+          if (simd::vany(imp)) {
+            simd::store<T, W>(c + j, simd::vselect(imp, xv, cv));
+            simd::vblend_ids(imp, xp + j, pc + j);
           }
         }
       }
-      for (; j < cols; ++j) {
-        if (S::less_add(x[j], c[j])) {
-          c[j] = x[j];
-          pc[j] = xp[j];
-        }
+    }
+    for (; j < cols; ++j) {
+      if (S::less_add(x[j], c[j])) {
+        c[j] = x[j];
+        pc[j] = xp[j];
       }
     }
-  };
-  if (pool != nullptr && pool->size() > 1 && rows >= 2 * pool->size()) {
-    const std::size_t nw = pool->size();
-    const std::size_t chunk = (rows + nw - 1) / nw;
-    pool->parallel_for(nw, [&](std::size_t w) {
-      const std::size_t r0 = w * chunk;
-      run_rows(r0, std::min(rows, r0 + chunk));
-    });
-  } else {
-    run_rows(0, rows);
   }
 }
 
 /// Element-wise accumulate C ← C ⊕ X (the offload engine's hostUpdate).
-/// Rows stream through the SIMD ⊕ when the semiring has lane-wise forms;
-/// a pool spreads row ranges across workers (each worker owns disjoint
-/// rows, so no synchronisation) — this path is DRAM-bandwidth bound and
-/// sits on the offload engine's critical path (§4.3's hostUpdate).
+/// Rows stream through the SIMD ⊕ when the semiring has lane-wise forms —
+/// this path is DRAM-bandwidth bound and sits on the offload engine's
+/// critical path (§4.3's hostUpdate).
 template <typename S>
 void ewise_add(MatrixView<const typename S::value_type> X,
-               MatrixView<typename S::value_type> C,
-               ThreadPool* pool = nullptr) {
+               MatrixView<typename S::value_type> C) {
   PARFW_CHECK(X.rows() == C.rows() && X.cols() == C.cols());
   using T = typename S::value_type;
   const std::size_t rows = C.rows(), cols = C.cols();
-  auto run_rows = [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const T* x = X.data() + i * X.ld();
-      T* c = C.data() + i * C.ld();
-      std::size_t j = 0;
-      if constexpr (simd_ops<S>::available) {
-        constexpr std::size_t W = simd::native_lanes<T>();
-        for (; j + W <= cols; j += W)
-          simd::store<T, W>(
-              c + j, simd_ops<S>::vadd(simd::load<T, W>(c + j),
-                                       simd::load<T, W>(x + j)));
-      }
-      for (; j < cols; ++j) c[j] = S::add(c[j], x[j]);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const T* x = X.data() + i * X.ld();
+    T* c = C.data() + i * C.ld();
+    std::size_t j = 0;
+    if constexpr (simd_ops<S>::available) {
+      constexpr std::size_t W = simd::native_lanes<T>();
+      for (; j + W <= cols; j += W)
+        simd::store<T, W>(
+            c + j, simd_ops<S>::vadd(simd::load<T, W>(c + j),
+                                     simd::load<T, W>(x + j)));
     }
-  };
-  if (pool != nullptr && pool->size() > 1 && rows >= 2 * pool->size()) {
-    const std::size_t nw = pool->size();
-    const std::size_t chunk = (rows + nw - 1) / nw;
-    pool->parallel_for(nw, [&](std::size_t w) {
-      const std::size_t r0 = w * chunk;
-      run_rows(r0, std::min(rows, r0 + chunk));
-    });
-  } else {
-    run_rows(0, rows);
+    for (; j < cols; ++j) c[j] = S::add(c[j], x[j]);
   }
 }
 

@@ -299,7 +299,7 @@ void tiled_kernel(MatrixView<const typename S::value_type> A,
   }
 }
 
-/// Fused predecessor-tracking SRGEMM over rows [r0, r1) of C:
+/// Fused predecessor-tracking SRGEMM:
 ///     C(i,j) ← best over t of A(i,t) ⊗ B(t,j) vs the incumbent C(i,j),
 ///     predC(i,j) ← predB(t*, j) for the first t* attaining that best.
 /// Row-buffered: each row's new values/preds are computed into scratch
@@ -317,15 +317,14 @@ void pred_sweep_rows(MatrixView<const typename S::value_type> A,
                      MatrixView<const typename S::value_type> B,
                      MatrixView<typename S::value_type> C,
                      MatrixView<const std::int64_t> predB,
-                     MatrixView<std::int64_t> predC, std::size_t r0,
-                     std::size_t r1) {
+                     MatrixView<std::int64_t> predC) {
   using T = typename S::value_type;
-  const std::size_t n = C.cols(), k = A.cols();
+  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
   AlignedBuffer<T> best_buf(n);
   AlignedBuffer<std::int64_t> bp_buf(n);
   T* best = best_buf.data();
   std::int64_t* bp = bp_buf.data();
-  for (std::size_t i = r0; i < r1; ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     std::copy_n(C.data() + i * C.ld(), n, best);
     std::copy_n(predC.data() + i * predC.ld(), n, bp);
     for (std::size_t t = 0; t < k; ++t) {
@@ -361,30 +360,6 @@ void pred_sweep_rows(MatrixView<const typename S::value_type> A,
     }
     std::copy_n(best, n, C.data() + i * C.ld());
     std::copy_n(bp, n, predC.data() + i * predC.ld());
-  }
-}
-
-template <typename S>
-void argmin_kernel(MatrixView<const typename S::value_type> A,
-                   MatrixView<const typename S::value_type> B,
-                   MatrixView<typename S::value_type> C,
-                   MatrixView<std::int64_t> Arg, std::int64_t arg_offset) {
-  using T = typename S::value_type;
-  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      T best = C(i, j);
-      std::int64_t arg = -1;
-      for (std::size_t t = 0; t < k; ++t) {
-        const T cand = S::mul(A(i, t), B(t, j));
-        if (S::less_add(cand, best)) {
-          best = cand;
-          arg = static_cast<std::int64_t>(t) + arg_offset;
-        }
-      }
-      C(i, j) = best;
-      if (arg >= 0) Arg(i, j) = arg;
-    }
   }
 }
 

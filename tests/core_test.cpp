@@ -3,17 +3,19 @@
 // reconstruction, negative cycles, incremental updates, other semirings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <tuple>
 
 #include "core/apsp.hpp"
 #include "core/blocked_fw.hpp"
-#include "core/blocked_fw_paths.hpp"
 #include "core/diag_update.hpp"
 #include "core/floyd_warshall.hpp"
 #include "core/incremental.hpp"
+#include "dist/driver.hpp"
 #include "graph/connected_components.hpp"
 #include "graph/generators.hpp"
 #include "sssp/sssp.hpp"
@@ -177,6 +179,100 @@ TEST(BlockedFw, ParallelPoolMatchesSequential) {
   EXPECT_EQ(max_abs_diff<double>(expected.view(), d.view()), 0.0);
 }
 
+TEST(BlockedFw, BlockWiderThanMatrixIsOneBlock) {
+  // A block size past n (here one that would overflow ⌈n/b⌉) means b = n.
+  const auto g = gen::erdos_renyi(60, 0.1, 3, 1.0, 100.0, /*integral=*/true);
+  auto d = g.distance_matrix<S>();
+  blocked_floyd_warshall<S>(d.view(), {{.block_size = SIZE_MAX}});
+  EXPECT_EQ(max_abs_diff<double>(fw_oracle(g).view(), d.view()), 0.0);
+}
+
+// The look-ahead loop generating paths, across pool sizes and the shapes
+// of BlockedFwSchedule plus n=130 with b ∈ {16, 33}. Distances must equal
+// Algorithm 1 bit for bit, and the pred matrix must not depend on the pool
+// size and must equal the pred matrix of the distributed interpreter (an
+// independent implementation of the same schedule) on an async 2x2 grid.
+class BlockedFwPaths
+    : public ::testing::TestWithParam<std::tuple<int, FwShape>> {};
+// (pool workers, shape)
+
+struct PathsOracle {
+  Matrix<std::int64_t> single;  ///< blocked_floyd_warshall_paths, no pool
+  Matrix<std::int64_t> dist;    ///< dist::run_parallel_fw, async 2x2
+};
+
+/// Both pred oracles for schedule_graph(shape.n) at block size shape.b,
+/// computed once per shape. The 2x2 layout needs n % b == 0 and at least
+/// two blocks, so its graph is padded with isolated vertices: those are
+/// never a strict improvement, so the top-left n x n preds are those of
+/// the unpadded run.
+const PathsOracle& paths_oracle(FwShape shape) {
+  static std::map<std::pair<int, int>, PathsOracle> cache;
+  const auto key = std::pair{shape.n, shape.b};
+  if (auto it = cache.find(key); it != cache.end()) return it->second;
+  const auto n = static_cast<std::size_t>(shape.n);
+  const auto b = static_cast<std::size_t>(shape.b);
+  const Graph g = schedule_graph(shape.n);
+  PathsOracle o;
+  auto d = g.distance_matrix<S>();
+  o.single = Matrix<std::int64_t>(n, n);
+  init_predecessors<S>(d.view(), o.single.view());
+  blocked_floyd_warshall_paths<S>(d.view(), o.single.view(), b);
+
+  const std::size_t blocks = std::max<std::size_t>(2, (n + b - 1) / b);
+  Graph padded(static_cast<vertex_t>(blocks * b));
+  for (const Edge& e : g.edges()) padded.add_edge(e.src, e.dst, e.weight);
+  dist::DistFwOptions dopt;
+  dopt.variant = sched::Variant::kAsync;
+  dopt.block_size = b;
+  const auto r = dist::run_parallel_fw<S>(
+      padded, dist::GridSpec::row_major(2, 2), 1, dopt, /*track_paths=*/true);
+  o.dist = Matrix<std::int64_t>(n, n);
+  o.dist.view().copy_from(r.pred->view().sub(0, 0, n, n));
+  return cache.emplace(key, std::move(o)).first->second;
+}
+
+std::size_t pred_mismatches(MatrixView<const std::int64_t> a,
+                            MatrixView<const std::int64_t> b) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j) bad += a(i, j) != b(i, j);
+  return bad;
+}
+
+std::string paths_case_name(
+    const ::testing::TestParamInfo<BlockedFwPaths::ParamType>& info) {
+  const auto [workers, shape] = info.param;
+  return "w" + std::to_string(workers) + "_n" + std::to_string(shape.n) +
+         "_b" + std::to_string(shape.b);
+}
+
+TEST_P(BlockedFwPaths, MatchesOraclesAcrossPools) {
+  const auto [workers, shape] = GetParam();
+  const auto n = static_cast<std::size_t>(shape.n);
+  ThreadPool pool(static_cast<std::size_t>(workers));
+  auto d = schedule_graph(shape.n).distance_matrix<S>();
+  Matrix<std::int64_t> pred(n, n);
+  init_predecessors<S>(d.view(), pred.view());
+  BlockedFwOptions opt;
+  opt.block_size = static_cast<std::size_t>(shape.b);
+  opt.pool = &pool;
+  blocked_floyd_warshall<S>(d.view(), opt, pred.view());
+  EXPECT_EQ(max_abs_diff<double>(schedule_oracle(shape.n).view(), d.view()),
+            0.0);
+  const PathsOracle& o = paths_oracle(shape);
+  EXPECT_EQ(pred_mismatches(o.single.view(), pred.view()), 0u);
+  EXPECT_EQ(pred_mismatches(o.dist.view(), pred.view()), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pools, BlockedFwPaths,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 7),
+                       ::testing::Values(FwShape{29, 32}, FwShape{50, 32},
+                                         FwShape{70, 32}, FwShape{600, 32},
+                                         FwShape{130, 16}, FwShape{130, 33})),
+    paths_case_name);
+
 TEST(BlockedFw, FloatPrecisionMatchesSequentialBitwise) {
   using Sf = MinPlus<float>;
   const auto g = gen::erdos_renyi(80, 0.25, 77, 1.0, 100.0, /*integral=*/true);
@@ -256,24 +352,27 @@ TEST(Paths, BlockedPathsMatchSequentialDistances) {
   ApspOptions seq;
   seq.algorithm = ApspAlgorithm::kSequential;
   seq.track_paths = true;
-  ApspOptions blk;
-  blk.algorithm = ApspAlgorithm::kBlocked;
-  blk.track_paths = true;
-  blk.block_size = 13;
   const auto a = apsp<S>(g, seq);
-  const auto b = apsp<S>(g, blk);
-  EXPECT_EQ(max_abs_diff<double>(a.dist.view(), b.dist.view()), 0.0);
-  // Both predecessor matrices must induce optimal valid paths.
   const auto w = g.distance_matrix<S>();
-  for (vertex_t s = 0; s < 50; ++s)
-    for (vertex_t t = 0; t < 50; ++t) {
-      if (value_traits<double>::is_inf(b.dist(s, t)) || s == t) continue;
-      const auto p = b.query(s, t).path;
-      ASSERT_FALSE(p.empty());
-      double len = 0;
-      for (std::size_t i = 0; i + 1 < p.size(); ++i) len += w(p[i], p[i + 1]);
-      EXPECT_NEAR(len, b.dist(s, t), 1e-9);
-    }
+  for (ApspAlgorithm alg :
+       {ApspAlgorithm::kBlocked, ApspAlgorithm::kBlockedParallel}) {
+    ApspOptions blk;
+    blk.algorithm = alg;
+    blk.track_paths = true;
+    blk.block_size = 13;
+    const auto b = apsp<S>(g, blk);
+    EXPECT_EQ(max_abs_diff<double>(a.dist.view(), b.dist.view()), 0.0);
+    // The blocked predecessor matrix must induce optimal valid paths.
+    for (vertex_t s = 0; s < 50; ++s)
+      for (vertex_t t = 0; t < 50; ++t) {
+        if (value_traits<double>::is_inf(b.dist(s, t)) || s == t) continue;
+        const auto p = b.query(s, t).path;
+        ASSERT_FALSE(p.empty());
+        double len = 0;
+        for (std::size_t i = 0; i + 1 < p.size(); ++i) len += w(p[i], p[i + 1]);
+        EXPECT_NEAR(len, b.dist(s, t), 1e-9);
+      }
+  }
 }
 
 TEST(Paths, SelfPathIsSingleton) {

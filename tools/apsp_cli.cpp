@@ -234,7 +234,13 @@ int run(const Graph& g, const CliArgs& args) {
     std::fprintf(stderr, "unknown --algorithm '%s'\n", alg.c_str());
     return 2;
   }
-  opt.block_size = static_cast<std::size_t>(args.get_int("block", 64));
+  const std::int64_t block = args.get_int("block", 64);
+  if (block < 1) {
+    std::fprintf(stderr, "bad --block '%lld' (must be at least 1)\n",
+                 static_cast<long long>(block));
+    return 2;
+  }
+  opt.block_size = static_cast<std::size_t>(block);
   opt.track_paths = args.get_bool("paths");
 
   // Live monitoring + flight recorder ride the dist interpreter's
