@@ -61,9 +61,8 @@ int main() {
   for (int i = 0; i < 24; ++i) node_of[static_cast<std::size_t>(i)] = i;
   Table model({"payload MiB", "tree ms", "ring ms", "tree/ring"});
   for (std::int64_t mib : {1, 4, 16, 64}) {
-    const auto tree =
-        perf::build_bcast_program(m, 24, mib << 20, false, node_of);
-    const auto ring = perf::build_bcast_program(m, 24, mib << 20, true, node_of);
+    const auto tree = perf::build_bcast_program(24, mib << 20, false, node_of);
+    const auto ring = perf::build_bcast_program(24, mib << 20, true, node_of);
     const double tt = perf::simulate(tree, node_of, m).makespan * 1e3;
     const double tr = perf::simulate(ring, node_of, m).makespan * 1e3;
     model.add_row({std::to_string(mib), Table::num(tt, 3), Table::num(tr, 3),

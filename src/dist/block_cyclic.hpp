@@ -34,8 +34,8 @@ class BlockCyclicMatrix {
     PARFW_CHECK_MSG(n % b == 0, "matrix dim " << n
                                               << " not a multiple of block "
                                               << b);
-    nlr_ = count_owned(nb_, me_.row, grid_.rows());
-    nlc_ = count_owned(nb_, me_.col, grid_.cols());
+    nlr_ = owned_blocks(nb_, me_.row, grid_.rows());
+    nlc_ = owned_blocks(nb_, me_.col, grid_.cols());
     local_ = Matrix<T>(nlr_ * b_, nlc_ * b_);
   }
 
@@ -129,13 +129,6 @@ class BlockCyclicMatrix {
   }
 
  private:
-  static std::size_t count_owned(std::size_t nb, int mine, int p) {
-    // Blocks {mine, mine+p, mine+2p, ...} below nb.
-    const std::size_t m = static_cast<std::size_t>(mine);
-    const std::size_t ps = static_cast<std::size_t>(p);
-    return m >= nb ? 0 : (nb - m - 1) / ps + 1;
-  }
-
   std::size_t n_, b_, nb_;
   GridSpec grid_;
   GridCoord me_;

@@ -12,12 +12,20 @@
 //    sub-tile of the grid, nodes tile the K_r x K_c node grid.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "mpisim/runtime.hpp"
 #include "util/check.hpp"
 
 namespace parfw::dist {
+
+/// Blocks {mine, mine+p, mine+2p, ...} below nb: how many blocks of an
+/// nb-block dimension position `mine` of `p` owns block-cyclically.
+inline std::size_t owned_blocks(std::size_t nb, int mine, int p) {
+  const std::size_t m = static_cast<std::size_t>(mine);
+  return m >= nb ? 0 : (nb - m - 1) / static_cast<std::size_t>(p) + 1;
+}
 
 struct GridCoord {
   int row = 0;

@@ -4,62 +4,23 @@
 #include <cstring>
 #include <sstream>
 
+#include "perf/cost_model.hpp"
+
 namespace parfw::monitor {
 
 namespace {
 
 constexpr double kCostFloor = 1e-12;
 
-/// Schedule-op kinds by trace-event name (the interpreter records each
-/// executed op under op_name(kind)). Runtime events ("msg", "recv",
-/// "retry", "oog*", ...) return nullptr.
-const sched::OpKind* op_kind_of(const char* name) {
-  static constexpr sched::OpKind kKinds[] = {
-      sched::OpKind::kDiagUpdate,     sched::OpKind::kDiagBcastRow,
-      sched::OpKind::kDiagBcastCol,   sched::OpKind::kPanelUpdateRow,
-      sched::OpKind::kPanelUpdateCol, sched::OpKind::kRowPanelBcast,
-      sched::OpKind::kColPanelBcast,  sched::OpKind::kLookaheadRow,
-      sched::OpKind::kLookaheadCol,   sched::OpKind::kOuterUpdate,
-      sched::OpKind::kCheckpoint,
-  };
-  for (const sched::OpKind& k : kKinds)
-    if (std::strcmp(name, sched::op_name(k)) == 0) return &k;
-  return nullptr;
-}
-
-int ceil_log2(int n) {
-  int levels = 0;
-  for (int span = 1; span < n; span *= 2) ++levels;
-  return levels;
-}
-
-/// First-order predicted cost of one schedule op — the same models the
-/// DES uses at its coarsest: flops over the per-rank SRGEMM rate, a
-/// log-depth latency+payload tree or a (members-1)-hop ring for the
-/// collectives. Scope membership: the diag block crosses the owner's row
-/// (pc members) / column (pr); the row panel travels DOWN the columns
-/// (pr members), the col panel ACROSS the rows (pc).
-double pred_cost(const sched::Op& op, const perf::MachineConfig& m, int pr,
-                 int pc) {
-  if (sched::is_comm(op.kind)) {
-    int members = 0;
-    switch (op.kind) {
-      case sched::OpKind::kDiagBcastRow: members = pc; break;
-      case sched::OpKind::kDiagBcastCol: members = pr; break;
-      case sched::OpKind::kRowPanelBcast: members = pr; break;
-      case sched::OpKind::kColPanelBcast: members = pc; break;
-      default: break;
-    }
-    if (members < 2) return kCostFloor;
-    const double transfer =
-        static_cast<double>(op.bytes) / m.nic_bw;
-    const double cost = op.coll == sched::CollKind::kRing
-                            ? (members - 1) * m.wire_latency + transfer
-                            : ceil_log2(members) * (m.wire_latency + transfer);
-    return std::max(cost, kCostFloor);
+/// Schedule-op kind by trace-event name (the interpreter records each
+/// executed op under op_name(kind)); false for runtime events ("msg",
+/// "recv", "retry", "oog*", ...). kCheckpoint is the last OpKind.
+bool op_kind_of(const char* name, sched::OpKind* kind) {
+  for (int k = 0; k <= static_cast<int>(sched::OpKind::kCheckpoint); ++k) {
+    *kind = static_cast<sched::OpKind>(k);
+    if (std::strcmp(name, sched::op_name(*kind)) == 0) return true;
   }
-  if (op.kind == sched::OpKind::kCheckpoint) return kCostFloor;
-  return std::max(op.flops / m.rank_flops(), kCostFloor);
+  return false;
 }
 
 }  // namespace
@@ -71,7 +32,7 @@ RunMonitor::RunMonitor(MonitorConfig cfg, sched::RingTraceSink* ring,
 void RunMonitor::on_schedule(const sched::Schedule& s) {
   std::lock_guard<std::mutex> lock(mu_);
   if (have_schedule_ && s.variant == variant_ && s.nb == sched_nb_ &&
-      s.b == sched_b_ && s.pr == pr_ && s.pc == pc_ &&
+      s.b == sched_b_ && s.grid.rows() == pr_ && s.grid.cols() == pc_ &&
       s.steps.size() == sched_steps_)
     return;  // every rank hands over the identical schedule — first wins
   adopt_locked(s);
@@ -83,17 +44,30 @@ void RunMonitor::adopt_locked(const sched::Schedule& s) {
   sched_nb_ = s.nb;
   sched_b_ = s.b;
   sched_steps_ = s.steps.size();
-  pr_ = s.pr;
-  pc_ = s.pc;
-  const int nranks = s.pr * s.pc;
+  pr_ = s.grid.rows();
+  pc_ = s.grid.cols();
+  const int nranks = s.grid.size();
   program_.assign(static_cast<std::size_t>(nranks), {});
   total_cost_.assign(static_cast<std::size_t>(nranks), 0.0);
   state_.assign(static_cast<std::size_t>(nranks), {});
   drift_.clear();
   ops_total_ = s.steps.size();
+  // The run as the DES would price it; offload chunking stays at the
+  // FwProblem defaults, and kPred companions mark a paths schedule.
+  perf::FwProblem prob;
+  prob.n = static_cast<double>(s.nb * s.b);
+  prob.b = static_cast<double>(s.b);
+  prob.variant = s.variant;
+  prob.track_paths =
+      std::any_of(s.steps.begin(), s.steps.end(), [](const sched::Step& st) {
+        return st.op.payload == sched::Payload::kPred;
+      });
+  const perf::GridShape shape{pr_, pc_, s.grid.qr(), s.grid.qc()};
   for (const sched::Step& st : s.steps) {
     if (st.rank < 0 || st.rank >= nranks) continue;
-    const double c = pred_cost(st.op, cfg_.machine, pr_, pc_);
+    const double c = std::max(perf::op_cost(st.op, s.grid.coord_of(st.rank),
+                                            cfg_.machine, prob, shape),
+                              kCostFloor);
     program_[static_cast<std::size_t>(st.rank)].push_back({st.op.kind, c});
     total_cost_[static_cast<std::size_t>(st.rank)] += c;
   }
@@ -125,14 +99,14 @@ void RunMonitor::record(const sched::TraceEvent& e) {
     return;
   }
 
-  const sched::OpKind* kind = op_kind_of(e.name);
-  if (kind == nullptr || !have_schedule_) return;  // runtime event
+  sched::OpKind kind{};
+  if (!op_kind_of(e.name, &kind) || !have_schedule_) return;  // runtime event
   if (e.rank < 0 || e.rank >= static_cast<int>(program_.size())) return;
 
   RankState& rs = state_[static_cast<std::size_t>(e.rank)];
   const std::vector<PredOp>& prog = program_[static_cast<std::size_t>(e.rank)];
   std::size_t i = rs.cursor;
-  while (i < prog.size() && prog[i].kind != *kind) ++i;
+  while (i < prog.size() && prog[i].kind != kind) ++i;
   if (i == prog.size()) return;  // not in this rank's remaining program
   // Credit everything up to the matched op: ops between cursor and i
   // produced no event (untraced in this configuration) but are done.
@@ -148,7 +122,7 @@ void RunMonitor::record(const sched::TraceEvent& e) {
   dr.actual += dur;
   dr.ops += 1;
 
-  if (incidents_ != nullptr && *kind != sched::OpKind::kCheckpoint) {
+  if (incidents_ != nullptr && kind != sched::OpKind::kCheckpoint) {
     const double limit =
         std::max(cfg_.overrun_factor * pred, cfg_.min_overrun_s);
     if (dur > limit) {
@@ -244,11 +218,15 @@ std::vector<ProgressReport> RunMonitor::history() const {
   return history_;
 }
 
-std::string RunMonitor::format_summary() const {
+std::map<std::string, RunMonitor::Drift> RunMonitor::drift() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return drift_;
+}
+
+std::string RunMonitor::format_summary() const {
   std::ostringstream os;
   os << "[monitor] drift (predicted vs actual, per op kind):";
-  for (const auto& [name, d] : drift_) {
+  for (const auto& [name, d] : drift()) {
     os << "\n[monitor]   " << name << ": pred " << d.pred << "s actual "
        << d.actual << "s";
     if (d.pred > 0.0) os << " (x" << d.actual / d.pred << ")";

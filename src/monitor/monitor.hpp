@@ -5,11 +5,13 @@
 // has: it is a sched::TraceSink (every executed op, message and offload
 // stage flows through record) and a sched::ScheduleObserver (every rank
 // thread hands over the materialised Schedule before its first step). From
-// the schedule it precomputes each rank's program and a DES-style
-// predicted cost per op (flops / rank rate for compute, tree/ring
-// collective models for comm — the same first-order models perf/ uses);
-// from the trace it tracks each rank's cursor through that program. The
-// quotient is live state no log line gives you:
+// the schedule it precomputes each rank's program and each op's predicted
+// cost from perf::op_cost — the same price the DES lowering charges, so
+// predicted compute seconds are device seconds (flops over the full-GPU
+// rate, the §4.5 pipeline for offloaded tiles), not a per-rank share;
+// comm ops get op_cost's first-order tree/ring price. From the trace it
+// tracks each rank's cursor through that program. The quotient is live
+// state no log line gives you:
 //
 //   progress   min over ranks of predicted-cost-weighted completion
 //   ETA        max over ranks of remaining predicted cost x that rank's
@@ -44,7 +46,7 @@
 namespace parfw::monitor {
 
 struct MonitorConfig {
-  /// Machine model pricing the predicted per-op costs. The ABSOLUTE scale
+  /// Machine model perf::op_cost prices each op with. The ABSOLUTE scale
   /// cancels out of progress (a ratio) and is corrected by the observed
   /// slowdown in the ETA; only relative op weights matter.
   perf::MachineConfig machine = perf::MachineConfig::summit();
@@ -110,7 +112,15 @@ class RunMonitor : public sched::TraceSink, public sched::ScheduleObserver {
   /// idempotent output (it does not mutate tracking state).
   void finish();
 
-  /// The per-op-kind predicted-vs-actual drift table finish() prints.
+  /// Predicted vs actual seconds of the ops matched so far, per op kind.
+  struct Drift {
+    double pred = 0.0;
+    double actual = 0.0;
+    std::size_t ops = 0;
+  };
+  std::map<std::string, Drift> drift() const;
+
+  /// The drift table as finish() prints it.
   std::string format_summary() const;
 
   const MonitorConfig& config() const { return cfg_; }
@@ -125,11 +135,6 @@ class RunMonitor : public sched::TraceSink, public sched::ScheduleObserver {
     double done_cost = 0.0;   ///< predicted seconds of completed ops
     double actual_s = 0.0;    ///< measured seconds of completed ops
     std::size_t ops_done = 0;
-  };
-  struct Drift {
-    double pred = 0.0;
-    double actual = 0.0;
-    std::size_t ops = 0;
   };
 
   ProgressReport snapshot_locked(double t) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "util/check.hpp"
 
@@ -10,7 +11,8 @@ namespace parfw::perf {
 double fw_flops(double n) { return 2.0 * n * n * n; }
 
 double model_compute_time(const MachineConfig& m, double n, int ranks) {
-  return fw_flops(n) / (static_cast<double>(ranks) * m.rank_flops());
+  const double rank_rate = m.srgemm_flops / m.ranks_per_gpu;
+  return fw_flops(n) / (static_cast<double>(ranks) * rank_rate);
 }
 
 double model_fw_time(const MachineConfig& m, double n, double b,
@@ -70,7 +72,8 @@ double compute_bound_threshold(const MachineConfig& m, int nodes) {
   //   2n³/(P·f) = 2n²·word/(√K·nic_bw)  =>  n = P·f·word/(√K·nic_bw)
   const double ranks = static_cast<double>(nodes) * m.ranks_per_node();
   const double k_sqrt = std::sqrt(static_cast<double>(nodes));
-  return ranks * m.rank_flops() * m.word_bytes / (k_sqrt * m.nic_bw);
+  const double rank_rate = m.srgemm_flops / m.ranks_per_gpu;
+  return ranks * rank_rate * m.word_bytes / (k_sqrt * m.nic_bw);
 }
 
 double max_in_gpu_vertices(const MachineConfig& m, int nodes) {
@@ -121,14 +124,59 @@ double model_oog_rate(const MachineConfig& m, double n, double mx, double k,
   // amortised over all chunks rather than charged per chunk.
   const OogCost whole = model_oog_cost(m, n, n, k);
   const double steady = whole.total(streams);
-  // Pipeline fill/drain: roughly one chunk's worth of the non-overlapped
-  // phases, which is what penalises large chunks on small operands
-  // (Figure 6's bottom-right corner).
+  // One chunk's share of the fill/drain is what penalises large chunks on
+  // small operands (Figure 6's bottom-right corner).
   const double chunks = (n / mx) * (n / mx);
-  const double fill =
-      streams > 1 ? (whole.t0 + whole.t1 + whole.t2 - steady) / chunks : 0.0;
-  const double time = steady + fill;
+  const double time = steady + whole.fill_drain(streams) / chunks;
   return 2.0 * n * n * k / time;
+}
+
+double op_cost(const sched::Op& op, dist::GridCoord coord,
+               const MachineConfig& m, const FwProblem& prob,
+               const GridShape& g) {
+  if (sched::is_comm(op.kind)) {
+    // Scope: the diag block crosses the owner's process row (pc members)
+    // and column (pr); the row panel travels down the columns (pr), the
+    // col panel across the rows (pc).
+    const int members = op.kind == sched::OpKind::kDiagBcastRow ||
+                                op.kind == sched::OpKind::kColPanelBcast
+                            ? g.pc
+                            : g.pr;
+    if (members < 2) return 0.0;
+    const double transfer = static_cast<double>(op.bytes) / m.nic_bw;
+    return op.coll == sched::CollKind::kRing
+               ? (members - 1) * m.wire_latency + transfer
+               : std::ceil(std::log2(members)) * (m.wire_latency + transfer);
+  }
+  if (!op.offload) return op.flops / m.srgemm_flops;
+
+  // Offloaded OuterUpdate: the IR's flop count does not model the
+  // streaming pipeline, so the rank's whole strip is priced with §4.5 —
+  // chunked through the device, hostUpdate at the contended per-rank DRAM
+  // share, the panels uploaded once (§4.4).
+  const double b = prob.b;
+  const std::size_t nb = static_cast<std::size_t>(prob.n / prob.b);
+  const double mloc =
+      static_cast<double>(dist::owned_blocks(nb, coord.row, g.pr)) * b;
+  const double nloc =
+      static_cast<double>(dist::owned_blocks(nb, coord.col, g.pc)) * b;
+  MachineConfig shared = m;
+  shared.dram_bw = m.dram_bw_shared;
+  const double mx = std::min(prob.offload_mx, std::max(mloc, 1.0));
+  const double nx = std::min(prob.offload_mx, std::max(nloc, 1.0));
+  const int s = std::clamp(prob.offload_streams, 1, 3);
+  OogCost whole = model_oog_cost(shared, mloc, nloc, b);
+  if (prob.track_paths) {
+    // Paths: Xpred chunks come back alongside every X chunk, the
+    // row-panel pred tiles ride the B upload (the col panel has no pred
+    // sibling), and hostUpdate makes the same three passes over the
+    // int64 pred arrays as over the values.
+    const double pw = static_cast<double>(sizeof(std::int64_t));
+    whole.t1 += (mloc * nloc + nloc * b) * pw / m.hd_bw;
+    whole.t2 += 3.0 * mloc * nloc * pw / shared.dram_bw;
+  }
+  const double chunk_frac = (mx * nx) / (mloc * nloc);
+  return whole.total(s) + whole.fill_drain(s) * chunk_frac;
 }
 
 }  // namespace parfw::perf

@@ -57,8 +57,6 @@ struct MachineConfig {
   double net_jitter = 0.0;
 
   int ranks_per_node() const { return gpus_per_node * ranks_per_gpu; }
-  /// SRGEMM rate available to one rank (two ranks share one GPU).
-  double rank_flops() const { return srgemm_flops / ranks_per_gpu; }
 
   /// ORNL Summit (the paper's testbed).
   static MachineConfig summit();

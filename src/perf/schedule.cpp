@@ -1,7 +1,6 @@
 #include "perf/schedule.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 
 #include "core/diag_update.hpp"
@@ -215,21 +214,19 @@ BuiltProgram build_fw_program(const MachineConfig& m, const FwProblem& prob,
         node_of[static_cast<std::size_t>(i % P)];
   auto row_agent = [P](int w) { return P + w; };
   auto col_agent = [P](int w) { return 2 * P + w; };
-  const double b = prob.b;
-  const std::size_t nb = static_cast<std::size_t>(prob.n / prob.b);
 
   // The variant's schedule — the same IR dist::parallel_fw executes.
   sched::ScheduleParams sp;
   sp.variant = prob.variant;
-  sp.nb = nb;
-  sp.b = static_cast<std::size_t>(b);
+  sp.nb = static_cast<std::size_t>(prob.n / prob.b);
+  sp.b = static_cast<std::size_t>(prob.b);
   sp.word_bytes = static_cast<std::size_t>(m.word_bytes);
   sp.pred_word_bytes = prob.track_paths ? sizeof(std::int64_t) : 0;
   // Paths mode pins the diagonal to classic FW (log-squaring loses the
   // argmin chain structure), exactly as the data interpreter does.
-  sp.diag_flops = diag_update_flops(
-      static_cast<std::size_t>(b),
-      prob.track_paths ? DiagStrategy::kClassic : DiagStrategy::kLogSquaring);
+  sp.diag_flops = diag_update_flops(sp.b, prob.track_paths
+                                              ? DiagStrategy::kClassic
+                                              : DiagStrategy::kLogSquaring);
   const sched::Schedule schedule = sched::build_schedule(grid, sp);
 
   ProgramBuilder builder(full_node_of, total_procs);
@@ -256,59 +253,16 @@ BuiltProgram build_fw_program(const MachineConfig& m, const FwProblem& prob,
       row_members[static_cast<std::size_t>(r)].push_back(w);  // index c
     }
 
-  // Compute ops run at the full GPU rate; the DES serialises the two
-  // ranks sharing a GPU on the device resource, which yields the
-  // effective per-rank half rate without double counting.
-  const double rate = m.srgemm_flops;
-  auto owned = [nb](int mine, int p) {
-    const std::size_t ms = static_cast<std::size_t>(mine);
-    return ms >= nb ? 0.0
-                    : static_cast<double>((nb - ms - 1) /
-                                              static_cast<std::size_t>(p) +
-                                          1);
-  };
-  // Offloaded OuterUpdate: the IR's flop count does not model the
-  // streaming pipeline, so cost it with the §4.5 model instead — chunked
-  // through the device, hostUpdate at the contended per-rank DRAM share.
-  auto offload_outer_secs = [&](int r, int c) {
-    const double mloc = owned(r, pr) * b;
-    const double nloc = owned(c, pc) * b;
-    MachineConfig shared = m;
-    shared.dram_bw = m.dram_bw_shared;
-    const double mx = std::min(prob.offload_mx, std::max(mloc, 1.0));
-    const double nx = std::min(prob.offload_mx, std::max(nloc, 1.0));
-    // Whole-strip phase totals (panels uploaded once, §4.4); fill/drain
-    // adds roughly one chunk's worth of the non-overlapped phases.
-    const int s = std::clamp(prob.offload_streams, 1, 3);
-    OogCost whole = model_oog_cost(shared, mloc, nloc, b);
-    if (prob.track_paths) {
-      // Paths: Xpred chunks come back alongside every X chunk, the
-      // row-panel pred tiles ride the B upload (the col panel has no pred
-      // sibling), and hostUpdate makes the same three passes over the
-      // int64 pred arrays as over the values.
-      const double pw = static_cast<double>(sizeof(std::int64_t));
-      whole.t1 += (mloc * nloc + nloc * b) * pw / m.hd_bw;
-      whole.t2 += 3.0 * mloc * nloc * pw / shared.dram_bw;
-    }
-    const double chunk_frac = (mx * nx) / (mloc * nloc);
-    const double fill =
-        (whole.t0 + whole.t1 + whole.t2 - whole.total(s)) * chunk_frac;
-    return whole.total(s) + fill;
-  };
+  const GridShape shape{pr, pc, grid.qr(), grid.qc()};
 
   for (const sched::Step& step : schedule.steps) {
     const int w = step.rank;
     const sched::Op& op = step.op;
     const auto kind_src = static_cast<std::int16_t>(op.kind);
 
+    const dist::GridCoord me = grid.coord_of(w);
     if (sched::is_comp(op.kind)) {
-      double secs;
-      if (op.offload) {
-        const dist::GridCoord c = grid.coord_of(w);
-        secs = offload_outer_secs(c.row, c.col);
-      } else {
-        secs = op.flops / rate;
-      }
+      const double secs = op_cost(op, me, m, prob, shape);
       builder.comp(w, jittered(w, comp_scale * secs), op.k, kind_src,
                    op.flops);
       continue;
@@ -316,7 +270,6 @@ BuiltProgram build_fw_program(const MachineConfig& m, const FwProblem& prob,
 
     // Comm step: resolve the collective's member list and this member's
     // index within it from the op kind and the rank's grid coordinate.
-    const dist::GridCoord me = grid.coord_of(w);
     const std::size_t k = op.k;
     const std::vector<int>* members = nullptr;
     int me_idx = -1;
@@ -358,10 +311,9 @@ BuiltProgram build_fw_program(const MachineConfig& m, const FwProblem& prob,
   return BuiltProgram{builder.take(), std::move(full_node_of)};
 }
 
-std::vector<RankProgram> build_bcast_program(const MachineConfig& m, int ranks,
-                                             std::int64_t bytes, bool ring,
+std::vector<RankProgram> build_bcast_program(int ranks, std::int64_t bytes,
+                                             bool ring,
                                              const std::vector<int>& node_of) {
-  (void)m;
   ProgramBuilder builder(node_of, ranks);
   std::vector<int> members(static_cast<std::size_t>(ranks));
   for (int i = 0; i < ranks; ++i) members[static_cast<std::size_t>(i)] = i;

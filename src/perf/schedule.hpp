@@ -4,13 +4,15 @@
 // IR: it asks sched::build_schedule (src/sched/ir.hpp) for the variant's
 // schedule — the same one dist::parallel_fw executes with real data —
 // and lowers each step into per-rank op lists (compute / send / recv).
-// Compute steps become durations from the IR's flop metadata; collective
-// steps expand into point-to-point sends/receives with the same
-// node-aware relay orders as the functional mpisim runtime. This is what
+// Compute steps take their durations from perf::op_cost
+// (perf/cost_model.hpp), the one per-op price the run monitor charges
+// too; the lowering only overlays the FwProblem jitter / comm-only
+// switches. Collective steps expand into point-to-point sends/receives
+// with the same node-aware relay orders as the functional mpisim
+// runtime, which the DES then simulates with contention. This is what
 // lets the simulator replay a 256-node, n = 1.6M run on one core
-// (DESIGN.md §1, last row of the substitution table). There is no
-// schedule logic here to keep in sync by hand any more; the IR generator
-// is the single source of truth for both interpreters.
+// (DESIGN.md §1, last row of the substitution table). The IR generator
+// is the single source of truth for the schedule, op_cost for its price.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,6 @@
 #include "dist/grid.hpp"
 #include "dist/parallel_fw.hpp"
 #include "perf/cost_model.hpp"
-#include "perf/machine.hpp"
 
 namespace parfw::perf {
 
@@ -41,44 +42,6 @@ struct Op {
 
 using RankProgram = std::vector<Op>;
 
-struct FwProblem {
-  double n = 0;          ///< vertices
-  double b = 768;        ///< block size
-  dist::Variant variant = dist::Variant::kAsync;
-  /// ooGSrGemm chunk size for the offload variant (m_x = n_x).
-  double offload_mx = 4096;
-  /// ooGSrGemm X-buffer depth s (§4.5): 1 = fully serial chunk pipeline,
-  /// 2 = compute/transfer overlap, 3 = full compute/transfer/hostUpdate
-  /// overlap. Mirrors offload::OogConfig::num_streams so the tuner's
-  /// buffer-depth dimension is costed by the same model the real offload
-  /// pipeline implements. Only affects the kOffload variant.
-  int offload_streams = 3;
-  /// Model MPI's asynchronous progression of the ring broadcast: panel
-  /// segments are relayed by per-rank NIC "agent" processes instead of the
-  /// rank's own program, so a rank busy computing does not stall the chain
-  /// (§3.3's asynchrony). Only affects the kAsync variant.
-  bool background_relays = true;
-  /// OS-noise / straggler model: each compute op's duration is inflated
-  /// by a deterministic pseudo-random factor in [0, comp_jitter]
-  /// (hashed from rank and op index). §3.3 argues the asynchronous ring
-  /// decouples ranks so one straggler's delay does not propagate; the
-  /// straggler ablation bench measures exactly that.
-  double comp_jitter = 0.0;
-  /// Zero out all compute durations: isolates the communication schedule
-  /// (the paper's Figure 3 placement sweep is measured in this regime —
-  /// its single-node point exceeds the NIC's 25 GB/s, which is only
-  /// possible when t_FW is communication time).
-  bool comm_only = false;
-  /// Model the predecessor-carrying schedule: kPred companion broadcasts
-  /// for the diag block and row panel (int64 per element — the row-panel
-  /// volume roughly triples for float words), classic DiagUpdate flops
-  /// (log-squaring loses the argmin chain), and the offload pipeline's
-  /// extra Xpred transfers/hostUpdate passes. Mirrors what
-  /// dist::parallel_fw executes when a pred matrix is attached, so
-  /// `--variant auto` tunes paths runs against their true cost.
-  bool track_paths = false;
-};
-
 /// A built skeleton: per-process op lists plus the node map covering any
 /// auxiliary "NIC agent" processes the schedule added (background relays).
 struct BuiltProgram {
@@ -93,8 +56,8 @@ BuiltProgram build_fw_program(const MachineConfig& m, const FwProblem& prob,
                               const std::vector<int>& node_of);
 
 /// Standalone broadcast programs (for the ring-vs-tree DES experiments).
-std::vector<RankProgram> build_bcast_program(const MachineConfig& m, int ranks,
-                                             std::int64_t bytes, bool ring,
+std::vector<RankProgram> build_bcast_program(int ranks, std::int64_t bytes,
+                                             bool ring,
                                              const std::vector<int>& node_of);
 
 /// Wire-level traffic a built program would generate, summed over its

@@ -20,11 +20,7 @@ struct Gen {
   double b, word, predw;
 
   double owned(int mine, int procs) const {
-    const std::size_t ms = static_cast<std::size_t>(mine);
-    return ms >= nb ? 0.0
-                    : static_cast<double>((nb - ms - 1) /
-                                              static_cast<std::size_t>(procs) +
-                                          1);
+    return static_cast<double>(dist::owned_blocks(nb, mine, procs));
   }
   std::int64_t rowp_bytes(int c) const {
     return static_cast<std::int64_t>(b * owned(c, pc) * b * word);
@@ -201,8 +197,7 @@ Schedule build_schedule(const dist::GridSpec& grid, const ScheduleParams& p) {
   s.variant = p.variant;
   s.nb = p.nb;
   s.b = p.b;
-  s.pr = pr;
-  s.pc = pc;
+  s.grid = grid;
 
   Gen g{grid,
         p,

@@ -143,7 +143,8 @@ struct Schedule {
   Variant variant = Variant::kBaseline;
   std::size_t nb = 0;  ///< blocks per matrix dimension
   std::size_t b = 0;   ///< block size
-  int pr = 0, pc = 0;  ///< process grid shape
+  /// The placement it was built on: shape and each rank's coordinate.
+  dist::GridSpec grid;
   std::vector<Step> steps;
 
   /// Rank w's ops, in program order (convenience for interpreters that

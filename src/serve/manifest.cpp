@@ -4,20 +4,10 @@
 
 #include "core/checkpoint.hpp"
 #include "dist/checkpoint.hpp"
+#include "dist/grid.hpp"
 #include "util/check.hpp"
 
 namespace parfw::serve {
-
-namespace {
-
-// Blocks {mine, mine+p, mine+2p, ...} below nb — the block-cyclic owned
-// count, mirroring BlockCyclicMatrix::count_owned.
-std::uint64_t count_owned(std::uint64_t nb, std::uint64_t mine,
-                          std::uint64_t p) {
-  return mine >= nb ? 0 : (nb - mine - 1) / p + 1;
-}
-
-}  // namespace
 
 ServeManifest ServeManifest::open(const CheckpointStore& store) {
   auto commit = dist::read_commit(store);
@@ -100,10 +90,11 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
                                                         << ext.coord_col
                                                         << ")");
     m.rank_of_coord_[slot] = static_cast<int>(w);
-    rb.local_block_rows = count_owned(
-        m.nb_, static_cast<std::uint64_t>(ext.coord_row), m.grid_rows_);
-    rb.local_block_cols = count_owned(
-        m.nb_, static_cast<std::uint64_t>(ext.coord_col), m.grid_cols_);
+    // The coordinate check above bounds both grid dims by INT32_MAX.
+    rb.local_block_rows = dist::owned_blocks(
+        m.nb_, ext.coord_row, static_cast<int>(m.grid_rows_));
+    rb.local_block_cols = dist::owned_blocks(
+        m.nb_, ext.coord_col, static_cast<int>(m.grid_cols_));
     PARFW_CHECK_MSG(ext.tile_count ==
                         rb.local_block_rows * rb.local_block_cols,
                     "rank " << w << " tile manifest length mismatch");

@@ -1,8 +1,10 @@
 #include "tune/manifest.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "causal/trace_io.hpp"
@@ -30,6 +32,23 @@ bool get_number(const causal::JsonValue& obj, const char* key, double* out,
     return false;
   }
   *out = v->number;
+  return true;
+}
+
+/// An integral field must be finite, whole and in [1, 2^digits of T):
+/// casting anything else to T is undefined, or is not a count.
+template <typename T>
+bool get_count(const causal::JsonValue& obj, const char* key, T* out,
+               std::string* error) {
+  double v = 0;
+  if (!get_number(obj, key, &v, error)) return false;
+  if (!(v >= 1.0 && v < std::ldexp(1.0, std::numeric_limits<T>::digits) &&
+        v == std::floor(v))) {
+    *error = std::string("manifest entry field \"") + key +
+             "\" must be a positive integer in range";
+    return false;
+  }
+  *out = static_cast<T>(v);
   return true;
 }
 
@@ -143,19 +162,19 @@ bool read_manifest(const std::string& text, Manifest* out,
       return false;
     }
     ManifestEntry e;
-    double n = 0, ranks = 0, rpn = 0, wb = 0, blk = 0, streams = 0;
-    double pr = 0, pc = 0, kr = 0, kc = 0;
-    if (!get_number(row, "n", &n, error) ||
-        !get_number(row, "ranks", &ranks, error) ||
-        !get_number(row, "ranks_per_node", &rpn, error) ||
-        !get_number(row, "word_bytes", &wb, error) ||
+    Candidate& w = e.winner;
+    if (!get_count(row, "n", &e.workload.n, error) ||
+        !get_count(row, "ranks", &e.workload.ranks, error) ||
+        !get_count(row, "ranks_per_node", &e.workload.ranks_per_node,
+                   error) ||
+        !get_count(row, "word_bytes", &e.workload.word_bytes, error) ||
         !get_number(row, "stall_weight", &e.stall_weight, error) ||
-        !get_number(row, "pr", &pr, error) ||
-        !get_number(row, "pc", &pc, error) ||
-        !get_number(row, "kr", &kr, error) ||
-        !get_number(row, "kc", &kc, error) ||
-        !get_number(row, "block", &blk, error) ||
-        !get_number(row, "streams", &streams, error) ||
+        !get_count(row, "pr", &w.placement.pr, error) ||
+        !get_count(row, "pc", &w.placement.pc, error) ||
+        !get_count(row, "kr", &w.placement.kr, error) ||
+        !get_count(row, "kc", &w.placement.kc, error) ||
+        !get_count(row, "block", &w.block, error) ||
+        !get_count(row, "streams", &w.streams, error) ||
         !get_number(row, "predicted_makespan", &e.predicted_makespan,
                     error) ||
         !get_number(row, "predicted_stall_share", &e.predicted_stall_share,
@@ -164,7 +183,7 @@ bool read_manifest(const std::string& text, Manifest* out,
         !get_number(row, "default_stall_share", &e.default_stall_share,
                     error))
       return false;
-    if (!get_bool(row, "tiled", &e.winner.placement.tiled, error))
+    if (!get_bool(row, "tiled", &w.placement.tiled, error))
       return false;
     // "track_paths" joined the key after version-1 manifests shipped; a
     // missing field reads as false (a value-schedule row), so pre-paths
@@ -179,22 +198,12 @@ bool read_manifest(const std::string& text, Manifest* out,
     }
     const causal::JsonValue* var = row.find("variant");
     if (var == nullptr || var->type != causal::JsonValue::Type::kString ||
-        !sched::variant_from_name(var->str, &e.winner.variant,
+        !sched::variant_from_name(var->str, &w.variant,
                                   /*allow_auto=*/false)) {
       *error = "manifest entry has a missing or unknown \"variant\"";
       return false;
     }
-    e.workload.n = static_cast<std::size_t>(n);
-    e.workload.ranks = static_cast<int>(ranks);
-    e.workload.ranks_per_node = static_cast<int>(rpn);
-    e.workload.word_bytes = static_cast<std::size_t>(wb);
-    e.winner.placement.pr = static_cast<int>(pr);
-    e.winner.placement.pc = static_cast<int>(pc);
-    e.winner.placement.kr = static_cast<int>(kr);
-    e.winner.placement.kc = static_cast<int>(kc);
-    e.winner.block = static_cast<std::size_t>(blk);
-    e.winner.streams = static_cast<int>(streams);
-    e.winner = e.winner.canonical();
+    w = w.canonical();
     out->put(e);
   }
   return true;

@@ -205,10 +205,12 @@ bool Tuner::feasible(const Candidate& c, std::string* why) const {
 }
 
 double Tuner::lower_bound(const Candidate& c) const {
-  (void)c;  // both floors are shape-independent; see below
+  // Deliberately not a sum of perf::op_cost prices, which depend on the
+  // candidate's shape: both floors below hold for every candidate at once.
+  (void)c;
   const double n = static_cast<double>(workload_.n);
   // Compute floor: total modelled flops over all GPUs (ranks sharing a
-  // GPU serialise in the DES, so the per-rank rate is rank_flops).
+  // GPU serialise in the DES, so each rank gets half a device).
   const double compute =
       perf::model_compute_time(opt_.machine, n, workload_.ranks);
   // NIC floor: no placement moves less than W_min per node (§5.1.3), and

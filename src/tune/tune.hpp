@@ -196,9 +196,11 @@ class Tuner {
   bool feasible(const Candidate& c, std::string* why = nullptr) const;
 
   /// Closed-form lower bound on any feasible candidate's DES makespan:
-  /// max(compute floor 2n³/(P·rank_flops), W_min/nic_bw). Candidates with
-  /// lower_bound > best objective are pruned without a DES run (objective
-  /// ≥ makespan ≥ bound for stall_weight ≥ 0).
+  /// max(compute floor perf::model_compute_time, W_min/nic_bw). Candidates
+  /// with lower_bound > best objective are pruned without a DES run
+  /// (objective ≥ makespan ≥ bound for stall_weight ≥ 0). It prices no
+  /// op: being independent of the candidate's shape is what keeps it
+  /// sound for every placement.
   double lower_bound(const Candidate& c) const;
 
   /// Memoized DES evaluation (builds the program, simulates, attributes

@@ -291,8 +291,8 @@ TEST(Experiments, BcastProgramsRingVsTree) {
   std::vector<int> node_of(16);
   for (int i = 0; i < 16; ++i) node_of[static_cast<std::size_t>(i)] = i;  // one rank per node
   const std::int64_t bytes = 64 << 20;
-  const auto tree = build_bcast_program(m, 16, bytes, false, node_of);
-  const auto ring = build_bcast_program(m, 16, bytes, true, node_of);
+  const auto tree = build_bcast_program(16, bytes, false, node_of);
+  const auto ring = build_bcast_program(16, bytes, true, node_of);
   const double t_tree = simulate(tree, node_of, m).makespan;
   const double t_ring = simulate(ring, node_of, m).makespan;
   EXPECT_LT(t_ring, t_tree);

@@ -357,6 +357,36 @@ TEST(Manifest, RejectsMalformedDocuments) {
       "\"default_makespan\": 1, \"default_stall_share\": 0}]}",
       &m, &err));
   EXPECT_NE(err.find("variant"), std::string::npos);
+
+  // Integral fields that are not finite, whole and in range are rejected
+  // by name, never cast. Each case edits one field of a valid row.
+  const auto doc = [](const std::string& field, const std::string& value) {
+    const std::vector<std::pair<std::string, std::string>> row = {
+        {"n", "96"},         {"ranks", "4"},  {"ranks_per_node", "2"},
+        {"word_bytes", "4"}, {"pr", "2"},     {"pc", "2"},
+        {"kr", "1"},         {"kc", "1"},     {"block", "16"},
+        {"streams", "3"}};
+    std::string out =
+        "{\"version\": 1, \"entries\": [{\"stall_weight\": 1, "
+        "\"variant\": \"async\", \"tiled\": false, "
+        "\"predicted_makespan\": 1, \"predicted_stall_share\": 0, "
+        "\"default_makespan\": 1, \"default_stall_share\": 0";
+    for (const auto& [k, v] : row)
+      out += ", \"" + k + "\": " + (k == field ? value : v);
+    return out + "}]}";
+  };
+  ASSERT_TRUE(tune::read_manifest(doc("", ""), &m, &err)) << err;
+  const std::pair<const char*, const char*> bad[] = {
+      {"n", "-5"},     {"ranks", "1e300"}, {"pr", "2.5"},
+      {"pc", "-3"},    {"block", "1e30"},  {"n", "18446744073709551616"},
+      {"kr", "0"},     {"streams", "1e999"}};
+  for (const auto& [field, value] : bad) {
+    err.clear();
+    EXPECT_FALSE(tune::read_manifest(doc(field, value), &m, &err))
+        << field << " = " << value;
+    EXPECT_NE(err.find(std::string("\"") + field + "\""), std::string::npos)
+        << err;
+  }
 }
 
 // --- solve() front door: kAuto -----------------------------------------------
