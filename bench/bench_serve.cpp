@@ -85,7 +85,7 @@ WorkloadResult run_workload(const MemoryCheckpointStore& store,
   }
   r.latency = reg.histogram("serve.query.latency").summary();
   r.cache = service.cache_stats();
-  for (int s = 0; s + 1 < serve::kNumStages; ++s) {  // gather: sharded only
+  for (int s = 0; s < serve::kNumStages; ++s) {
     const std::string name =
         std::string("serve.stage.") +
         serve::stage_name(static_cast<serve::Stage>(s)) + ".latency";
@@ -155,7 +155,7 @@ int main() {
     // Stage attribution rows: real_time 0 keeps them out of the one-sided
     // wall-clock gate; the dedicated two-sided "share" compare pins them.
     double covered = 0.0;
-    for (int s = 0; s + 1 < serve::kNumStages; ++s) {
+    for (int s = 0; s < serve::kNumStages; ++s) {
       json.add(base + "_stage_" +
                    serve::stage_name(static_cast<serve::Stage>(s)),
                0.0, "share", r.stage_share[s]);

@@ -46,13 +46,10 @@ const char* category_name(Category c) {
 Category category_of(const sched::TraceEvent& e) {
   const char* n = e.name;
   // Serve-trace spans (qtrace.hpp): store IO is its own category; the
-  // pred-walk and cache probe are compute; routing and the rank-0 gather
-  // (plus its send/recv flow events) are comm.
+  // pred-walk and cache probe are compute; routing is comm.
   if (starts_with(n, "serve")) {
     if (is(n, "serveIO")) return Category::kIo;
-    if (is(n, "serveRoute") || is(n, "serveGather") || is(n, "serveSend") ||
-        is(n, "serveRecv"))
-      return Category::kComm;
+    if (is(n, "serveRoute")) return Category::kComm;
     return Category::kCompute;  // serveQuery, serveCache, serveWalk, instants
   }
   if (is(n, "Checkpoint")) return Category::kCheckpoint;
@@ -79,8 +76,6 @@ const char* phase_of(const sched::TraceEvent& e) {
     if (is(n, "serveCache")) return "cache";
     if (is(n, "serveIO")) return "io";
     if (is(n, "serveWalk")) return "walk";
-    if (is(n, "serveGather") || is(n, "serveSend") || is(n, "serveRecv"))
-      return "gather";
     return "query";  // serveQuery parent span, admit/bypass instants
   }
   if (starts_with(n, "Diag")) return "diag";

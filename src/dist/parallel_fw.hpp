@@ -224,7 +224,7 @@ void parallel_fw_resume(mpi::Comm& world,
 
   const int my = world.rank();
   oog.trace = opt.trace;
-  oog.trace_rank = my;
+  oog.rank = my;
   oog.metrics = opt.metrics;
   auto bytes_of = [](auto& m_) {
     using MT = std::remove_reference_t<decltype(*m_.data())>;

@@ -43,7 +43,7 @@ struct OogConfig {
   /// through a per-rank device channel, so causal analysis sees the
   /// stream ordering.
   sched::TraceSink* trace = nullptr;
-  int trace_rank = 0;  ///< rank attributed to the events (devsim is local)
+  int rank = 0;  ///< rank attributed to the trace events (devsim is local)
   /// When set, the pipeline lands series into this registry:
   /// oog.inflight_depth / oog.inflight_max gauges (X-buffer occupancy —
   /// depth s means full compute/transfer/hostUpdate overlap),
@@ -151,7 +151,7 @@ OogStats oog_srgemm(dev::Device& device,
   // channel — the offload analogue of a message edge.
   std::uint64_t chunk_seq = 0;
   const std::uint64_t dev_ctx =
-      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.trace_rank);
+      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.rank);
 
   auto host_update = [&](const Pending& p) {
     const std::size_t r0 = p.i * cfg.mx, c0 = p.j * cfg.nx;
@@ -165,7 +165,7 @@ OogStats oog_srgemm(dev::Device& device,
       const double t1 = sched::now_seconds();
       if (cfg.trace)
         cfg.trace->record(sched::TraceEvent{
-            cfg.trace_rank, "oogHost", 0, t0, t1,
+            cfg.rank, "oogHost", 0, t0, t1,
             static_cast<std::int64_t>(nr * nc * sizeof(T)), 0.0});
       if (cfg.metrics)
         cfg.metrics->histogram("oog.host_update_seconds").observe(t1 - t0);
@@ -175,10 +175,10 @@ OogStats oog_srgemm(dev::Device& device,
     const double t0 = cfg.trace ? sched::now_seconds() : 0.0;
     p.done.wait();
     if (cfg.trace) {
-      sched::TraceEvent e{cfg.trace_rank, "oogWait", 0, t0,
+      sched::TraceEvent e{cfg.rank, "oogWait", 0, t0,
                           sched::now_seconds(), 0, 0.0};
       e.ek = sched::EventKind::kRecv;
-      e.peer = cfg.trace_rank;
+      e.peer = cfg.rank;
       e.ctx = dev_ctx;
       e.seq = p.seq;
       cfg.trace->record(e);
@@ -233,11 +233,11 @@ OogStats oog_srgemm(dev::Device& device,
       inflight.push_back(Pending{st.record(), i, j, r, chunk_seq});
       if (cfg.trace) {
         const double t = sched::now_seconds();
-        sched::TraceEvent e{cfg.trace_rank, "oogDev", 0, t, t,
+        sched::TraceEvent e{cfg.rank, "oogDev", 0, t, t,
                             static_cast<std::int64_t>(nr * nc * sizeof(T)),
                             0.0};
         e.ek = sched::EventKind::kSend;
-        e.peer = cfg.trace_rank;
+        e.peer = cfg.rank;
         e.ctx = dev_ctx;
         e.seq = chunk_seq;
         cfg.trace->record(e);
@@ -366,7 +366,7 @@ OogStats oog_srgemm_pred(dev::Device& device,
   std::deque<Pending> inflight;
   std::uint64_t chunk_seq = 0;
   const std::uint64_t dev_ctx =
-      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.trace_rank);
+      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.rank);
 
   auto host_update = [&](const Pending& p) {
     const std::size_t r0 = p.i * cfg.mx, c0 = p.j * cfg.nx;
@@ -382,7 +382,7 @@ OogStats oog_srgemm_pred(dev::Device& device,
       const double t1 = sched::now_seconds();
       if (cfg.trace)
         cfg.trace->record(sched::TraceEvent{
-            cfg.trace_rank, "oogHost", 0, t0, t1,
+            cfg.rank, "oogHost", 0, t0, t1,
             static_cast<std::int64_t>(nr * nc * (sizeof(T) + sizeof(P))),
             0.0});
       if (cfg.metrics)
@@ -393,10 +393,10 @@ OogStats oog_srgemm_pred(dev::Device& device,
     const double t0 = cfg.trace ? sched::now_seconds() : 0.0;
     p.done.wait();
     if (cfg.trace) {
-      sched::TraceEvent e{cfg.trace_rank, "oogWait", 0, t0,
+      sched::TraceEvent e{cfg.rank, "oogWait", 0, t0,
                           sched::now_seconds(), 0, 0.0};
       e.ek = sched::EventKind::kRecv;
-      e.peer = cfg.trace_rank;
+      e.peer = cfg.rank;
       e.ctx = dev_ctx;
       e.seq = p.seq;
       cfg.trace->record(e);
@@ -453,11 +453,11 @@ OogStats oog_srgemm_pred(dev::Device& device,
       if (cfg.trace) {
         const double t = sched::now_seconds();
         sched::TraceEvent e{
-            cfg.trace_rank, "oogDev", 0, t, t,
+            cfg.rank, "oogDev", 0, t, t,
             static_cast<std::int64_t>(nr * nc * (sizeof(T) + sizeof(P))),
             0.0};
         e.ek = sched::EventKind::kSend;
-        e.peer = cfg.trace_rank;
+        e.peer = cfg.rank;
         e.ctx = dev_ctx;
         e.seq = chunk_seq;
         cfg.trace->record(e);
@@ -520,7 +520,7 @@ OogStats oog_srgemm_device(dev::Device& device,
   std::deque<Pending> inflight;
   std::uint64_t chunk_seq = 0;
   const std::uint64_t dev_ctx =
-      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.trace_rank);
+      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.rank);
   auto host_update = [&](const Pending& p) {
     const std::size_t r0 = p.i * cfg.mx, c0 = p.j * cfg.nx;
     const std::size_t nr = std::min(cfg.mx, m - r0);
@@ -533,7 +533,7 @@ OogStats oog_srgemm_device(dev::Device& device,
       const double t1 = sched::now_seconds();
       if (cfg.trace)
         cfg.trace->record(sched::TraceEvent{
-            cfg.trace_rank, "oogHost", 0, t0, t1,
+            cfg.rank, "oogHost", 0, t0, t1,
             static_cast<std::int64_t>(nr * nc * sizeof(T)), 0.0});
       if (cfg.metrics)
         cfg.metrics->histogram("oog.host_update_seconds").observe(t1 - t0);
@@ -543,10 +543,10 @@ OogStats oog_srgemm_device(dev::Device& device,
     const double t0 = cfg.trace ? sched::now_seconds() : 0.0;
     p.done.wait();
     if (cfg.trace) {
-      sched::TraceEvent e{cfg.trace_rank, "oogWait", 0, t0,
+      sched::TraceEvent e{cfg.rank, "oogWait", 0, t0,
                           sched::now_seconds(), 0, 0.0};
       e.ek = sched::EventKind::kRecv;
-      e.peer = cfg.trace_rank;
+      e.peer = cfg.rank;
       e.ctx = dev_ctx;
       e.seq = p.seq;
       cfg.trace->record(e);
@@ -586,11 +586,11 @@ OogStats oog_srgemm_device(dev::Device& device,
       inflight.push_back(Pending{st.record(), i, j, r, chunk_seq});
       if (cfg.trace) {
         const double t = sched::now_seconds();
-        sched::TraceEvent e{cfg.trace_rank, "oogDev", 0, t, t,
+        sched::TraceEvent e{cfg.rank, "oogDev", 0, t, t,
                             static_cast<std::int64_t>(nr * nc * sizeof(T)),
                             0.0};
         e.ek = sched::EventKind::kSend;
-        e.peer = cfg.trace_rank;
+        e.peer = cfg.rank;
         e.ctx = dev_ctx;
         e.seq = chunk_seq;
         cfg.trace->record(e);

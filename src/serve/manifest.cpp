@@ -1,6 +1,7 @@
 #include "serve/manifest.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "core/checkpoint.hpp"
 #include "dist/checkpoint.hpp"
@@ -32,12 +33,14 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
   m.world_size_ = commit->world_size;
   m.variant_ = commit->variant;
   PARFW_CHECK_MSG(m.world_size_ > 0, "commit record names no ranks");
-  m.ranks_.resize(m.world_size_);
 
+  // The store is outside input: world_size and the grid shape are only
+  // promises until every blob they name has been found, so ranks_ grows
+  // one found blob at a time and rank_of_coord_ is sized after the loop.
   std::uint8_t header_bytes[sizeof(CheckpointHeader) + sizeof(CheckpointExtV2)];
   const ByteRange header_range{0, sizeof(header_bytes)};
   for (std::uint32_t w = 0; w < m.world_size_; ++w) {
-    RankBlob& rb = m.ranks_[w];
+    RankBlob rb;
     rb.key = dist::rank_checkpoint_key(commit->k0, static_cast<int>(w));
     const bool present = store.get_ranges(
         rb.key, std::span<const ByteRange>(&header_range, 1), header_bytes);
@@ -66,8 +69,6 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
               m.world_size_,
           "grid " << m.grid_rows_ << "x" << m.grid_cols_
                   << " does not cover world size " << m.world_size_);
-      m.rank_of_coord_.assign(
-          static_cast<std::size_t>(m.grid_rows_) * m.grid_cols_, -1);
     } else {
       PARFW_CHECK_MSG(h.elem_size == m.elem_size_ &&
                           ext.pred_elem_size == m.pred_elem_size_ &&
@@ -82,14 +83,6 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
                     "rank " << w << " states an off-grid coordinate");
     rb.coord_row = ext.coord_row;
     rb.coord_col = ext.coord_col;
-    const std::size_t slot =
-        static_cast<std::size_t>(ext.coord_row) * m.grid_cols_ +
-        static_cast<std::size_t>(ext.coord_col);
-    PARFW_CHECK_MSG(m.rank_of_coord_[slot] < 0,
-                    "two ranks claim grid coordinate (" << ext.coord_row << ","
-                                                        << ext.coord_col
-                                                        << ")");
-    m.rank_of_coord_[slot] = static_cast<int>(w);
     // The coordinate check above bounds both grid dims by INT32_MAX.
     rb.local_block_rows = dist::owned_blocks(
         m.nb_, ext.coord_row, static_cast<int>(m.grid_rows_));
@@ -100,6 +93,21 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
                     "rank " << w << " tile manifest length mismatch");
     rb.payload_offset = sizeof(CheckpointHeader) + sizeof(CheckpointExtV2) +
                         ext.tile_count * sizeof(CheckpointTileRef);
+    m.ranks_.push_back(std::move(rb));
+  }
+
+  // grid_rows x grid_cols == world_size, and that many blobs exist.
+  m.rank_of_coord_.assign(m.world_size_, -1);
+  for (std::uint32_t w = 0; w < m.world_size_; ++w) {
+    const RankBlob& rb = m.ranks_[w];
+    const std::size_t slot =
+        static_cast<std::size_t>(rb.coord_row) * m.grid_cols_ +
+        static_cast<std::size_t>(rb.coord_col);
+    PARFW_CHECK_MSG(m.rank_of_coord_[slot] < 0,
+                    "two ranks claim grid coordinate (" << rb.coord_row << ","
+                                                        << rb.coord_col
+                                                        << ")");
+    m.rank_of_coord_[slot] = static_cast<int>(w);
   }
   return m;
 }

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "core/query.hpp"
@@ -42,14 +41,10 @@ struct ServeOptions {
   /// serve.cache.bytes_{resident,peak} gauges and per-tile
   /// serve.tile.miss.* gauges into it.
   telemetry::Registry* metrics = nullptr;
-  /// Label set for the metric series, e.g. "rank=3" in the sharded tier.
-  std::string metric_labels;
   /// When set, every query emits a span tree (serveQuery over
   /// route/cache/io/walk stage intervals, query id in `k`) through the
   /// shared trace seam — load the capture in trace_analyze --mode serve.
   sched::TraceSink* trace = nullptr;
-  /// Trace track / rank id for emitted spans (the shard rank).
-  int trace_rank = 0;
   /// When set, every answered query's breakdown is fed to the monitor
   /// (rolling p50/p99 vs targets, burn rate, slow-query log).
   SloMonitor* slo = nullptr;
@@ -75,22 +70,15 @@ class PathService {
                     "unsupported pred element size "
                         << manifest_.pred_elem_size());
     tracer_ = QueryTracer(QueryTracer::Config{
-        opt_.trace, opt_.metrics, opt_.metric_labels, opt_.trace_rank,
-        /*force=*/opt_.slo != nullptr});
+        opt_.trace, opt_.metrics, /*force=*/opt_.slo != nullptr});
     if (opt_.metrics != nullptr) {
-      queries_ = &opt_.metrics->counter("serve.query.count",
-                                        opt_.metric_labels);
-      hits_ = &opt_.metrics->counter("serve.cache.hits", opt_.metric_labels);
-      misses_ =
-          &opt_.metrics->counter("serve.cache.misses", opt_.metric_labels);
-      evictions_ =
-          &opt_.metrics->counter("serve.cache.evictions", opt_.metric_labels);
-      ghost_hits_ = &opt_.metrics->counter("serve.cache.ghost_hits",
-                                           opt_.metric_labels);
-      resident_ = &opt_.metrics->gauge("serve.cache.bytes_resident",
-                                       opt_.metric_labels);
-      peak_ = &opt_.metrics->gauge("serve.cache.bytes_peak",
-                                   opt_.metric_labels);
+      queries_ = &opt_.metrics->counter("serve.query.count");
+      hits_ = &opt_.metrics->counter("serve.cache.hits");
+      misses_ = &opt_.metrics->counter("serve.cache.misses");
+      evictions_ = &opt_.metrics->counter("serve.cache.evictions");
+      ghost_hits_ = &opt_.metrics->counter("serve.cache.ghost_hits");
+      resident_ = &opt_.metrics->gauge("serve.cache.bytes_resident");
+      peak_ = &opt_.metrics->gauge("serve.cache.bytes_peak");
     }
   }
 
@@ -131,9 +119,6 @@ class PathService {
     tracer_.publish_tile_costs();
     return out;
   }
-
-  /// The per-query tracer (sharded_answer emits gather spans through it).
-  QueryTracer& tracer() { return tracer_; }
 
  private:
   QueryResult<T> query_impl(std::int64_t src, std::int64_t dst,

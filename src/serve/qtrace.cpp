@@ -10,9 +10,9 @@ namespace parfw::serve {
 namespace {
 
 constexpr const char* kStageNames[kNumStages] = {"route", "cache", "io",
-                                                 "walk", "gather"};
-constexpr const char* kStageSpanNames[kNumStages] = {
-    "serveRoute", "serveCache", "serveIO", "serveWalk", "serveGather"};
+                                                 "walk"};
+constexpr const char* kStageSpanNames[kNumStages] = {"serveRoute", "serveCache",
+                                                     "serveIO", "serveWalk"};
 
 bool is(const char* name, const char* want) {
   return std::strcmp(name, want) == 0;
@@ -37,15 +37,13 @@ const char* stage_span_name(Stage s) {
 QueryTracer::QueryTracer(const Config& cfg)
     : cfg_(cfg), sink_(cfg.sink), metrics_(cfg.metrics) {
   if (metrics_ == nullptr) return;
-  latency_ = &metrics_->histogram("serve.query.latency", cfg_.labels,
-                                  kServeHistSub);
-  queue_wait_ =
-      &metrics_->histogram("serve.queue.wait", cfg_.labels, kServeHistSub);
+  latency_ = &metrics_->histogram("serve.query.latency", "", kServeHistSub);
+  queue_wait_ = &metrics_->histogram("serve.queue.wait", "", kServeHistSub);
   for (int s = 0; s < kNumStages; ++s) {
     const std::string name = std::string("serve.stage.") +
                              kStageNames[s] + ".latency";
     stage_hist_[static_cast<std::size_t>(s)] =
-        &metrics_->histogram(name, cfg_.labels, kServeHistSub);
+        &metrics_->histogram(name, "", kServeHistSub);
   }
 }
 
@@ -87,7 +85,6 @@ void QueryTracer::close_segment(double t) {
   stage_seconds_[static_cast<std::size_t>(cur_)] += d;
   if (sink_ != nullptr) {
     sched::TraceEvent e;
-    e.rank = cfg_.rank;
     e.name = stage_span_name(cur_);
     e.k = static_cast<std::uint32_t>(qid_);
     e.t_begin = seg_begin_;
@@ -109,7 +106,6 @@ void QueryTracer::note_admission(bool admitted) {
   if (sink_ == nullptr || !in_query_) return;
   const double t = sched::now_seconds();
   sched::TraceEvent e;
-  e.rank = cfg_.rank;
   e.name = admitted ? "serveAdmit" : "serveBypass";
   e.k = static_cast<std::uint32_t>(qid_);
   e.t_begin = t;
@@ -134,7 +130,6 @@ QueryStats QueryTracer::end_query(bool ok) {
     // Parent first: the causal nesting forest breaks same-t_begin ties by
     // record order, so the query span must precede its stage intervals.
     sched::TraceEvent parent;
-    parent.rank = cfg_.rank;
     parent.name = "serveQuery";
     parent.k = static_cast<std::uint32_t>(qid_);
     parent.t_begin = q_begin_;
@@ -149,55 +144,17 @@ QueryStats QueryTracer::end_query(bool ok) {
     // Every stage observes every query (zeros included) so the stage
     // histogram counts equal the query count and the sums reconcile with
     // serve.query.latency by construction.
-    for (int s = 0; s < kNumStages - 1; ++s)  // kGather is batch-level
+    for (int s = 0; s < kNumStages; ++s)
       stage_hist_[static_cast<std::size_t>(s)]->observe(
           q.stage[static_cast<std::size_t>(s)]);
   }
   return q;
 }
 
-void QueryTracer::record_gather(double t_begin, double t_end,
-                                std::int64_t bytes) {
-  if (!active()) return;
-  if (sink_ != nullptr) {
-    sched::TraceEvent e;
-    e.rank = cfg_.rank;
-    e.name = stage_span_name(Stage::kGather);
-    e.t_begin = t_begin;
-    e.t_end = t_end;
-    e.bytes = bytes;
-    sink_->record(e);
-  }
-  auto* h = stage_hist_[static_cast<std::size_t>(Stage::kGather)];
-  if (h != nullptr) h->observe(t_end - t_begin);
-}
-
-void QueryTracer::emit_handoff(sched::EventKind ek, int peer,
-                               std::int64_t bytes, double t_begin,
-                               double t_end) {
-  if (sink_ == nullptr) return;
-  sched::TraceEvent e;
-  e.rank = cfg_.rank;
-  e.name = ek == sched::EventKind::kSend ? "serveSend" : "serveRecv";
-  e.t_begin = t_begin;
-  e.t_end = t_end;
-  e.bytes = bytes;
-  e.ek = ek;
-  e.peer = peer;
-  e.tag = kServeGatherTag;
-  // One handoff per worker rank: the producer's rank is the sequence
-  // number, so send/recv join uniquely on (ctx, src, dst, tag, seq).
-  e.seq = static_cast<std::uint64_t>(
-      ek == sched::EventKind::kSend ? cfg_.rank : peer);
-  e.ctx = kServeChannelCtx;
-  sink_->record(e);
-}
-
 void QueryTracer::publish_tile_costs() {
   if (metrics_ == nullptr) return;
   for (const auto& [key, cost] : tile_costs_) {
     std::ostringstream labels;
-    if (!cfg_.labels.empty()) labels << cfg_.labels << ',';
     labels << "kind=" << (key.kind == TileKind::kValue ? "value" : "pred")
            << ",row=" << key.block_row << ",col=" << key.block_col;
     const std::string l = labels.str();
@@ -224,8 +181,6 @@ ServeTraceReport analyze_serve_trace(
   for (const sched::TraceEvent& e : events) {
     if (is(e.name, "serveQuery")) {
       trees[{e.rank, e.k}].parent = &e;
-    } else if (is(e.name, stage_span_name(Stage::kGather))) {
-      r.gather_seconds += e.t_end - e.t_begin;
     } else if (stage_of_name(e.name) >= 0) {
       trees[{e.rank, e.k}].stages.push_back(&e);
     }
@@ -282,8 +237,6 @@ ServeTraceReport analyze_serve_trace(
     r.min_coverage = std::min(r.min_coverage, q.coverage);
     r.max_gap = std::max(r.max_gap, q.max_gap);
   }
-  r.stage_seconds[static_cast<std::size_t>(Stage::kGather)] +=
-      r.gather_seconds;
 
   std::sort(totals.begin(), totals.end());
   auto quant = [&](double p) {
@@ -295,24 +248,23 @@ ServeTraceReport analyze_serve_trace(
   r.p50 = quant(0.50);
   r.p99 = quant(0.99);
 
-  const double wall = r.total_seconds + r.gather_seconds;
-  if (wall > 0.0)
+  if (r.total_seconds > 0.0)
     for (int s = 0; s < kNumStages; ++s)
       r.stage_share[static_cast<std::size_t>(s)] =
-          r.stage_seconds[static_cast<std::size_t>(s)] / wall;
+          r.stage_seconds[static_cast<std::size_t>(s)] / r.total_seconds;
 
   // Tail attribution: mean per-query stage shares among queries at or
-  // above p99 (kGather excluded — it is batch-level, not per-query).
+  // above p99.
   int tail_n = 0;
   for (const ServeQueryBreakdown& q : r.queries) {
     if (q.total < r.p99 || q.total <= 0.0) continue;
     ++tail_n;
-    for (int s = 0; s < kNumStages - 1; ++s)
+    for (int s = 0; s < kNumStages; ++s)
       r.tail_share[static_cast<std::size_t>(s)] +=
           q.stage[static_cast<std::size_t>(s)] / q.total;
   }
   if (tail_n > 0)
-    for (int s = 0; s < kNumStages - 1; ++s)
+    for (int s = 0; s < kNumStages; ++s)
       r.tail_share[static_cast<std::size_t>(s)] /= tail_n;
 
   std::sort(r.queries.begin(), r.queries.end(),
@@ -347,7 +299,7 @@ std::string format_serve_report(const ServeTraceReport& r, int top_k) {
        << r.stage_share[static_cast<std::size_t>(s)] * 100.0 << "%)\n";
   }
   os << "\ntail attribution (mean stage share of queries >= p99):\n";
-  for (int s = 0; s < kNumStages - 1; ++s) {
+  for (int s = 0; s < kNumStages; ++s) {
     os << "  " << kStageNames[s] << ": "
        << r.tail_share[static_cast<std::size_t>(s)] * 100.0 << "%\n";
   }
@@ -356,9 +308,9 @@ std::string format_serve_report(const ServeTraceReport& r, int top_k) {
   for (int i = 0; i < n; ++i) {
     const ServeQueryBreakdown& q = r.queries[static_cast<std::size_t>(i)];
     os << "  " << q.rank << "/" << q.qid << ": " << q.total * 1e6 << " | ";
-    for (int s = 0; s < kNumStages - 1; ++s)
+    for (int s = 0; s < kNumStages; ++s)
       os << q.stage[static_cast<std::size_t>(s)] * 1e6
-         << (s + 1 < kNumStages - 1 ? " " : "\n");
+         << (s + 1 < kNumStages ? " " : "\n");
   }
   return os.str();
 }

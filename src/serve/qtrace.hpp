@@ -13,15 +13,14 @@
 // Spans go out through the same sched::TraceSink seam the solve pipeline
 // uses (one track per rank in the Chrome trace; k carries the query id),
 // so causal::build_graph / analyze work on serve traces unchanged —
-// Category::kIo splits store reads from walk compute and shard-hop comm.
+// Category::kIo splits store reads from walk compute and routing.
 // Aggregates land in telemetry as serve.stage.*.latency histograms (at a
 // finer bucket resolution than the default — the cache-hit path is ~µs)
 // and per-tile miss-cost gauges keyed by block coordinate: exactly the
 // signal the admission-tuning feedback loop needs.
 //
-// The tracer is single-threaded per PathService (one service per rank in
-// the sharded tier) and inert — zero clock reads — when neither a sink
-// nor a registry is configured.
+// The tracer is single-threaded, one per PathService, and inert — zero
+// clock reads — when neither a sink nor a registry is configured.
 #pragma once
 
 #include <array>
@@ -36,31 +35,22 @@
 
 namespace parfw::serve {
 
-/// ctx namespace for serve gather handoffs, disjoint from communicator
-/// context ids and from sched::kDeviceChannelCtx (1 << 48) so a serve
-/// flow event can never join a solve message in the causal graph.
-inline constexpr std::uint64_t kServeChannelCtx = std::uint64_t{1} << 49;
-/// Match tag of the worker → rank-0 gather handoff flow events.
-inline constexpr std::int32_t kServeGatherTag = 7310;
-
 /// Sub-buckets per octave for serve.* latency histograms: 8 bounds the
 /// quantile error at 2^(1/8) ≈ 1.09x, enough to separate a ~2 µs cache
 /// hit from a ~4 µs one — the default 4 (≈ 1.19x) was verified too coarse
 /// for sub-millisecond tails (telemetry_test FineResolution).
 inline constexpr int kServeHistSub = 8;
 
-/// Latency attribution stages. kRoute..kWalk partition a query's span;
-/// kGather is the batch-level rank-0 reassembly (sharded tier only).
+/// Latency attribution stages; together they partition a query's span.
 enum class Stage : std::uint8_t {
-  kRoute = 0,  ///< shard routing, dispatch, answer assembly
+  kRoute = 0,  ///< dispatch, answer assembly
   kCache = 1,  ///< tile-cache probe + admission
   kIo = 2,     ///< get_ranges store reads on a cache miss
   kWalk = 3,   ///< pred-walk arithmetic
-  kGather = 4, ///< rank-0 gather of sharded results
 };
-inline constexpr int kNumStages = 5;
+inline constexpr int kNumStages = 4;
 
-/// "route", "cache", "io", "walk", "gather" — metric-name fragments.
+/// "route", "cache", "io", "walk" — metric-name fragments.
 const char* stage_name(Stage s);
 /// "serveRoute", ... — span names (static storage, as TraceSink requires).
 const char* stage_span_name(Stage s);
@@ -101,8 +91,6 @@ class QueryTracer {
   struct Config {
     sched::TraceSink* sink = nullptr;       ///< span stream (may be null)
     telemetry::Registry* metrics = nullptr; ///< histogram home (may be null)
-    std::string labels;                     ///< e.g. "rank=3"
-    int rank = 0;                           ///< trace track
     /// Measure even without a sink or registry (an SLO monitor alone
     /// still needs the per-query breakdowns end_query returns).
     bool force = false;
@@ -117,7 +105,6 @@ class QueryTracer {
   bool active() const {
     return sink_ != nullptr || metrics_ != nullptr || cfg_.force;
   }
-  int rank() const { return cfg_.rank; }
 
   /// Mark the submission instant of a batch: subsequent begin_query calls
   /// observe (query start - batch start) into serve.queue.wait.
@@ -143,25 +130,14 @@ class QueryTracer {
   /// is open.
   QueryStats end_query(bool ok = true);
 
-  /// Record the batch-level rank-0 gather span (+ histogram).
-  void record_gather(double t_begin, double t_end, std::int64_t bytes);
-
-  /// Emit one side of a worker → rank-0 gather handoff as a flow event on
-  /// channel (kServeChannelCtx, kServeGatherTag, seq = worker rank).
-  void emit_handoff(sched::EventKind ek, int peer, std::int64_t bytes,
-                    double t_begin, double t_end);
-
   /// Write the accumulated per-tile miss costs into the registry as
   /// serve.tile.miss.{fetches,seconds,bytes} gauges labelled by tile
   /// coordinate. Gauges are set to cumulative values, so re-publishing is
   /// idempotent. Cheap enough per batch, not per query.
   void publish_tile_costs();
 
-  const TileCostMap& tile_costs() const { return tile_costs_; }
-
  private:
   void close_segment(double t);
-  telemetry::Histogram* hist(const std::string& name) const;
 
   Config cfg_;
   sched::TraceSink* sink_ = nullptr;
@@ -228,7 +204,6 @@ struct ServeTraceReport {
   /// Mean stage shares among queries with total >= p99 — the tail
   /// attribution ("where do the slow queries spend their time").
   std::array<double, kNumStages> tail_share{};
-  double gather_seconds = 0.0;  ///< Σ serveGather spans (batch level)
   double min_coverage = 0.0;    ///< worst per-query coverage
   double max_gap = 0.0;         ///< worst per-query gap/overlap, s
   std::vector<ServeQueryBreakdown> queries;  ///< sorted slowest first

@@ -118,7 +118,7 @@ std::string format_slow_log(const SloMonitor& m) {
      << " slots):\n";
   for (const QueryStats& q : log) {
     os << "  qid " << q.qid << ": " << q.total * 1e6 << " us |";
-    for (int s = 0; s < kNumStages - 1; ++s)
+    for (int s = 0; s < kNumStages; ++s)
       os << " " << stage_name(static_cast<Stage>(s)) << " "
          << q.stage[static_cast<std::size_t>(s)] * 1e6 << " us";
     os << (q.ok ? "" : " [error]") << "\n";

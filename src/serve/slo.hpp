@@ -11,8 +11,8 @@
 //     most recent over-threshold queries, so a tail regression arrives
 //     with its own attribution attached instead of just a number.
 //
-// Single-threaded per rank, like the tracer that feeds it: the sharded
-// tier runs one monitor per rank and aggregates via telemetry labels.
+// Single-threaded, like the tracer that feeds it: one monitor per
+// PathService.
 #pragma once
 
 #include <cstdint>

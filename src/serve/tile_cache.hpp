@@ -8,9 +8,8 @@
 // touched once) cannot wash out the hot set that a Zipf-skewed query
 // stream builds up.
 //
-// The cache is single-threaded by design: the sharded serving tier runs
-// one PathService (and thus one cache) per rank, and mpisim ranks are
-// threads with no shared services. Everything is deterministic under a
+// The cache is single-threaded by design: each PathService owns one and
+// shares it with no other thread. Everything is deterministic under a
 // fixed request stream — no clocks, no randomness — so tests can assert
 // exact hit/miss/eviction counts.
 //

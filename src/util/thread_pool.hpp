@@ -22,8 +22,8 @@ namespace parfw {
 
 /// Observability seam for ThreadPool. util sits at the bottom of the
 /// library graph (telemetry links util), so the pool cannot call the
-/// metrics registry directly — instead the telemetry layer implements
-/// this interface (telemetry/pool_metrics.hpp) and installs it with
+/// metrics registry directly — instead a caller implements this
+/// interface (perfbench's pool probe does) and installs it with
 /// ThreadPool::set_observer. Methods are called outside the pool's lock
 /// and from many threads concurrently; implementations must be
 /// thread-safe and cheap. The observer must outlive the pool (or be

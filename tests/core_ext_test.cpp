@@ -1,11 +1,10 @@
 // Tests for the extension features: component-wise APSP,
-// checkpoint/restart, incremental updates, block-sparse FW.
+// checkpoint/restart, incremental updates.
 #include <gtest/gtest.h>
 
 #include <span>
 #include <sstream>
 
-#include "core/block_sparse_fw.hpp"
 #include "core/checkpoint.hpp"
 #include "core/component_apsp.hpp"
 #include "core/floyd_warshall.hpp"
@@ -243,64 +242,6 @@ TEST(InsertVertex, NewShortcutImprovesOldPairs) {
                                       std::span<const double>(out_e));
   EXPECT_EQ(grown(0, 3), 1.0 + 2.0 + 3.0 + 1.0);  // 0-1-v-2-3
   EXPECT_EQ(grown(1, 2), 5.0);
-}
-
-// --- block-sparse FW ----------------------------------------------------------
-
-class BlockSparseParam
-    : public ::testing::TestWithParam<std::tuple<double, int>> {};
-// (edge probability, block size)
-
-TEST_P(BlockSparseParam, MatchesSequentialFw) {
-  const auto [p, b] = GetParam();
-  const auto g = gen::erdos_renyi(72, p, 808 + static_cast<std::uint64_t>(b),
-                                  1.0, 60.0, /*integral=*/true);
-  auto expected = g.distance_matrix<S>();
-  floyd_warshall<S>(expected.view());
-  auto got = g.distance_matrix<S>();
-  const auto stats = block_sparse_floyd_warshall<S>(
-      got.view(), static_cast<std::size_t>(b));
-  EXPECT_EQ(max_abs_diff<double>(expected.view(), got.view()), 0.0)
-      << "p=" << p << " b=" << b;
-  EXPECT_LE(stats.products_skipped, stats.products_total);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BlockSparseParam,
-    ::testing::Combine(::testing::Values(0.002, 0.01, 0.05, 0.3),
-                       ::testing::Values(8, 12, 24)));
-
-TEST(BlockSparseFw, SkipsMostProductsOnVerySparseInput) {
-  // A few disjoint short chains: almost every block pair stays empty.
-  Graph g(96);
-  for (vertex_t c = 0; c < 4; ++c)
-    for (vertex_t i = 0; i < 10; ++i)
-      g.add_edge(c * 24 + i, c * 24 + i + 1, 1.0);
-  auto expected = g.distance_matrix<S>();
-  floyd_warshall<S>(expected.view());
-  auto got = g.distance_matrix<S>();
-  const auto stats = block_sparse_floyd_warshall<S>(got.view(), 8);
-  EXPECT_EQ(max_abs_diff<double>(expected.view(), got.view()), 0.0);
-  EXPECT_GT(stats.skip_fraction(), 0.5);
-}
-
-TEST(BlockSparseFw, DenseInputSkipsNothing) {
-  const auto g = gen::dense_uniform(40, 3, 1.0, 50.0, true);
-  auto expected = g.distance_matrix<S>();
-  floyd_warshall<S>(expected.view());
-  auto got = g.distance_matrix<S>();
-  const auto stats = block_sparse_floyd_warshall<S>(got.view(), 8);
-  EXPECT_EQ(max_abs_diff<double>(expected.view(), got.view()), 0.0);
-  EXPECT_EQ(stats.products_skipped, 0u);
-}
-
-TEST(BlockSparseFw, RaggedLastBlock) {
-  const auto g = gen::erdos_renyi(50, 0.1, 909, 1.0, 40.0, true);
-  auto expected = g.distance_matrix<S>();
-  floyd_warshall<S>(expected.view());
-  auto got = g.distance_matrix<S>();
-  block_sparse_floyd_warshall<S>(got.view(), 16);  // 50 = 3*16 + 2
-  EXPECT_EQ(max_abs_diff<double>(expected.view(), got.view()), 0.0);
 }
 
 }  // namespace

@@ -2,12 +2,13 @@
 // invariant, determinism, admission), manifest validation, and the
 // central contract — served distances, statuses and paths bit-identical
 // to the in-memory ApspResult oracle, across all distributed variants,
-// both placements, crashed-and-resumed producers, the solve() front door
-// (auto included), and the sharded mpisim serving tier.
+// both placements, crashed-and-resumed producers, and the solve() front
+// door (auto included).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -22,19 +23,19 @@
 #include "causal/graph.hpp"
 #include "causal/trace_io.hpp"
 #include "core/apsp.hpp"
+#include "core/checkpoint.hpp"
 #include "core/checkpoint_store.hpp"
 #include "core/floyd_warshall.hpp"
 #include "core/query.hpp"
+#include "dist/checkpoint.hpp"
 #include "dist/driver.hpp"
 #include "dist/solve.hpp"
 #include "graph/generators.hpp"
-#include "mpisim/runtime.hpp"
 #include "sched/trace.hpp"
 #include "serve/manifest.hpp"
 #include "serve/path_service.hpp"
 #include "serve/publish.hpp"
 #include "serve/qtrace.hpp"
-#include "serve/sharded.hpp"
 #include "serve/slo.hpp"
 #include "serve/tile_cache.hpp"
 #include "serve/workload.hpp"
@@ -344,6 +345,56 @@ TEST(ServeManifest, RejectsEmptyStore) {
   EXPECT_THROW(serve::ServeManifest::open(store), check_error);
 }
 
+TEST(ServeManifest, RejectsHostileCounts) {
+  // The store is outside input. A commit record (or rank 0's blob) that
+  // promises billions of ranks must fail on the first missing blob, not
+  // size per-rank tables by the promise first.
+  auto expect_missing_rank = [](const CheckpointStore& store, int rank) {
+    try {
+      serve::ServeManifest::open(store);
+      FAIL() << "expected check_error";
+    } catch (const check_error& e) {
+      const std::string want = "manifest names rank " + std::to_string(rank);
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  };
+  dist::CommitRecord commit;
+  commit.n = 4;
+  commit.block_size = 2;
+  commit.k0 = 2;
+
+  // Only the commit record, naming 2^32 - 1 ranks.
+  {
+    MemoryCheckpointStore store;
+    commit.world_size = 0xffffffffu;
+    dist::write_commit(store, commit);
+    expect_missing_rank(store, 0);
+  }
+  // A well-formed rank-0 blob on a 65536 x 65535 grid that matches the
+  // commit's world size; rank 1 is missing.
+  {
+    MemoryCheckpointStore store;
+    commit.world_size = 65536u * 65535u;
+    dist::write_commit(store, commit);
+    CheckpointHeader h;
+    h.elem_size = sizeof(float);
+    h.n = commit.n;
+    h.next_block = commit.k0;
+    h.block_size = commit.block_size;
+    CheckpointExtV2 ext;
+    ext.grid_rows = 65536;
+    ext.grid_cols = 65535;
+    ext.tile_count = 1;
+    std::vector<std::uint8_t> blob(sizeof(h) + sizeof(ext) +
+                                   sizeof(CheckpointTileRef));
+    std::memcpy(blob.data(), &h, sizeof(h));
+    std::memcpy(blob.data() + sizeof(h), &ext, sizeof(ext));
+    store.put(dist::rank_checkpoint_key(commit.k0, 0), blob);
+    expect_missing_rank(store, 1);
+  }
+}
+
 // --- Served == oracle across the distributed matrix --------------------------
 
 struct ServeCase {
@@ -474,55 +525,6 @@ TEST(ServeFrontDoor, FileStoreServesPublishedManifest) {
   std::filesystem::remove_all(dir);
 }
 
-// --- Sharded serving ---------------------------------------------------------
-
-TEST(ShardedServe, RoutedResultsMatchLocalService) {
-  const std::size_t n = 96, b = 16;
-  DenseEntryGen<float> gen(777, 0.85, 1.0f, 90.0f, /*integral=*/true);
-  const auto grid = dist::GridSpec::row_major(2, 2);
-  dist::DistFwOptions opt;
-  opt.block_size = b;
-  MemoryCheckpointStore store;
-  opt.publish_store = &store;
-  const auto run = dist::run_parallel_fw<S>(n, gen, grid, 2, opt,
-                                            /*track_paths=*/true);
-  ApspResult<float> oracle;
-  oracle.dist = run.dist.clone();
-  oracle.pred.emplace(run.pred.clone());
-
-  serve::WorkloadSpec wspec;
-  wspec.n = static_cast<std::int64_t>(n);
-  wspec.queries = 500;
-  wspec.zipf_s = 1.0;
-  wspec.seed = 13;
-  const QueryBatch batch = serve::make_workload(wspec);
-  const auto want = oracle.answer(batch);
-
-  std::vector<QueryResult<float>> got;
-  mpi::Runtime::run(4, [&](mpi::Comm& world) {
-    serve::ServeOptions sopt;
-    sopt.cache_budget_bytes = 16 * b * b * sizeof(std::int64_t);
-    auto results = serve::sharded_answer<S>(world, store, batch, sopt);
-    if (world.rank() == 0) got = std::move(results);
-  });
-  ASSERT_EQ(got.size(), batch.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].status, want[i].status) << "query " << i;
-    ASSERT_EQ(got[i].distance, want[i].distance) << "query " << i;
-    ASSERT_EQ(got[i].path, want[i].path) << "query " << i;
-  }
-}
-
-TEST(ShardedServe, WorldSizeMustMatchManifest) {
-  Published p = publish_case(32, 8, 2, 2, /*paths=*/true);
-  mpi::Runtime::run(2, [&](mpi::Comm& world) {
-    QueryBatch batch;
-    batch.add(0, 1);
-    EXPECT_THROW(serve::sharded_answer<S>(world, p.store(), batch),
-                 check_error);
-  });
-}
-
 // --- Serving observability (DESIGN.md §4.13) ---------------------------------
 
 TEST(TileCache, GhostHitsCounted) {
@@ -578,7 +580,7 @@ TEST(QTrace, SpanTreeTilesQueryWindow) {
   EXPECT_EQ(lat.count(), 300u);
   EXPECT_EQ(reg.histogram("serve.queue.wait").count(), 300u);
   double stage_sum = 0.0;
-  for (int s = 0; s + 1 < serve::kNumStages; ++s) {
+  for (int s = 0; s < serve::kNumStages; ++s) {
     telemetry::Histogram& h = reg.histogram(
         std::string("serve.stage.") +
         serve::stage_name(static_cast<serve::Stage>(s)) + ".latency");
@@ -593,8 +595,8 @@ TEST(QTrace, SpanTreeTilesQueryWindow) {
 
 TEST(QTrace, TileMissCostsPublished) {
   // Every cache miss is attributed to its tile: the published
-  // serve.tile.miss.fetches gauges (and the tracer's in-memory map) sum
-  // to exactly the cache's miss count.
+  // serve.tile.miss.fetches gauges sum to exactly the cache's miss count,
+  // and every fetched tile carries its read bytes and IO time.
   Published p = publish_case(48, 8, 1, 1, /*paths=*/true);
   telemetry::Registry reg;
   serve::ServeOptions sopt;
@@ -612,19 +614,22 @@ TEST(QTrace, TileMissCostsPublished) {
   ASSERT_GT(service.cache_stats().misses, 0u);
 
   double gauge_fetches = 0.0;
-  for (const telemetry::MetricRow& row : reg.snapshot())
-    if (row.name == "serve.tile.miss.fetches") gauge_fetches += row.value;
+  int fetched_tiles = 0, tiles_with_bytes = 0, tiles_with_seconds = 0;
+  for (const telemetry::MetricRow& row : reg.snapshot()) {
+    if (row.name == "serve.tile.miss.fetches") {
+      gauge_fetches += row.value;
+      fetched_tiles += row.value > 0.0 ? 1 : 0;
+    }
+    if (row.name == "serve.tile.miss.bytes")
+      tiles_with_bytes += row.value > 0.0 ? 1 : 0;
+    if (row.name == "serve.tile.miss.seconds")
+      tiles_with_seconds += row.value > 0.0 ? 1 : 0;
+  }
   EXPECT_EQ(static_cast<std::uint64_t>(gauge_fetches),
             service.cache_stats().misses);
-
-  std::uint64_t map_fetches = 0;
-  for (const auto& [key, cost] : service.tracer().tile_costs()) {
-    (void)key;
-    map_fetches += cost.fetches;
-    EXPECT_GT(cost.bytes, 0u);
-    EXPECT_GT(cost.io_seconds, 0.0);
-  }
-  EXPECT_EQ(map_fetches, service.cache_stats().misses);
+  EXPECT_GT(fetched_tiles, 0);
+  EXPECT_EQ(tiles_with_bytes, fetched_tiles);
+  EXPECT_EQ(tiles_with_seconds, fetched_tiles);
 }
 
 TEST(QTrace, ChromeTraceRoundTrip) {
@@ -666,7 +671,7 @@ TEST(QTrace, ChromeTraceRoundTrip) {
   for (const auto& [phase, totals] : blame.by_phase) {
     (void)totals;
     EXPECT_TRUE(phase == "route" || phase == "cache" || phase == "io" ||
-                phase == "walk" || phase == "gather" || phase == "query")
+                phase == "walk" || phase == "query")
         << "unexpected serve phase: " << phase;
   }
 }
@@ -725,65 +730,12 @@ TEST(QTrace, SlowIoDominatesTailAttribution) {
   ASSERT_TRUE(r.ok) << r.error;
   const int io = static_cast<int>(serve::Stage::kIo);
   EXPECT_GT(r.tail_share[static_cast<std::size_t>(io)], 0.5);
-  for (int s = 0; s + 1 < serve::kNumStages; ++s) {
+  for (int s = 0; s < serve::kNumStages; ++s) {
     if (s == io) continue;
     EXPECT_GT(r.tail_share[static_cast<std::size_t>(io)],
               r.tail_share[static_cast<std::size_t>(s)])
         << "stage " << serve::stage_name(static_cast<serve::Stage>(s));
   }
-}
-
-TEST(ShardedServe, MetricsSumAcrossRanksAndGatherRecorded) {
-  // Each query is answered exactly once on exactly one rank, so the
-  // per-rank serve.query.count counters sum to the batch size; rank 0
-  // records the gather span and the worker handoffs appear as matched
-  // send/recv flow events on the serve channel.
-  Published p = publish_case(64, 16, 2, 2, /*paths=*/true);
-  serve::WorkloadSpec wspec;
-  wspec.n = 64;
-  wspec.queries = 200;
-  wspec.zipf_s = 0.0;
-  wspec.seed = 21;
-  const QueryBatch batch = serve::make_workload(wspec);
-
-  telemetry::Registry reg;  // shared across ranks — handles are thread-safe
-  sched::CollectTraceSink sink;
-  std::vector<QueryResult<float>> got;
-  mpi::Runtime::run(4, [&](mpi::Comm& world) {
-    serve::ServeOptions sopt;
-    sopt.cache_budget_bytes = 16 * 16 * 16 * sizeof(std::int64_t);
-    sopt.metrics = &reg;
-    sopt.trace = &sink;
-    auto results = serve::sharded_answer<S>(world, p.store(), batch, sopt);
-    if (world.rank() == 0) got = std::move(results);
-  });
-  ASSERT_EQ(got.size(), batch.size());
-
-  std::uint64_t answered = 0;
-  for (int r = 0; r < 4; ++r)
-    answered +=
-        reg.counter("serve.query.count", "rank=" + std::to_string(r)).value();
-  EXPECT_EQ(answered, batch.size());
-  EXPECT_GE(reg.histogram("serve.stage.gather.latency", "rank=0").count(), 1u);
-
-  int sends = 0, recvs = 0, gathers = 0;
-  for (const sched::TraceEvent& e : sink.events()) {
-    if (e.ctx == serve::kServeChannelCtx) {
-      sends += e.ek == sched::EventKind::kSend ? 1 : 0;
-      recvs += e.ek == sched::EventKind::kRecv ? 1 : 0;
-    }
-    gathers += std::string_view(e.name) == "serveGather" ? 1 : 0;
-  }
-  EXPECT_EQ(sends, 3);
-  EXPECT_EQ(recvs, 3);
-  EXPECT_EQ(gathers, 1);
-
-  // The merged multi-rank capture still reassembles per-query span trees.
-  const serve::ServeTraceReport r =
-      serve::analyze_serve_trace(sink.events(), /*tolerance=*/1e-9);
-  EXPECT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.num_queries, static_cast<int>(batch.size()));
-  EXPECT_GT(r.gather_seconds, 0.0);
 }
 
 TEST(Slo, MonitorReportsAndSlowLog) {

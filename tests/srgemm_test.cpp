@@ -422,7 +422,7 @@ TEST(Srgemm, EwiseAdd) {
   EXPECT_EQ(max_abs_diff<float>(expected.view(), C.view()), 0.0);
 }
 
-TEST(Srgemm, EwiseAddSimdAndPooled) {
+TEST(Srgemm, EwiseAddStridedViewWithFringe) {
   // Width crossing several vectors plus a fringe, on strided views, must
   // match the scalar oracle.
   using S = MinPlus<float>;

@@ -24,7 +24,6 @@
 #include "telemetry/adapters.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/pool_metrics.hpp"
 #include "telemetry/reconcile.hpp"
 #include "util/thread_pool.hpp"
 
@@ -153,16 +152,11 @@ TEST(RegistryConcurrency, HammerFromThreadPool) {
   Registry reg;
   telemetry::Counter& calls = reg.counter("hammer.calls");
   Histogram& vals = reg.histogram("hammer.values");
-  telemetry::PoolMetrics pm(reg, "pool=hammer");
 
   constexpr int kTasks = 64;
   constexpr int kOpsPerTask = 1000;
   {
-    // The pool is destroyed (workers joined) before the assertions: a
-    // task's future resolves before its trailing on_task report, so
-    // reading the observer series right after get() would race.
     ThreadPool pool(4);
-    pool.set_observer(&pm);
     std::vector<std::future<void>> futs;
     futs.reserve(kTasks);
     for (int t = 0; t < kTasks; ++t) {
@@ -183,30 +177,10 @@ TEST(RegistryConcurrency, HammerFromThreadPool) {
   EXPECT_EQ(vals.count(), static_cast<std::uint64_t>(kTasks) * kOpsPerTask);
   EXPECT_DOUBLE_EQ(vals.sum(),
                    1000.0 * (kTasks * (kTasks + 1) / 2));  // Σ t·1000
-  // The pool observer saw every task exactly once.
-  EXPECT_EQ(reg.histogram("pool.task_run_seconds", "pool=hammer").count(),
-            static_cast<std::uint64_t>(kTasks));
   for (int k = 0; k < 8; ++k)
     EXPECT_DOUBLE_EQ(
         reg.gauge("hammer.depth", "task=" + std::to_string(k)).value(),
         kOpsPerTask - 1);
-}
-
-TEST(RegistryConcurrency, ScopedPoolMetricsInlinePool) {
-  // A 0-thread pool executes inline, so the observer reports
-  // synchronously and the RAII attach/detach is fully deterministic.
-  Registry reg;
-  ThreadPool pool(0);
-  {
-    telemetry::ScopedPoolMetrics pm(pool, reg, "pool=inline");
-    pool.submit([] {}).get();
-    pool.submit([] {}).get();
-  }
-  EXPECT_EQ(pool.observer(), nullptr);  // detached on scope exit
-  EXPECT_EQ(reg.histogram("pool.task_run_seconds", "pool=inline").count(), 2u);
-  // Inline execution never queues, so waits are all zero.
-  EXPECT_DOUBLE_EQ(
-      reg.histogram("pool.task_wait_seconds", "pool=inline").sum(), 0.0);
 }
 
 // --- exporter golden files ---------------------------------------------------

@@ -70,6 +70,53 @@ TEST(ThreadPool, ParallelForRethrowsOnlyAfterEveryChunkFinished) {
   EXPECT_EQ(finished.load(), 3);
 }
 
+/// Counts what a ThreadPool reports through the PoolObserver seam.
+class CountingObserver final : public PoolObserver {
+ public:
+  void on_queue_depth(std::size_t) override { depth_reports.fetch_add(1); }
+  void on_task(double wait_seconds, double run_seconds) override {
+    tasks.fetch_add(1);
+    if (wait_seconds != 0.0) nonzero_waits.fetch_add(1);
+    if (wait_seconds < 0.0 || run_seconds < 0.0) negative.fetch_add(1);
+  }
+  std::atomic<int> depth_reports{0}, tasks{0}, nonzero_waits{0}, negative{0};
+};
+
+TEST(ThreadPool, ObserverSeesEveryTask) {
+  constexpr int kTasks = 64;
+  CountingObserver workers;
+  {
+    // The pool is joined before the counts are read: a task's future
+    // resolves before its trailing on_task report.
+    ThreadPool pool(4);
+    pool.set_observer(&workers);
+    std::vector<std::future<void>> futs;
+    for (int t = 0; t < kTasks; ++t) futs.push_back(pool.submit([] {}));
+    for (auto& f : futs) f.get();
+  }
+  EXPECT_EQ(workers.tasks.load(), kTasks);
+  EXPECT_EQ(workers.depth_reports.load(), 2 * kTasks);  // push + pop
+  EXPECT_EQ(workers.negative.load(), 0);
+
+  // A 0-thread pool runs inline: each report lands before submit returns,
+  // nothing is queued, so there are no depth reports and no waits.
+  CountingObserver inline_obs;
+  ThreadPool pool(0);
+  pool.set_observer(&inline_obs);
+  auto f = pool.submit([] {});
+  EXPECT_EQ(inline_obs.tasks.load(), 1);
+  f.get();
+  pool.submit([] {}).get();
+  EXPECT_EQ(inline_obs.tasks.load(), 2);
+  EXPECT_EQ(inline_obs.depth_reports.load(), 0);
+  EXPECT_EQ(inline_obs.nonzero_waits.load(), 0);
+
+  pool.set_observer(nullptr);
+  EXPECT_EQ(pool.observer(), nullptr);
+  pool.submit([] {}).get();
+  EXPECT_EQ(inline_obs.tasks.load(), 2);
+}
+
 TEST(AlignedBuffer, SixtyFourByteAlignment) {
   for (std::size_t n : {1, 7, 64, 1000}) {
     AlignedBuffer<float> buf(n);
