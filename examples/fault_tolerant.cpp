@@ -6,8 +6,9 @@
 // checkpoint is just (matrix, next-iteration). This example shows both
 // resilience layers:
 //
-//   1. single node — periodic snapshots into a CheckpointStore, a
-//      "crash", and a restart from the last snapshot;
+//   1. single node — periodic snapshots into a CheckpointStore (1x1-grid
+//      rank blobs + commit records), a "crash", and a restart from the
+//      last committed snapshot;
 //   2. distributed — the supervision loop of dist::run_parallel_fw
 //      recovering from an injected rank crash via the coordinated
 //      checkpoint cuts the schedule emits, under a flaky network.
@@ -17,9 +18,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/checkpoint_store.hpp"
+#include "dist/checkpoint.hpp"
 #include "dist/driver.hpp"
 #include "graph/graph.hpp"
 #include "util/timer.hpp"
@@ -55,6 +58,11 @@ int main() {
   std::printf("uninterrupted solve: %.0f ms\n\n", t_ref.millis());
 
   // --- 1. single node: snapshot into the store, crash, restart ------------
+  // A single node is the 1x1 grid, whose packed local matrix is the
+  // row-major matrix: a snapshot is one rank blob plus a commit record.
+  const auto grid1 = dist::GridSpec::row_major(1, 1);
+  dist::BlockCyclicMatrix<float> snap(n, b, grid1, {0, 0});
+  std::vector<std::string> written;
   struct SimulatedCrash {};
   auto work = gen.full(static_cast<vertex_t>(n));
   Timer t_crash;
@@ -62,9 +70,14 @@ int main() {
     blocked_floyd_warshall_range<S>(
         work.view(), 0, {{.block_size = b}},
         [&](std::size_t k_done, MatrixView<float> view) {
-          if (k_done % checkpoint_every == 0)
-            save_checkpoint<float>(*store, "single-node",
-                                   MatrixView<const float>(view), k_done, b);
+          if (k_done % checkpoint_every == 0) {
+            dist::SchedulePosition pos;
+            pos.k0 = k_done;
+            snap.load(MatrixView<const float>(view));
+            dist::save_rank_checkpoint(*store, snap, pos);
+            dist::write_commit(*store, dist::commit_record(pos, n, b, 1));
+            written.push_back(dist::rank_checkpoint_key(k_done, 0));
+          }
           if (k_done == 7) throw SimulatedCrash{};
         });
   } catch (const SimulatedCrash&) {
@@ -73,18 +86,27 @@ int main() {
                 t_crash.millis());
   }
 
-  auto restored = load_checkpoint<float>(*store, "single-node");
-  std::printf("restart from iteration %zu\n", restored.next_block);
+  const auto commit = dist::read_commit(*store);
+  if (!commit.has_value()) {
+    std::printf("no committed checkpoint to restart from\n");
+    return 1;
+  }
+  dist::BlockCyclicMatrix<float> restored(n, b, grid1, {0, 0});
+  const std::size_t k0 =
+      dist::load_rank_checkpoint(*store, commit->k0, restored).k0;
+  std::printf("restart from iteration %zu\n", k0);
   Timer t_resume;
-  blocked_floyd_warshall_range<S>(restored.dist.view(), restored.next_block,
-                                  {{.block_size = restored.block_size}});
+  blocked_floyd_warshall_range<S>(restored.local().view(), k0,
+                                  {{.block_size = b}});
   std::printf("resumed solve: %.0f ms for the remaining %zu iterations\n",
-              t_resume.millis(), nb - restored.next_block);
+              t_resume.millis(), nb - k0);
   const double diff =
-      max_abs_diff<float>(reference.view(), restored.dist.view());
+      max_abs_diff<float>(reference.view(), restored.local().view());
   std::printf("bitwise match with the uninterrupted run: %s\n\n",
               diff == 0.0 ? "yes" : "NO");
-  store->erase("single-node");
+  // Part 2's supervisor must see only its own committed cuts.
+  store->erase(dist::kCommitKey);
+  for (const std::string& key : written) store->erase(key);
 
   // --- 2. distributed: rank crash + flaky network, supervised restart -----
   // A 2x2 grid solves the same matrix; rank 2 is killed mid-schedule and

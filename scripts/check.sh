@@ -21,8 +21,8 @@
 # threads, so `--san thread` is the data-race gate for the runtime and
 # the trace sinks, the run monitor, and for the blocked solver's
 # self-scheduled rounds and the thread pool they run on; `--san
-# undefined` also covers the tune-manifest and serve-manifest readers'
-# hostile inputs.
+# undefined` also covers the tune-manifest, serve-manifest and
+# checkpoint-blob readers' hostile inputs.
 #
 # --faults is the resilience gate: the fault-injection matrix and the
 # crash-restart suites under AddressSanitizer, so recovery paths
@@ -453,7 +453,8 @@ if [[ -n "$san" ]]; then
     -DPARFW_SAN="$san" -DPARFW_BUILD_BENCH=OFF -DPARFW_BUILD_EXAMPLES=OFF
   cmake --build "$build_dir" -j"$(nproc)" \
     --target test_mpisim_stress test_mpisim test_sched test_telemetry \
-    test_core test_core_ext test_util test_monitor test_tune test_serve
+    test_core test_core_ext test_util test_monitor test_tune test_serve \
+    test_resilience
   "$build_dir/tests/test_mpisim_stress"
   "$build_dir/tests/test_mpisim"
   "$build_dir/tests/test_sched"
@@ -464,6 +465,8 @@ if [[ -n "$san" ]]; then
   "$build_dir/tests/test_tune" --gtest_filter='Manifest.*'
   # The serve manifest reader on hostile stores (counts it must not trust).
   "$build_dir/tests/test_serve" --gtest_filter='ServeManifest.*'
+  # The checkpoint-v2 codec on hostile headers and every truncation.
+  "$build_dir/tests/test_resilience" --gtest_filter='CheckpointFormat.*'
   # The blocked solver's look-ahead: pivot(k+1) writes panels while other
   # workers still run round k's tiles.
   "$build_dir/tests/test_core" --gtest_filter='*BlockedFw*'

@@ -91,8 +91,9 @@ inline void push_strip(std::vector<OuterTile>& tiles, std::size_t r0,
 /// a checkpoint's next_block continues an interrupted run exactly
 /// (in-place FW state after iteration k fully determines the rest).
 /// `on_block(k_done, view)` fires after each completed iteration — the
-/// hook periodic checkpointing uses (see core/checkpoint.hpp). Because of
-/// the look-ahead, the state it sees may already include pivot(k_done):
+/// hook periodic checkpointing uses (a single-node run saves the view as
+/// a 1x1-grid rank blob, dist/checkpoint.hpp). Because of the
+/// look-ahead, the state it sees may already include pivot(k_done):
 /// A(k_done,k_done) closed and its panels updated. Resuming from that
 /// state is still bit-identical, since re-applying a closed pivot is a
 /// no-op under idempotent ⊕.

@@ -1,8 +1,8 @@
 // CheckpointStore — the sink/source abstraction checkpoints flow through.
 //
-// A store maps string keys to opaque blobs. The distributed resilience
-// layer writes one blob per rank per checkpoint cut plus a small commit
-// record (see dist/checkpoint.hpp); the single-node path writes one blob.
+// A store maps string keys to opaque blobs. The resilience layer writes
+// one blob per rank per checkpoint cut plus a small commit record (see
+// dist/checkpoint.hpp; a single-node run is a 1x1 grid, one rank).
 // Two implementations:
 //
 //   * MemoryCheckpointStore — thread-safe in-process map. Used by tests

@@ -111,25 +111,12 @@ DistRunResult<typename S::value_type> supervised_run(
             world.barrier();
             if (opt.publish_store != nullptr) {
               // Publish the finished run for the serving tier: final tiles
-              // under k0 = nb (all pivot rounds done), committed by rank 0
-              // only after every rank's blob is in the store — the same
+              // under k0 = nb (all pivot rounds done), through the same
               // commit discipline as a checkpoint cut.
               SchedulePosition pos;
               pos.variant = opt.variant;
               pos.k0 = local.num_blocks();
-              pos.sched_op_index = 0;
-              save_rank_checkpoint<T>(*opt.publish_store, local, pos, pp);
-              world.barrier();
-              if (world.rank() == 0) {
-                CommitRecord rec;
-                rec.k0 = pos.k0;
-                rec.variant = static_cast<std::uint32_t>(opt.variant);
-                rec.world_size = static_cast<std::uint32_t>(world.size());
-                rec.n = n;
-                rec.block_size = opt.block_size;
-                rec.sched_op_index = 0;
-                write_commit(*opt.publish_store, rec);
-              }
+              (void)commit_cut<T>(world, opt.publish_store, local, pos, pp);
             }
             Matrix<T> gathered = local.gather(world);
             Matrix<std::int64_t> pgathered;

@@ -63,7 +63,6 @@
 #include "sched/trace.hpp"
 #include "srgemm/srgemm.hpp"
 #include "telemetry/metrics.hpp"
-#include "util/timer.hpp"
 
 namespace parfw::dist {
 
@@ -408,33 +407,19 @@ void parallel_fw_resume(mpi::Comm& world,
         // Coordinated cut before iteration k. The offload variant first
         // drains the device so every tile is host-resident (ooGSrGemm is
         // synchronous, but the flush makes the guarantee explicit and
-        // covers future async streaming). Barrier #1 aligns all ranks at
-        // the cut; everyone snapshots; barrier #2 guarantees all blobs
-        // are stored before rank 0 commits the cut — an uncommitted
-        // checkpoint is invisible to restart.
+        // covers future async streaming). The barrier aligns all ranks
+        // at the cut; commit_cut then snapshots, barriers again and has
+        // rank 0 commit.
         if (device) device->synchronize();
         world.barrier();
         SchedulePosition pos;
         pos.variant = opt.variant;
         pos.k0 = k;
         pos.sched_op_index = static_cast<std::uint64_t>(step_index);
-        if (opt.resilience.store != nullptr) {
-          Timer ckpt_timer;
-          const std::size_t blob_bytes =
-              save_rank_checkpoint<T>(*opt.resilience.store, a, pos, pred);
-          world.world().add_checkpoint(blob_bytes, ckpt_timer.seconds());
-        }
-        world.barrier();
-        if (my == 0 && opt.resilience.store != nullptr) {
-          CommitRecord rec;
-          rec.k0 = pos.k0;
-          rec.variant = static_cast<std::uint32_t>(opt.variant);
-          rec.world_size = static_cast<std::uint32_t>(world.size());
-          rec.n = a.n();
-          rec.block_size = b;
-          rec.sched_op_index = pos.sched_op_index;
-          write_commit(*opt.resilience.store, rec);
-        }
+        const CutWrite cut =
+            commit_cut<T>(world, opt.resilience.store, a, pos, pred);
+        if (opt.resilience.store != nullptr)
+          world.world().add_checkpoint(cut.bytes, cut.seconds);
         break;
       }
     }

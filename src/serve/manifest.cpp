@@ -1,11 +1,7 @@
 #include "serve/manifest.hpp"
 
-#include <cstring>
 #include <utility>
 
-#include "core/checkpoint.hpp"
-#include "dist/checkpoint.hpp"
-#include "dist/grid.hpp"
 #include "util/check.hpp"
 
 namespace parfw::serve {
@@ -37,7 +33,7 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
   // The store is outside input: world_size and the grid shape are only
   // promises until every blob they name has been found, so ranks_ grows
   // one found blob at a time and rank_of_coord_ is sized after the loop.
-  std::uint8_t header_bytes[sizeof(CheckpointHeader) + sizeof(CheckpointExtV2)];
+  std::uint8_t header_bytes[dist::kRankBlobHeaderBytes];
   const ByteRange header_range{0, sizeof(header_bytes)};
   for (std::uint32_t w = 0; w < m.world_size_; ++w) {
     RankBlob rb;
@@ -47,13 +43,9 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
     PARFW_CHECK_MSG(present, "manifest names rank " << w
                                                     << " but blob '" << rb.key
                                                     << "' is missing");
-    CheckpointHeader h;
-    CheckpointExtV2 ext;
-    std::memcpy(&h, header_bytes, sizeof(h));
-    std::memcpy(&ext, header_bytes + sizeof(h), sizeof(ext));
-    PARFW_CHECK_MSG(h.magic == CheckpointHeader::kMagic &&
-                        h.version == CheckpointHeader::kVersion,
-                    "'" << rb.key << "' is not a checkpoint-v2 blob");
+    rb.layout = dist::decode_rank_blob_header(header_bytes, rb.key);
+    const auto& h = rb.layout.header;
+    const auto& ext = rb.layout.ext;
     PARFW_CHECK_MSG(h.n == m.n_ && h.block_size == m.block_size_ &&
                         h.next_block == commit->k0,
                     "rank " << w << " blob disagrees with the commit record "
@@ -76,36 +68,19 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
                           ext.grid_cols == m.grid_cols_,
                       "rank " << w << " blob geometry diverges from rank 0");
     }
-    PARFW_CHECK_MSG(ext.coord_row >= 0 &&
-                        ext.coord_row < static_cast<std::int32_t>(m.grid_rows_) &&
-                        ext.coord_col >= 0 &&
-                        ext.coord_col < static_cast<std::int32_t>(m.grid_cols_),
-                    "rank " << w << " states an off-grid coordinate");
-    rb.coord_row = ext.coord_row;
-    rb.coord_col = ext.coord_col;
-    // The coordinate check above bounds both grid dims by INT32_MAX.
-    rb.local_block_rows = dist::owned_blocks(
-        m.nb_, ext.coord_row, static_cast<int>(m.grid_rows_));
-    rb.local_block_cols = dist::owned_blocks(
-        m.nb_, ext.coord_col, static_cast<int>(m.grid_cols_));
-    PARFW_CHECK_MSG(ext.tile_count ==
-                        rb.local_block_rows * rb.local_block_cols,
-                    "rank " << w << " tile manifest length mismatch");
-    rb.payload_offset = sizeof(CheckpointHeader) + sizeof(CheckpointExtV2) +
-                        ext.tile_count * sizeof(CheckpointTileRef);
     m.ranks_.push_back(std::move(rb));
   }
 
   // grid_rows x grid_cols == world_size, and that many blobs exist.
   m.rank_of_coord_.assign(m.world_size_, -1);
   for (std::uint32_t w = 0; w < m.world_size_; ++w) {
-    const RankBlob& rb = m.ranks_[w];
+    const auto& ext = m.ranks_[w].layout.ext;
     const std::size_t slot =
-        static_cast<std::size_t>(rb.coord_row) * m.grid_cols_ +
-        static_cast<std::size_t>(rb.coord_col);
+        static_cast<std::size_t>(ext.coord_row) * m.grid_cols_ +
+        static_cast<std::size_t>(ext.coord_col);
     PARFW_CHECK_MSG(m.rank_of_coord_[slot] < 0,
-                    "two ranks claim grid coordinate (" << rb.coord_row << ","
-                                                        << rb.coord_col
+                    "two ranks claim grid coordinate (" << ext.coord_row
+                                                        << "," << ext.coord_col
                                                         << ")");
     m.rank_of_coord_[slot] = static_cast<int>(w);
   }
@@ -142,23 +117,8 @@ void ServeManifest::tile_ranges(std::uint64_t block_row,
                            << ") outside the " << nb_ << "^2 block grid");
   PARFW_CHECK_MSG(kind == TileKind::kValue || has_pred(),
                   "pred tile requested from a values-only manifest");
-  const RankBlob& rb = ranks_[static_cast<std::size_t>(
-      owner_of(block_row, block_col))];
-  const std::uint64_t b = block_size_;
-  const std::uint64_t il = block_row / grid_rows_;
-  const std::uint64_t jl = block_col / grid_cols_;
-  const std::uint64_t row_elems = rb.local_block_cols * b;
-  const std::uint64_t es =
-      kind == TileKind::kValue ? elem_size_ : pred_elem_size_;
-  // The pred payload trails ALL value rows in the blob.
-  std::uint64_t base = rb.payload_offset;
-  if (kind == TileKind::kPred)
-    base += rb.local_block_rows * b * row_elems * elem_size_;
-  out.clear();
-  out.reserve(static_cast<std::size_t>(b));
-  for (std::uint64_t r = 0; r < b; ++r)
-    out.push_back(ByteRange{base + ((il * b + r) * row_elems + jl * b) * es,
-                            b * es});
+  ranks_[static_cast<std::size_t>(owner_of(block_row, block_col))]
+      .layout.tile_ranges(block_row, block_col, kind == TileKind::kPred, out);
 }
 
 }  // namespace parfw::serve

@@ -13,7 +13,8 @@
 //     from the coordinates each blob states for itself, so any placement
 //     (row-major or tiled) that the producing GridSpec used round-trips
 //     without the manifest knowing placement existed;
-//   * the byte ranges inside a rank blob where tile (I, J)'s rows live,
+//   * which rank blob holds tile (I, J); that blob's decoded layout
+//     (dist/checkpoint.hpp) gives the byte ranges of the tile's rows,
 //     which PathService hands to CheckpointStore::get_ranges.
 //
 // A store holding only mid-run cuts (k0 < nb — the normal state after a
@@ -26,16 +27,15 @@
 #include <vector>
 
 #include "core/checkpoint_store.hpp"
+#include "dist/checkpoint.hpp"
 #include "serve/tile_cache.hpp"
 
 namespace parfw::serve {
 
-/// Per-rank blob facts needed to address tiles inside it.
+/// One rank's published blob: its store key and decoded layout.
 struct RankBlob {
-  std::string key;  ///< store key of this rank's published blob
-  std::int32_t coord_row = 0, coord_col = 0;
-  std::uint64_t local_block_rows = 0, local_block_cols = 0;
-  std::uint64_t payload_offset = 0;  ///< first byte of the value payload
+  std::string key;
+  dist::RankBlobLayout layout;
 };
 
 class ServeManifest {

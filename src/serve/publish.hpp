@@ -39,7 +39,6 @@ void publish_matrix(CheckpointStore& store, MatrixView<const T> distv,
   dist::SchedulePosition pos;
   pos.variant = variant;
   pos.k0 = n / block_size;  // every pivot round done: a completed solve
-  pos.sched_op_index = 0;
   for (int w = 0; w < grid.size(); ++w) {
     const dist::GridCoord c = grid.coord_of(w);
     dist::BlockCyclicMatrix<T> local(n, block_size, grid, c);
@@ -52,14 +51,8 @@ void publish_matrix(CheckpointStore& store, MatrixView<const T> distv,
       dist::save_rank_checkpoint(store, local, pos, nullptr);
     }
   }
-  dist::CommitRecord rec;
-  rec.k0 = pos.k0;
-  rec.variant = static_cast<std::uint32_t>(variant);
-  rec.world_size = static_cast<std::uint32_t>(grid.size());
-  rec.n = n;
-  rec.block_size = block_size;
-  rec.sched_op_index = 0;
-  dist::write_commit(store, rec);
+  dist::write_commit(store, dist::commit_record(pos, n, block_size,
+                                                grid.size()));
 }
 
 /// Publish an ApspResult (pred payload included iff the solve tracked

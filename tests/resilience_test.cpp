@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/checkpoint_store.hpp"
 #include "core/floyd_warshall.hpp"
 #include "dist/checkpoint.hpp"
@@ -82,87 +82,255 @@ TEST(CheckpointStore, FileStoreRejectsPathTraversalKeys) {
   std::filesystem::remove_all(dir);
 }
 
-// --- Checkpoint format: v2 round trip, hostile headers ----------------------
+// --- Checkpoint format: the v2 rank-blob codec -----------------------------
 
-/// Hand-assemble a single-matrix blob: `h`, a default extension unless
-/// `with_ext` is false, then `payload_floats` floats of payload.
-std::string hand_built_blob(const CheckpointHeader& h, bool with_ext,
-                            std::size_t payload_floats) {
-  std::ostringstream os(std::ios::binary);
-  os.write(reinterpret_cast<const char*>(&h), sizeof h);
-  if (with_ext) {
-    const CheckpointExtV2 ext;
-    os.write(reinterpret_cast<const char*>(&ext), sizeof ext);
+/// Rank (0,1) — world rank 1 — of a 2x2 grid over an 8x8 matrix in 2x2
+/// blocks (4 block rows: the rank owns 2x2 tiles), value M(i,j) = 100i + j
+/// and pred P(i,j) = 1000 + 10i + j, saved as the k0 = 3 cut of an async
+/// run at schedule op 41.
+struct SampleRankBlob {
+  static constexpr std::size_t n = 8, b = 2;
+  dist::GridSpec grid = dist::GridSpec::row_major(2, 2);
+  dist::GridCoord me{0, 1};
+  dist::SchedulePosition pos{sched::Variant::kAsync, 3, 41};
+  Matrix<float> values{n, n};
+  Matrix<std::int64_t> preds{n, n};
+  std::vector<std::uint8_t> bytes;
+
+  SampleRankBlob() {
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        values(i, j) = static_cast<float>(100 * i + j);
+        preds(i, j) = static_cast<std::int64_t>(1000 + 10 * i + j);
+      }
+    dist::BlockCyclicMatrix<float> a(n, b, grid, me);
+    dist::BlockCyclicMatrix<std::int64_t> p(n, b, grid, me);
+    a.load(values.view());
+    p.load(preds.view());
+    MemoryCheckpointStore store;
+    const std::size_t saved = dist::save_rank_checkpoint(store, a, pos, &p);
+    bytes = *store.get(key());
+    EXPECT_EQ(saved, bytes.size());
   }
-  const std::vector<float> payload(payload_floats, 1.0f);
-  os.write(reinterpret_cast<const char*>(payload.data()),
-           static_cast<std::streamsize>(payload.size() * sizeof(float)));
-  return std::move(os).str();
-}
-
-/// Load `blob` as a float checkpoint; returns the check_error message
-/// ("" when the load succeeded).
-std::string load_error(const std::string& blob) {
-  std::istringstream is(blob, std::ios::binary);
-  try {
-    (void)load_checkpoint<float>(is);
-  } catch (const check_error& e) {
-    return e.what();
+  static std::string key(std::uint64_t k0 = 3) {
+    return dist::rank_checkpoint_key(k0, 1);
   }
-  return "";
-}
+  /// Load `blob` as this rank's k0 = 3 cut; with_pred restores preds too.
+  void load(const std::vector<std::uint8_t>& blob, bool with_pred) const {
+    MemoryCheckpointStore store;
+    store.put(key(), blob);
+    dist::BlockCyclicMatrix<float> a(n, b, grid, me);
+    dist::BlockCyclicMatrix<std::int64_t> p(n, b, grid, me);
+    (void)dist::load_rank_checkpoint<float>(store, 3, a,
+                                            with_pred ? &p : nullptr);
+  }
+};
 
-CheckpointHeader float_header(std::uint64_t n) {
-  CheckpointHeader h;
-  h.elem_size = sizeof(float);
-  h.n = n;
-  h.next_block = 1;
-  h.block_size = 2;
-  return h;
+TEST(CheckpointFormat, RankBlobMatchesDocumentedLayout) {
+  // Hand-assemble the blob from the layout in dist/checkpoint.hpp, field
+  // by field in native byte order, without the codec's structs: the
+  // writer must produce exactly these bytes.
+  const SampleRankBlob s;
+  std::vector<std::uint8_t> want;
+  auto put = [&want](auto v) {
+    std::uint8_t raw[sizeof v];
+    std::memcpy(raw, &v, sizeof v);
+    want.insert(want.end(), raw, raw + sizeof v);
+  };
+  // Header.
+  put(std::uint64_t{0x50464b4350415246});  // "PARFWCKP"
+  put(std::uint32_t{2});                   // version
+  put(std::uint32_t{4});                   // elem_size: float
+  put(std::uint64_t{8});                   // n
+  put(std::uint64_t{3});                   // next_block = k0
+  put(std::uint64_t{2});                   // block_size
+  // Extension.
+  put(std::uint32_t{2});    // variant: kAsync
+  put(std::uint32_t{2});    // grid rows
+  put(std::uint32_t{2});    // grid cols
+  put(std::int32_t{0});     // coord row
+  put(std::int32_t{1});     // coord col
+  put(std::uint32_t{8});    // pred_elem_size
+  put(std::uint64_t{41});   // sched_op_index
+  put(std::uint64_t{4});    // tile_count
+  // Tile manifest: local (il, jl) holds global block (2 il, 2 jl + 1).
+  for (std::uint64_t il = 0; il < 2; ++il)
+    for (std::uint64_t jl = 0; jl < 2; ++jl) {
+      put(2 * il);
+      put(2 * jl + 1);
+    }
+  // Value rows, then pred rows: local row r is global row
+  // (2 (r / b)) b + r % b, local column c is global column
+  // (2 (c / b) + 1) b + c % b.
+  auto global_row = [](std::size_t r) { return 2 * (r / 2) * 2 + r % 2; };
+  auto global_col = [](std::size_t c) { return (2 * (c / 2) + 1) * 2 + c % 2; };
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c)
+      put(static_cast<float>(100 * global_row(r) + global_col(c)));
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c)
+      put(static_cast<std::int64_t>(1000 + 10 * global_row(r) +
+                                    global_col(c)));
+  ASSERT_EQ(s.bytes.size(), 80u + 4 * 16 + 16 * 4 + 16 * 8);
+  EXPECT_EQ(s.bytes, want);
 }
 
 TEST(CheckpointFormat, V1StreamsAreRejected) {
-  // The version-1 layout: the 40-byte header followed immediately by the
-  // row-major payload, no extension.
-  CheckpointHeader h = float_header(4);
-  h.version = 1;
-  const std::string err = load_error(hand_built_blob(h, false, 16));
-  EXPECT_NE(err.find("version 1"), std::string::npos) << err;
+  const SampleRankBlob s;
+  std::vector<std::uint8_t> v1 = s.bytes;
+  const std::uint32_t version = 1;
+  std::memcpy(v1.data() + 8, &version, sizeof version);
+  try {
+    s.load(v1, false);
+    FAIL() << "a version-1 blob loaded";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointFormat, HostileHeadersAreRejected) {
-  // 2^32: n*n wraps to 0 in 64 bits. 2^31: n*n*sizeof(float) wraps.
-  // 5: fits in 64 bits but needs more payload than the 4x4 blob holds.
-  for (std::uint64_t n : {std::uint64_t{1} << 32, std::uint64_t{1} << 31,
-                          std::uint64_t{5}}) {
-    const std::string err =
-        load_error(hand_built_blob(float_header(n), true, 16));
-    EXPECT_NE(err.find("n = " + std::to_string(n)), std::string::npos)
-        << "n=" << n << ": " << err;
+  // Every header field, the extension fields the reader relies on, and
+  // one tile-manifest entry, each set to a hostile value at its
+  // documented byte offset. Both readers (values only, values + preds)
+  // must refuse every case with check_error — no crash, no allocation
+  // sized from the lie.
+  const SampleRankBlob s;
+  s.load(s.bytes, true);  // the unmodified blob is fine
+  s.load(s.bytes, false);
+  struct Field {
+    const char* name;
+    std::size_t offset;
+    std::size_t width;
+    std::uint64_t value;
+  };
+  const std::uint64_t kNeg1 = 0xffffffffu;  // int32 -1
+  const Field cases[] = {
+      {"magic", 0, 8, 0x1234},
+      {"version", 8, 4, 3},
+      {"elem_size", 12, 4, 0},
+      {"elem_size", 12, 4, 3},
+      {"elem_size", 12, 4, 8},  // a float blob read as double, reversed
+      {"n", 16, 8, 0},
+      {"n", 16, 8, 5},
+      {"n", 16, 8, 10},
+      {"n", 16, 8, 16},
+      {"n", 16, 8, std::uint64_t{1} << 31},
+      {"n", 16, 8, std::uint64_t{1} << 32},
+      {"n", 16, 8, ~std::uint64_t{0} - 1},
+      {"next_block", 24, 8, 2},
+      {"block_size", 32, 8, 0},
+      {"block_size", 32, 8, 3},
+      {"block_size", 32, 8, 4},
+      {"block_size", 32, 8, std::uint64_t{1} << 63},
+      {"grid_rows", 44, 4, 0},
+      {"grid_rows", 44, 4, 1},
+      {"grid_rows", 44, 4, 0x80000000u},
+      {"grid_cols", 48, 4, 0},
+      {"grid_cols", 48, 4, 4},
+      {"coord_row", 52, 4, kNeg1},
+      {"coord_row", 52, 4, 1},
+      {"coord_row", 52, 4, 2},
+      {"coord_col", 56, 4, kNeg1},
+      {"coord_col", 56, 4, 0},
+      {"coord_col", 56, 4, 5},
+      {"pred_elem_size", 60, 4, 0},
+      {"pred_elem_size", 60, 4, 4},
+      {"pred_elem_size", 60, 4, 16},
+      {"tile_count", 72, 8, 0},
+      {"tile_count", 72, 8, 3},
+      {"tile_count", 72, 8, 5},
+      {"tile_count", 72, 8, std::uint64_t{1} << 62},
+      {"tile_ref.block_row", 80, 8, 2},
+      {"tile_ref.block_col", 88, 8, 0},
+  };
+  for (const Field& f : cases) {
+    std::vector<std::uint8_t> blob = s.bytes;
+    const auto narrow = static_cast<std::uint32_t>(f.value);
+    if (f.width == 8)
+      std::memcpy(blob.data() + f.offset, &f.value, 8);
+    else
+      std::memcpy(blob.data() + f.offset, &narrow, 4);
+    for (bool with_pred : {false, true})
+      EXPECT_THROW(s.load(blob, with_pred), check_error)
+          << f.name << " = " << f.value << (with_pred ? " (paths)" : "");
   }
-  CheckpointHeader zero_block = float_header(4);
-  zero_block.block_size = 0;
-  const std::string err = load_error(hand_built_blob(zero_block, true, 16));
-  EXPECT_NE(err.find("block size"), std::string::npos) << err;
-  EXPECT_EQ(load_error(hand_built_blob(float_header(4), true, 16)), "");
+  // A well-formed float blob read into a double matrix.
+  MemoryCheckpointStore store;
+  store.put(SampleRankBlob::key(), s.bytes);
+  dist::BlockCyclicMatrix<double> d(s.n, s.b, s.grid, s.me);
+  EXPECT_THROW(dist::load_rank_checkpoint<double>(store, 3, d), check_error);
+}
+
+TEST(CheckpointFormat, EveryTruncationIsRejected) {
+  const SampleRankBlob s;
+  for (std::size_t len = 0; len < s.bytes.size(); ++len) {
+    const std::vector<std::uint8_t> cut(s.bytes.begin(),
+                                        s.bytes.begin() + len);
+    for (bool with_pred : {false, true})
+      EXPECT_THROW(s.load(cut, with_pred), check_error)
+          << len << " of " << s.bytes.size() << " bytes";
+  }
+  std::vector<std::uint8_t> longer = s.bytes;
+  longer.push_back(0);
+  EXPECT_THROW(s.load(longer, false), check_error) << "trailing byte";
+}
+
+TEST(CheckpointFormat, BlobFromAnotherCutIsRejected) {
+  // A k0 = 2 blob sitting under the k0 = 4 key must not resume as k0 = 4.
+  SampleRankBlob s;
+  MemoryCheckpointStore store;
+  dist::BlockCyclicMatrix<float> a(s.n, s.b, s.grid, s.me);
+  a.load(s.values.view());
+  s.pos.k0 = 2;
+  dist::save_rank_checkpoint(store, a, s.pos);
+  store.put(SampleRankBlob::key(4), *store.get(SampleRankBlob::key(2)));
+  try {
+    (void)dist::load_rank_checkpoint<float>(store, 4, a);
+    FAIL() << "the k0=2 blob resumed as k0=4";
+  } catch (const check_error& e) {
+    const std::string what = e.what();
+    for (const std::string& want :
+         {SampleRankBlob::key(4), std::string("k0=2"), std::string("k0=4")})
+      EXPECT_NE(what.find(want), std::string::npos) << what;
+  }
 }
 
 TEST(CheckpointFormat, V2RoundTripThroughStore) {
+  // Every rank of each grid round-trips its tiles and schedule position.
+  // On 1x1 the packed local matrix is the row-major matrix itself (the
+  // single-node checkpoint). On 3x3 over 2 block rows some ranks own no
+  // tiles and still round-trip.
   const std::size_t n = 6, b = 3;
   Matrix<double> m(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       m(i, j) = 0.5 * static_cast<double>(i) - static_cast<double>(j);
 
-  MemoryCheckpointStore store;
-  const std::size_t bytes = save_checkpoint<double>(
-      store, "snap", MatrixView<const double>(m.view()), /*next_block=*/2, b);
-  EXPECT_GT(bytes, n * n * sizeof(double));  // header + payload
+  for (int side : {1, 2, 3}) {
+    const auto grid = dist::GridSpec::row_major(side, side);
+    MemoryCheckpointStore store;
+    const dist::SchedulePosition pos{sched::Variant::kPipelined, 1, 9};
+    for (int w = 0; w < grid.size(); ++w) {
+      dist::BlockCyclicMatrix<double> a(n, b, grid, grid.coord_of(w));
+      a.load(m.view());
+      const std::size_t bytes = dist::save_rank_checkpoint(store, a, pos);
+      EXPECT_EQ(bytes, 80 + a.local_block_rows() * a.local_block_cols() *
+                                (16 + b * b * sizeof(double)));
 
-  const auto loaded = load_checkpoint<double>(store, "snap");
-  EXPECT_EQ(loaded.next_block, 2u);
-  EXPECT_EQ(loaded.block_size, b);
-  EXPECT_EQ(max_abs_diff<double>(m.view(), loaded.dist.view()), 0.0);
+      dist::BlockCyclicMatrix<double> back(n, b, grid, grid.coord_of(w));
+      const auto got = dist::load_rank_checkpoint<double>(store, 1, back);
+      EXPECT_EQ(got.variant, pos.variant);
+      EXPECT_EQ(got.k0, 1u);
+      EXPECT_EQ(got.sched_op_index, 9u);
+      EXPECT_EQ(max_abs_diff<double>(a.local().view(), back.local().view()),
+                0.0)
+          << side << "x" << side << " rank " << w;
+      if (side == 1) {
+        EXPECT_EQ(max_abs_diff<double>(m.view(), back.local().view()), 0.0);
+      }
+    }
+  }
 }
 
 TEST(CheckpointFormat, PredPayloadRoundTripAndValueOnlyCompat) {
@@ -235,9 +403,9 @@ TEST(CheckpointFormat, CommitRecordRoundTrip) {
   EXPECT_EQ(got->n, 96u);
   EXPECT_EQ(got->sched_op_index, 123u);
 
-  // Corrupt blobs are rejected, not misread.
+  // Corrupt blobs are rejected, not misread and not taken as "absent".
   store.put(dist::kCommitKey, std::vector<std::uint8_t>{1, 2, 3});
-  EXPECT_FALSE(dist::read_commit(store).has_value());
+  EXPECT_THROW(dist::read_commit(store), check_error);
 }
 
 // --- Crash-restart property -----------------------------------------------------

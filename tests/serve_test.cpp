@@ -23,7 +23,6 @@
 #include "causal/graph.hpp"
 #include "causal/trace_io.hpp"
 #include "core/apsp.hpp"
-#include "core/checkpoint.hpp"
 #include "core/checkpoint_store.hpp"
 #include "core/floyd_warshall.hpp"
 #include "core/query.hpp"
@@ -345,6 +344,21 @@ TEST(ServeManifest, RejectsEmptyStore) {
   EXPECT_THROW(serve::ServeManifest::open(store), check_error);
 }
 
+TEST(ServeManifest, CorruptCommitIsNotReportedAsUnpublished) {
+  // A present but corrupt commit record is a damaged store, not a run
+  // that never published.
+  MemoryCheckpointStore store;
+  store.put(dist::kCommitKey, std::vector<std::uint8_t>(7, 0xab));
+  try {
+    serve::ServeManifest::open(store);
+    FAIL() << "expected check_error";
+  } catch (const check_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("corrupt commit record"), std::string::npos) << what;
+    EXPECT_EQ(what.find("publish?"), std::string::npos) << what;
+  }
+}
+
 TEST(ServeManifest, RejectsHostileCounts) {
   // The store is outside input. A commit record (or rank 0's blob) that
   // promises billions of ranks must fail on the first missing blob, not
@@ -377,17 +391,17 @@ TEST(ServeManifest, RejectsHostileCounts) {
     MemoryCheckpointStore store;
     commit.world_size = 65536u * 65535u;
     dist::write_commit(store, commit);
-    CheckpointHeader h;
+    dist::CheckpointHeader h;
     h.elem_size = sizeof(float);
     h.n = commit.n;
     h.next_block = commit.k0;
     h.block_size = commit.block_size;
-    CheckpointExtV2 ext;
+    dist::CheckpointExtV2 ext;
     ext.grid_rows = 65536;
     ext.grid_cols = 65535;
     ext.tile_count = 1;
     std::vector<std::uint8_t> blob(sizeof(h) + sizeof(ext) +
-                                   sizeof(CheckpointTileRef));
+                                   sizeof(dist::CheckpointTileRef));
     std::memcpy(blob.data(), &h, sizeof(h));
     std::memcpy(blob.data() + sizeof(h), &ext, sizeof(ext));
     store.put(dist::rank_checkpoint_key(commit.k0, 0), blob);
