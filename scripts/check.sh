@@ -33,17 +33,20 @@
 # and the (deterministic) Figure 7 DES sweep and diffs both against the
 # committed baselines (BENCH_srgemm.json / BENCH_dist.json) with
 # scripts/bench_compare.py, failing on a >15% throughput regression. It
-# also runs trace_dump --mode metrics on every variant, which both
-# asserts measured wire bytes == the DES prediction and leaves metric
-# snapshots (JSON + Prometheus) under <build>/metrics/ for CI artifacts.
+# also runs trace_dump --mode metrics on every variant, which prints the
+# measured-vs-modelled phase breakdown (perf::reconcile_run), asserts
+# that wire bytes and compute phases equal the DES prediction exactly,
+# and leaves metric snapshots (JSON + Prometheus) under <build>/metrics/
+# for CI artifacts.
 #
 # --bench also runs the causal trace-analysis smoke: it captures a real
 # mpisim trace, validates it (trace_dump --mode check), extracts the
 # critical path + blame report with trace_analyze, checks the blame
 # shares against the committed bands (BENCH_cp_band.json — tight on the
-# deterministic DES reference, loose sanity on the noisy real run), and
-# diffs the DES cp/* shares two-sidedly against BENCH_cp.json so
-# attribution drift fails the gate in either direction.
+# deterministic DES reference, loose sanity on the noisy real run), keeps
+# the real run's critical-path graph (critical_path.dot), and diffs the
+# DES cp/* shares two-sidedly against BENCH_cp.json so attribution drift
+# fails the gate in either direction.
 #
 # --bench additionally runs the full schedule autotuner on the reference
 # workload (bench_tune) and diffs the tune/* rows against BENCH_tune.json
@@ -52,8 +55,9 @@
 #
 # --tune is the autotuner smoke: a tiny-n search through the sched_tune
 # CLI with a manifest round-trip (fresh search persists the winner, the
-# re-run must answer from the manifest) plus the real-runtime wire-byte
-# cross-check (--validate), and an apsp --variant auto end-to-end run that
+# re-run must answer from the manifest) plus the real-runtime cross-check
+# (--validate: wire bytes and compute phases equal the DES exactly), and
+# an apsp --variant auto end-to-end run that
 # must be bit-identical to explicitly running the winning schedule.
 #
 # --paths is the path-tracking gate: bench_paths (argmin-SIMD kernel vs
@@ -125,7 +129,7 @@ if [[ "$bench" == 1 ]]; then
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$build_dir" -j"$(nproc)" \
     --target bench_srgemm_micro bench_fig7_64node_perf \
-             bench_fig10_phase_breakdown trace_dump_cli trace_analyze_cli
+             trace_dump_cli trace_analyze_cli
   out_dir="$build_dir/metrics"
   mkdir -p "$out_dir"
 
@@ -143,9 +147,6 @@ if [[ "$bench" == 1 ]]; then
   python3 "$repo_root/scripts/bench_compare.py" \
     "$repo_root/BENCH_dist.json" "$out_dir/dist_fresh.json"
 
-  echo "== phase breakdown (measured vs modelled) =="
-  "$build_dir/bench/bench_fig10_phase_breakdown"
-
   echo "== reconciliation + metric snapshots =="
   for v in baseline pipelined async offload; do
     "$build_dir/tools/trace_dump" --mode metrics --variant "$v" \
@@ -162,6 +163,7 @@ if [[ "$bench" == 1 ]]; then
     --critical-path --blame \
     --band-file "$repo_root/BENCH_cp_band.json" --band-set real \
     --metrics-json "$out_dir/cp_real_metrics.json" \
+    --dot "$out_dir/critical_path.dot" \
     | tee "$out_dir/blame_real.txt"
   # Deterministic DES reference: exact critical-path == makespan check is
   # built into trace_analyze --des --critical-path; the shares must stay

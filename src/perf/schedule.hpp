@@ -36,7 +36,7 @@ struct Op {
   std::int16_t kind_src = -1;
   /// kComp: the IR op's modelled arithmetic work. Carried into the DES
   /// trace events so a modelled run's per-phase flop totals reconcile
-  /// exactly against a real run of the same schedule (telemetry/reconcile).
+  /// exactly against a real run of the same schedule (perf/reconcile.hpp).
   double flops = 0.0;
 };
 

@@ -8,6 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -37,5 +40,25 @@ class CliArgs {
   std::map<std::string, std::vector<std::string>> values_;
   std::vector<std::string> positional_;
 };
+
+/// Write one output file of a tool: open `path`, let `write` fill the
+/// stream, then flush and check it. On failure prints "cannot open '<path>'"
+/// or "write failed on '<path>'" to stderr and returns false — a full disk
+/// or closed pipe is an error, never a silently truncated document.
+inline bool write_output_file(
+    const std::string& path, const std::function<void(std::ostream&)>& write) {
+  std::ofstream os(path);
+  if (!os) {
+    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+    return false;
+  }
+  write(os);
+  os.flush();
+  if (!os) {
+    std::fprintf(stderr, "write failed on '%s'\n", path.c_str());
+    return false;
+  }
+  return true;
+}
 
 }  // namespace parfw

@@ -1,12 +1,13 @@
 // Tests for the schedule IR (src/sched/) and its two interpreters.
 //
 // The headline suite is the DES-vs-real cross-validation: for every
-// variant x placement, the wire bytes the metadata-costing interpreter
-// (perf::build_fw_program) derives from the IR must equal the traffic the
-// mpisim runtime actually accounts while the data-carrying interpreter
-// (dist::parallel_fw) executes the SAME schedule.
+// variant x placement x payload, perf::reconcile_run executes the SAME
+// schedule with the data-carrying interpreter (dist::parallel_fw) and
+// the metadata-costing one (the DES), and the wire traffic and compute
+// work must agree exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <set>
@@ -19,6 +20,7 @@
 #include "dist/parallel_fw.hpp"
 #include "perf/experiments.hpp"
 #include "perf/machine.hpp"
+#include "perf/reconcile.hpp"
 #include "perf/schedule.hpp"
 #include "sched/ir.hpp"
 #include "sched/trace.hpp"
@@ -545,20 +547,21 @@ TEST(CrossValidation, TracingDoesNotChangeResults) {
             0);
 }
 
-// The headline check (ISSUE satellite 1): the DES lowering of the IR must
-// predict EXACTLY the wire traffic mpisim accounts when the real
-// interpreter executes the same schedule. parallel_fw's only non-schedule
-// traffic is the row/column communicator split, so a split-only run is
-// subtracted from the full run.
-class DesVsReal : public ::testing::TestWithParam<std::tuple<Variant, bool>> {};
+// The headline check: perf::reconcile_run runs one schedule through the
+// real interpreter (mpisim) and the DES, and the two must agree EXACTLY
+// on total and internode wire bytes (also through the live
+// mpi.send_bytes counter) and on every compute phase's op count and
+// flops — for every variant x placement, values and paths.
+class DesVsReal
+    : public ::testing::TestWithParam<std::tuple<Variant, bool, bool>> {};
 
-TEST_P(DesVsReal, WireBytesMatchExactly) {
-  const auto [variant, reordered] = GetParam();
-  const std::size_t n = 64, b = 8;
-  const dist::GridSpec grid = reordered ? dist::GridSpec::tiled(2, 1, 1, 2)
-                                        : dist::GridSpec::row_major(2, 2);
-  const int ranks_per_node = 2;
-
+perf::ReconcileReport reconcile_case(Variant variant, bool tiled,
+                                     bool track_paths,
+                                     telemetry::Registry* reg = nullptr,
+                                     std::size_t n = 96) {
+  const std::size_t b = 8;
+  const dist::GridSpec grid = tiled ? dist::GridSpec::tiled(2, 1, 1, 2)
+                                    : dist::GridSpec::row_major(2, 2);
   dist::DistFwOptions opt;
   opt.variant = variant;
   opt.block_size = b;
@@ -566,129 +569,125 @@ TEST_P(DesVsReal, WireBytesMatchExactly) {
     opt.oog.mx = opt.oog.nx = 2 * b;
     opt.oog.num_streams = 2;
   }
-  mpi::RuntimeOptions ropt;
-  ropt.node_model = grid.node_model(ranks_per_node);
+  return perf::reconcile_run(grid, /*ranks_per_node=*/2, n, opt, track_paths,
+                             reg);
+}
 
-  DenseEntryGen<float> gen(5, 0.9, 1.0f, 80.0f, /*integral=*/true);
-  const mpi::TrafficStats full = mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) {
-        dist::BlockCyclicMatrix<float> local(n, b, grid,
-                                             grid.coord_of(world.rank()));
-        local.fill(gen);
-        dist::parallel_fw<MinPlus<float>>(world, local, opt);
-      },
-      ropt);
-  const mpi::TrafficStats split_only = mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) { (void)dist::make_row_col_comms(world, grid); },
-      ropt);
+TEST_P(DesVsReal, WireBytesMatchExactly) {
+  const auto [variant, tiled, paths] = GetParam();
+  telemetry::Registry reg;
+  const perf::ReconcileReport rep = reconcile_case(variant, tiled, paths, &reg);
+  SCOPED_TRACE(rep.table());
 
-  perf::FwProblem prob;
-  prob.variant = variant;
-  prob.n = static_cast<double>(n);
-  prob.b = static_cast<double>(b);
-  std::vector<int> node_of(static_cast<std::size_t>(grid.size()));
-  for (int w = 0; w < grid.size(); ++w)
-    node_of[static_cast<std::size_t>(w)] = ropt.node_model.node(w);
-  const perf::MachineConfig m = perf::MachineConfig::summit();
-  ASSERT_EQ(m.word_bytes, static_cast<int>(sizeof(float)));
-  const perf::BuiltProgram built =
-      perf::build_fw_program(m, prob, grid, node_of);
-  const perf::WireTotals wire =
-      perf::program_traffic(built.programs, built.node_of);
+  EXPECT_GT(rep.measured_wire.bytes_total, 0);
+  EXPECT_EQ(rep.measured_wire.bytes_total, rep.modelled_wire.bytes_total);
+  EXPECT_EQ(rep.measured_wire.bytes_internode,
+            rep.modelled_wire.bytes_internode);
+  EXPECT_EQ(rep.registry_send_bytes, rep.measured_wire.bytes_total);
+  EXPECT_TRUE(rep.exact_mismatches().empty());
 
-  EXPECT_EQ(full.bytes_total - split_only.bytes_total,
-            static_cast<std::uint64_t>(wire.bytes_total));
-  EXPECT_EQ(full.bytes_internode - split_only.bytes_internode,
-            static_cast<std::uint64_t>(wire.bytes_internode));
+  // The live series also carried the per-op phase instrumentation.
+  EXPECT_GT(reg.counter("mpi.sends").value(), 0u);
+  const std::string labels =
+      std::string("phase=OuterUpdate,variant=") + variant_name(variant);
+  EXPECT_GT(reg.histogram("fw.phase.seconds", labels).count(), 0u);
+
+  // Paths must move strictly more than a value run (the kPred companions).
+  if (paths) {
+    EXPECT_GT(rep.measured_wire.bytes_total,
+              reconcile_case(variant, tiled, false).measured_wire.bytes_total);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariantsBothPlacements, DesVsReal,
-    ::testing::Combine(::testing::ValuesIn(kAllVariants),
+    ::testing::Combine(::testing::ValuesIn(kAllVariants), ::testing::Bool(),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<DesVsReal::ParamType>& info) {
       return std::string(variant_name(std::get<0>(info.param))) +
-             (std::get<1>(info.param) ? "_tiled" : "_rowmajor");
+             (std::get<1>(info.param) ? "_tiled" : "_rowmajor") +
+             (std::get<2>(info.param) ? "_paths" : "");
     });
 
-// Same exactness claim with paths on: the schedule grows kPred companion
-// broadcasts, and the DES lowering of those (stateless per op — members,
-// root, bytes, tag) must still predict mpisim's accounting to the byte.
-class DesVsRealPaths
+// A caller's registry keeps accumulating across runs: reconcile_run
+// reads its own mpi.send_bytes delta, so a second run into the same
+// registry still matches the DES prediction, and the live counter grows
+// by the same amount both times. Two variants x both placements, n=64.
+class MetricsVsDes
     : public ::testing::TestWithParam<std::tuple<Variant, bool>> {};
 
-TEST_P(DesVsRealPaths, WireBytesMatchExactly) {
-  const auto [variant, reordered] = GetParam();
-  const std::size_t n = 64, b = 8;
-  const dist::GridSpec grid = reordered ? dist::GridSpec::tiled(2, 1, 1, 2)
-                                        : dist::GridSpec::row_major(2, 2);
-  const int ranks_per_node = 2;
+TEST_P(MetricsVsDes, SendBytesMatchPrediction) {
+  const auto [variant, tiled] = GetParam();
+  telemetry::Registry reg;
+  const perf::ReconcileReport first =
+      reconcile_case(variant, tiled, /*track_paths=*/false, &reg, 64);
+  const std::uint64_t after_first = reg.counter("mpi.send_bytes").value();
+  const perf::ReconcileReport second =
+      reconcile_case(variant, tiled, /*track_paths=*/false, &reg, 64);
+  SCOPED_TRACE(second.table());
 
-  dist::DistFwOptions opt;
-  opt.variant = variant;
-  opt.block_size = b;
-  if (variant == Variant::kOffload) {
-    opt.oog.mx = opt.oog.nx = 2 * b;
-    opt.oog.num_streams = 2;
-  }
-  mpi::RuntimeOptions ropt;
-  ropt.node_model = grid.node_model(ranks_per_node);
-
-  DenseEntryGen<float> gen(6, 0.9, 1.0f, 80.0f, /*integral=*/true);
-  const mpi::TrafficStats full = mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) {
-        dist::BlockCyclicMatrix<float> local(n, b, grid,
-                                             grid.coord_of(world.rank()));
-        dist::BlockCyclicMatrix<std::int64_t> plocal(
-            n, b, grid, grid.coord_of(world.rank()));
-        local.fill(gen);
-        dist::init_predecessors_dist<MinPlus<float>>(local, plocal);
-        dist::parallel_fw<MinPlus<float>>(world, local, plocal, opt);
-      },
-      ropt);
-  const mpi::TrafficStats split_only = mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) { (void)dist::make_row_col_comms(world, grid); },
-      ropt);
-
-  perf::FwProblem prob;
-  prob.variant = variant;
-  prob.n = static_cast<double>(n);
-  prob.b = static_cast<double>(b);
-  prob.track_paths = true;
-  std::vector<int> node_of(static_cast<std::size_t>(grid.size()));
-  for (int w = 0; w < grid.size(); ++w)
-    node_of[static_cast<std::size_t>(w)] = ropt.node_model.node(w);
-  const perf::MachineConfig m = perf::MachineConfig::summit();
-  const perf::BuiltProgram built =
-      perf::build_fw_program(m, prob, grid, node_of);
-  const perf::WireTotals wire =
-      perf::program_traffic(built.programs, built.node_of);
-
-  EXPECT_EQ(full.bytes_total - split_only.bytes_total,
-            static_cast<std::uint64_t>(wire.bytes_total));
-  EXPECT_EQ(full.bytes_internode - split_only.bytes_internode,
-            static_cast<std::uint64_t>(wire.bytes_internode));
-  // Paths must move strictly more than a value run (the pred companions).
-  perf::FwProblem vprob = prob;
-  vprob.track_paths = false;
-  const perf::BuiltProgram vbuilt =
-      perf::build_fw_program(m, vprob, grid, node_of);
-  EXPECT_GT(wire.bytes_total,
-            perf::program_traffic(vbuilt.programs, vbuilt.node_of).bytes_total);
+  EXPECT_TRUE(first.bytes_match());
+  EXPECT_TRUE(second.bytes_match());
+  EXPECT_EQ(second.registry_send_bytes, second.modelled_wire.bytes_total);
+  EXPECT_EQ(second.registry_send_bytes, first.registry_send_bytes);
+  EXPECT_EQ(reg.counter("mpi.send_bytes").value(), 2 * after_first);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllVariantsBothPlacements, DesVsRealPaths,
-    ::testing::Combine(::testing::ValuesIn(kAllVariants),
+    TwoVariantsBothPlacements, MetricsVsDes,
+    ::testing::Combine(::testing::Values(Variant::kAsync, Variant::kOffload),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<DesVsRealPaths::ParamType>& info) {
+    [](const ::testing::TestParamInfo<MetricsVsDes::ParamType>& info) {
       return std::string(variant_name(std::get<0>(info.param))) +
              (std::get<1>(info.param) ? "_tiled" : "_rowmajor");
     });
+
+TEST(Reconcile, FlagsExactAndBandViolations) {
+  std::map<std::string, sched::StatsTraceSink::OpStats> meas, model;
+  meas["DiagUpdate"] = {10, 0, 500.0, 1.0};
+  model["DiagUpdate"] = {10, 0, 500.0, 1.0};
+  meas["OuterUpdate"] = {20, 0, 8000.0, 3.0};
+  model["OuterUpdate"] = {20, 0, 8000.0, 3.0};
+  perf::WireTotals wire;
+  wire.bytes_total = 4096;
+  wire.bytes_internode = 1024;
+  const perf::ReconcileReport ok =
+      perf::reconcile(meas, model, wire, wire, 4096);
+  EXPECT_TRUE(ok.ok());
+  EXPECT_TRUE(ok.exact_mismatches().empty());
+
+  // Diverging flops on a compute phase -> exact mismatch.
+  model["DiagUpdate"].flops = 999.0;
+  const perf::ReconcileReport bad_flops =
+      perf::reconcile(meas, model, wire, wire, 4096);
+  EXPECT_FALSE(bad_flops.ok());
+  ASSERT_EQ(bad_flops.exact_mismatches().size(), 1u);
+  EXPECT_EQ(bad_flops.exact_mismatches()[0], "DiagUpdate");
+  model["DiagUpdate"].flops = 500.0;
+
+  // A total, internode or registry byte divergence fails bytes_match.
+  perf::WireTotals more = wire;
+  more.bytes_total += 1;
+  EXPECT_FALSE(perf::reconcile(meas, model, wire, more, 4096).bytes_match());
+  perf::WireTotals internode = wire;
+  internode.bytes_internode += 1;
+  const perf::ReconcileReport bad_internode =
+      perf::reconcile(meas, model, wire, internode, 4096);
+  EXPECT_FALSE(bad_internode.bytes_match());
+  EXPECT_NE(bad_internode.table().find("MISMATCH"), std::string::npos);
+  EXPECT_FALSE(perf::reconcile(meas, model, wire, wire, 4097).bytes_match());
+
+  // A share shift past the band is reported out-of-band but not exact:
+  // measured shares are 0.25/0.75, modelled become 1/31 and 30/31 — a
+  // ~0.22 shift on both phases, past a 0.1 band.
+  model["OuterUpdate"].seconds = 30.0;
+  perf::ReconcileReport shifted =
+      perf::reconcile(meas, model, wire, wire, 4096);
+  shifted.share_band = 0.1;
+  EXPECT_TRUE(shifted.exact_mismatches().empty());
+  EXPECT_FALSE(shifted.out_of_band().empty());
+  EXPECT_NE(shifted.table().find("EXACT MATCH"), std::string::npos);
+}
 
 }  // namespace
 }  // namespace parfw

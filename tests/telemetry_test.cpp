@@ -1,30 +1,22 @@
-// Telemetry registry, exporters and reconciliation (DESIGN.md §4.8).
+// Telemetry registry and exporters (DESIGN.md §4.8).
 //
-// Covers the four ISSUE-4 test families: registry concurrency (hammered
-// from the thread pool — run under `check.sh --san thread` for the data
-// race gate), histogram bucket boundaries, exporter golden files (the
-// exporters promise deterministic bytes for a deterministic registry),
-// and the end-to-end check that the METRICS path measures exactly the
-// wire bytes the DES predicts, for two variants on both placements.
+// Covers registry concurrency (hammered from the thread pool — run under
+// `check.sh --san thread` for the data race gate), histogram bucket
+// boundaries, exporter golden files (the exporters promise deterministic
+// bytes for a deterministic registry) and the TrafficStats adapter. The
+// end-to-end check that the metrics path measures exactly the wire bytes
+// the DES predicts is the DesVsReal suite in sched_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "dist/block_cyclic.hpp"
-#include "dist/driver.hpp"
-#include "dist/grid.hpp"
-#include "dist/parallel_fw.hpp"
-#include "perf/des.hpp"
-#include "perf/schedule.hpp"
 #include "telemetry/adapters.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/reconcile.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parfw {
@@ -274,127 +266,6 @@ TEST(Adapters, TrafficStatsPublishUnderDistinctLabels) {
   s.bytes_total = 8192;
   telemetry::publish_traffic_stats(reg, s, "scope=run");
   EXPECT_DOUBLE_EQ(reg.gauge("mpi.bytes_total", "scope=run").value(), 8192.0);
-}
-
-// --- end-to-end: metrics path vs DES prediction ------------------------------
-
-// The live mpi.send_bytes counter (RuntimeOptions::metrics) must measure
-// exactly the wire bytes perf::program_traffic predicts for the same
-// schedule — the DesVsReal invariant, re-proven through the METRICS path
-// instead of TrafficStats. Two variants × both placements.
-class MetricsVsDes
-    : public ::testing::TestWithParam<std::tuple<dist::Variant, bool>> {};
-
-TEST_P(MetricsVsDes, SendBytesMatchPrediction) {
-  const auto [variant, reordered] = GetParam();
-  const std::size_t n = 64, b = 8;
-  const dist::GridSpec grid = reordered ? dist::GridSpec::tiled(2, 1, 1, 2)
-                                        : dist::GridSpec::row_major(2, 2);
-  const int ranks_per_node = 2;
-
-  dist::DistFwOptions opt;
-  opt.variant = variant;
-  opt.block_size = b;
-  if (variant == dist::Variant::kOffload) {
-    opt.oog.mx = opt.oog.nx = 2 * b;
-    opt.oog.num_streams = 2;
-  }
-
-  Registry full_reg;
-  mpi::RuntimeOptions ropt;
-  ropt.node_model = grid.node_model(ranks_per_node);
-  ropt.metrics = &full_reg;
-  opt.metrics = &full_reg;
-
-  DenseEntryGen<float> gen(5, 0.9, 1.0f, 80.0f, /*integral=*/true);
-  (void)mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) {
-        dist::BlockCyclicMatrix<float> local(n, b, grid,
-                                             grid.coord_of(world.rank()));
-        local.fill(gen);
-        dist::parallel_fw<MinPlus<float>>(world, local, opt);
-      },
-      ropt);
-
-  Registry split_reg;
-  mpi::RuntimeOptions sropt;
-  sropt.node_model = ropt.node_model;
-  sropt.metrics = &split_reg;
-  (void)mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) { (void)dist::make_row_col_comms(world, grid); },
-      sropt);
-
-  perf::FwProblem prob;
-  prob.variant = variant;
-  prob.n = static_cast<double>(n);
-  prob.b = static_cast<double>(b);
-  prob.offload_mx = static_cast<double>(2 * b);
-  std::vector<int> node_of(static_cast<std::size_t>(grid.size()));
-  for (int w = 0; w < grid.size(); ++w)
-    node_of[static_cast<std::size_t>(w)] = ropt.node_model.node(w);
-  const perf::MachineConfig m = perf::MachineConfig::summit();
-  const perf::BuiltProgram built =
-      perf::build_fw_program(m, prob, grid, node_of);
-  const perf::WireTotals wire =
-      perf::program_traffic(built.programs, built.node_of);
-
-  const std::uint64_t measured =
-      full_reg.counter("mpi.send_bytes").value() -
-      split_reg.counter("mpi.send_bytes").value();
-  EXPECT_EQ(measured, static_cast<std::uint64_t>(wire.bytes_total));
-  // The live series also carried the per-op phase instrumentation.
-  EXPECT_GT(full_reg.counter("mpi.sends").value(), 0u);
-  const std::string labels =
-      std::string("phase=OuterUpdate,variant=") + dist::variant_name(variant);
-  EXPECT_GT(full_reg.histogram("fw.phase.seconds", labels).count(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    TwoVariantsBothPlacements, MetricsVsDes,
-    ::testing::Combine(::testing::Values(dist::Variant::kAsync,
-                                         dist::Variant::kOffload),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<MetricsVsDes::ParamType>& info) {
-      return std::string(dist::variant_name(std::get<0>(info.param))) +
-             (std::get<1>(info.param) ? "_tiled" : "_rowmajor");
-    });
-
-// --- reconciliation report ---------------------------------------------------
-
-TEST(Reconcile, FlagsExactAndBandViolations) {
-  std::map<std::string, sched::StatsTraceSink::OpStats> meas, model;
-  meas["DiagUpdate"] = {10, 0, 500.0, 1.0};
-  model["DiagUpdate"] = {10, 0, 500.0, 1.0};
-  meas["OuterUpdate"] = {20, 0, 8000.0, 3.0};
-  model["OuterUpdate"] = {20, 0, 8000.0, 3.0};
-  telemetry::ReconcileReport ok =
-      telemetry::reconcile(meas, model, 4096, 4096);
-  EXPECT_TRUE(ok.ok());
-  EXPECT_TRUE(ok.exact_mismatches().empty());
-
-  // Diverging flops on a compute phase -> exact mismatch.
-  model["DiagUpdate"].flops = 999.0;
-  telemetry::ReconcileReport bad_flops =
-      telemetry::reconcile(meas, model, 4096, 4096);
-  EXPECT_FALSE(bad_flops.ok());
-  ASSERT_EQ(bad_flops.exact_mismatches().size(), 1u);
-  EXPECT_EQ(bad_flops.exact_mismatches()[0], "DiagUpdate");
-  model["DiagUpdate"].flops = 500.0;
-
-  // Byte divergence fails bytes_match.
-  EXPECT_FALSE(telemetry::reconcile(meas, model, 4096, 4097).bytes_match());
-
-  // A share shift past the band is reported out-of-band but not exact:
-  // measured shares are 0.25/0.75, modelled become 1/31 and 30/31 — a
-  // ~0.22 shift on both phases, past a 0.1 band.
-  model["OuterUpdate"].seconds = 30.0;
-  telemetry::ReconcileReport shifted =
-      telemetry::reconcile(meas, model, 4096, 4096, /*band=*/0.1);
-  EXPECT_TRUE(shifted.exact_mismatches().empty());
-  EXPECT_FALSE(shifted.out_of_band().empty());
-  EXPECT_NE(shifted.table().find("EXACT MATCH"), std::string::npos);
 }
 
 }  // namespace

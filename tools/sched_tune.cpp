@@ -7,9 +7,8 @@
 // seeded/pruned by that attribution. Prints the tuning report; optionally
 // persists the winner into a manifest (the PARFW_TUNE_CACHE format),
 // emits google-benchmark JSON rows for scripts/bench_compare.py, and
-// cross-checks the winner against a REAL mpisim run: the live
-// mpi.send_bytes counter must equal perf::program_traffic's prediction
-// for the winning schedule EXACTLY (the DesVsReal invariant).
+// cross-checks the winner against a REAL mpisim run (perf::reconcile_run):
+// wire bytes and compute-phase counts/flops must equal the DES EXACTLY.
 //
 // Usage:
 //   sched_tune --n N --ranks P [--rpn R] [--word-bytes W]
@@ -18,23 +17,17 @@
 //              [--manifest FILE]           consult first, persist winner
 //              [--force]                   re-tune even on a manifest hit
 //              [--bench-json FILE]         tune/* rows (BENCH_tune.json)
-//              [--validate]                real-run wire-byte cross-check
+//              [--validate]                real-run vs DES cross-check
 //
 // Exit status: 0 ok; 1 tuning/validation failure; 2 usage error.
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "dist/block_cyclic.hpp"
-#include "dist/grid.hpp"
-#include "dist/parallel_fw.hpp"
-#include "graph/graph.hpp"
-#include "mpisim/runtime.hpp"
-#include "perf/schedule.hpp"
-#include "semiring/semiring.hpp"
-#include "telemetry/metrics.hpp"
+#include "perf/reconcile.hpp"
 #include "tune/manifest.hpp"
 #include "tune/tune.hpp"
 #include "util/cli.hpp"
@@ -59,8 +52,8 @@ void print_usage() {
       "  --force             ignore a manifest hit, re-tune\n"
       "  --bench-json FILE   tune/* rows in google-benchmark JSON layout\n"
       "  --validate          run the winner on the REAL mpisim runtime and\n"
-      "                      require its wire bytes to equal the DES\n"
-      "                      prediction exactly\n");
+      "                      require its wire bytes and compute phases to\n"
+      "                      equal the DES prediction exactly\n");
 }
 
 bool parse_blocks(const std::string& spec, std::vector<std::size_t>* out) {
@@ -75,63 +68,38 @@ bool parse_blocks(const std::string& spec, std::vector<std::size_t>* out) {
   return !out->empty();
 }
 
-/// The DesVsReal cross-check: execute the winning schedule with real data
-/// on the mpisim runtime and compare the live mpi.send_bytes counter
-/// (minus the comm-setup cost, measured separately) against
-/// perf::program_traffic for the same schedule. An exact-equality check —
-/// the invariant the telemetry reconciliation suite established.
+/// Run the winning schedule on the REAL mpisim runtime and in the DES
+/// (perf::reconcile_run): wire bytes, internode bytes and every compute
+/// phase's op count and flops must match exactly.
 bool validate_winner(const tune::Workload& w, const tune::Candidate& win,
                      const tune::Eval& eval) {
-  const dist::GridSpec grid = win.placement.grid();
-
   dist::DistFwOptions opt;
   opt.variant = win.variant;
   opt.block_size = win.block;
   opt.oog.num_streams = static_cast<std::size_t>(win.streams);
 
-  telemetry::Registry full_reg;
-  mpi::RuntimeOptions ropt;
-  ropt.node_model = grid.node_model(w.ranks_per_node);
-  ropt.metrics = &full_reg;
-
-  DenseEntryGen<float> gen(5, 0.9, 1.0f, 80.0f, /*integral=*/true);
   Timer wall;
-  (void)mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) {
-        dist::BlockCyclicMatrix<float> local(w.n, win.block, grid,
-                                             grid.coord_of(world.rank()));
-        local.fill(gen);
-        dist::parallel_fw<MinPlus<float>>(world, local, opt);
-      },
-      ropt);
+  const perf::ReconcileReport rep =
+      perf::reconcile_run(win.placement.grid(), w.ranks_per_node, w.n, opt,
+                          w.track_paths);
   const double real_seconds = wall.seconds();
-
-  // Subtract the row/column communicator-setup traffic: it precedes the
-  // schedule and program_traffic does not model it.
-  telemetry::Registry split_reg;
-  mpi::RuntimeOptions sropt;
-  sropt.node_model = ropt.node_model;
-  sropt.metrics = &split_reg;
-  (void)mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) { (void)dist::make_row_col_comms(world, grid); },
-      sropt);
-
-  const std::uint64_t measured =
-      full_reg.counter("mpi.send_bytes").value() -
-      split_reg.counter("mpi.send_bytes").value();
-  const bool ok =
-      measured == static_cast<std::uint64_t>(eval.wire_bytes);
+  // The tuner priced the winner on its own build of the same schedule.
+  const bool ok = rep.bytes_match() && rep.exact_mismatches().empty() &&
+                  rep.modelled_wire.bytes_total == eval.wire_bytes;
   std::printf(
-      "validate: real mpisim run of %s in %.3f s wall\n"
-      "  wire bytes: real %llu vs DES %lld — %s\n"
+      "validate: real mpisim run of %s reconciled in %.3f s wall\n"
+      "  wire bytes: real %lld vs DES %lld (internode %lld vs %lld), "
+      "compute phases %s — %s\n"
       "  (DES-predicted makespan %.6f s is Summit-virtual time; the wall\n"
-      "   time above is this host executing the same schedule)\n",
+      "   time above is this host running the schedule and its replay)\n",
       win.name().c_str(), real_seconds,
-      static_cast<unsigned long long>(measured),
-      static_cast<long long>(eval.wire_bytes), ok ? "exact match" : "MISMATCH",
-      eval.makespan);
+      static_cast<long long>(rep.measured_wire.bytes_total),
+      static_cast<long long>(rep.modelled_wire.bytes_total),
+      static_cast<long long>(rep.measured_wire.bytes_internode),
+      static_cast<long long>(rep.modelled_wire.bytes_internode),
+      rep.exact_mismatches().empty() ? "exact" : "DIVERGE",
+      ok ? "exact match" : "MISMATCH", eval.makespan);
+  if (!ok) std::fputs(rep.table().c_str(), stdout);
   return ok;
 }
 
@@ -215,11 +183,6 @@ int main(int argc, char** argv) {
     }
 
     if (args.has("bench-json")) {
-      std::ofstream os(args.get("bench-json", ""));
-      if (!os) {
-        std::fprintf(stderr, "sched_tune: cannot open --bench-json file\n");
-        return 1;
-      }
       char buf[1024];
       std::snprintf(
           buf, sizeof buf,
@@ -243,7 +206,9 @@ int main(int argc, char** argv) {
           entry.default_stall_share,
           entry.predicted_makespan * entry.predicted_stall_share,
           entry.predicted_stall_share);
-      os << buf;
+      if (!write_output_file(args.get("bench-json", ""),
+                             [&](std::ostream& os) { os << buf; }))
+        return 1;
       std::printf("bench-json: wrote tune/* rows to %s\n",
                   args.get("bench-json", "").c_str());
     }

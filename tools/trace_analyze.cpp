@@ -14,6 +14,7 @@
 //
 // Exit status: 0 ok; 1 analysis failure, band violation or broken
 // invariant; 2 usage error.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -103,9 +104,7 @@ bool parse_what_if(const std::string& spec, causal::WhatIf* out) {
 }
 
 /// cp share rows in the google-benchmark layout bench_compare.py reads.
-bool write_bench_json(const std::string& path, const causal::BlameReport& r) {
-  std::ofstream os(path);
-  if (!os) return false;
+void write_bench_json(std::ostream& os, const causal::BlameReport& r) {
   os.precision(15);
   os << "{\"benchmarks\":[";
   for (int c = 0; c < causal::kNumCategories; ++c) {
@@ -116,12 +115,13 @@ bool write_bench_json(const std::string& path, const causal::BlameReport& r) {
        << ",\"real_time\":" << r.category(cat) * 1e9 << "}";
   }
   os << "]}\n";
-  return static_cast<bool>(os);
 }
 
 /// Gate the blame shares against a checked-in band document:
 ///   {"des": {"compute": [lo, hi], ...}, "real": {...}}
-/// Categories absent from the band are unconstrained.
+/// Categories absent from the band are unconstrained. Every key of the
+/// set must name a category and hold two finite numbers lo <= hi: a
+/// malformed entry is a usage error (exit 2), never a dropped gate.
 int check_band(const std::string& path, const std::string& set,
                const causal::BlameReport& r) {
   std::ifstream is(path, std::ios::binary);
@@ -138,15 +138,36 @@ int check_band(const std::string& path, const std::string& set,
     return 2;
   }
   const causal::JsonValue* bands = doc.find(set);
-  if (bands == nullptr) {
+  if (bands == nullptr || bands->type != causal::JsonValue::Type::kObject) {
     std::fprintf(stderr, "%s: no band set '%s'\n", path.c_str(), set.c_str());
     return 2;
+  }
+  for (const auto& [key, band] : bands->obj) {
+    bool known = false;
+    for (int c = 0; c < causal::kNumCategories; ++c)
+      known = known ||
+              key == causal::category_name(static_cast<causal::Category>(c));
+    const auto number = [](const causal::JsonValue& v) {
+      return v.type == causal::JsonValue::Type::kNumber &&
+             std::isfinite(v.number);
+    };
+    const bool bounds_ok = band.type == causal::JsonValue::Type::kArray &&
+                           band.arr.size() == 2 && number(band.arr[0]) &&
+                           number(band.arr[1]) &&
+                           band.arr[0].number <= band.arr[1].number;
+    if (!known || !bounds_ok) {
+      std::fprintf(stderr, "%s: band set '%s', key '%s': %s\n", path.c_str(),
+                   set.c_str(), key.c_str(),
+                   !known ? "not a blame category"
+                          : "want [lo, hi]: two finite numbers, lo <= hi");
+      return 2;
+    }
   }
   int violations = 0;
   for (int c = 0; c < causal::kNumCategories; ++c) {
     const auto cat = static_cast<causal::Category>(c);
     const causal::JsonValue* band = bands->find(causal::category_name(cat));
-    if (band == nullptr || band->arr.size() != 2) continue;
+    if (band == nullptr) continue;
     const double lo = band->arr[0].number, hi = band->arr[1].number;
     const double share = r.share(cat);
     const bool ok = share >= lo && share <= hi;
@@ -384,42 +405,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.has("dot")) {
-    std::ofstream os(args.get("dot", ""));
-    if (!os) {
-      std::fprintf(stderr, "cannot open '%s'\n", args.get("dot", "").c_str());
-      return 1;
-    }
-    causal::write_dot(g, report, os);
-    if (!os) {
-      std::fprintf(stderr, "write failed on '%s'\n",
-                   args.get("dot", "").c_str());
-      return 1;
-    }
-  }
+  if (args.has("dot") &&
+      !write_output_file(args.get("dot", ""), [&](std::ostream& os) {
+        causal::write_dot(g, report, os);
+      }))
+    return 1;
 
   telemetry::Registry reg;
   causal::publish_blame(report, reg);
-  if (args.has("metrics-json")) {
-    std::ofstream os(args.get("metrics-json", ""));
-    if (!os) {
-      std::fprintf(stderr, "cannot open '%s'\n",
-                   args.get("metrics-json", "").c_str());
-      return 1;
-    }
-    telemetry::to_json(reg, os);
-    if (!os) {
-      std::fprintf(stderr, "write failed on '%s'\n",
-                   args.get("metrics-json", "").c_str());
-      return 1;
-    }
-  }
-  if (args.has("bench-json") &&
-      !write_bench_json(args.get("bench-json", ""), report)) {
-    std::fprintf(stderr, "cannot write '%s'\n",
-                 args.get("bench-json", "").c_str());
+  if (args.has("metrics-json") &&
+      !write_output_file(args.get("metrics-json", ""), [&](std::ostream& os) {
+        telemetry::to_json(reg, os);
+      }))
     return 1;
-  }
+  if (args.has("bench-json") &&
+      !write_output_file(args.get("bench-json", ""), [&](std::ostream& os) {
+        write_bench_json(os, report);
+      }))
+    return 1;
   if (args.has("band-file"))
     return check_band(args.get("band-file", ""), args.get("band-set", "des"),
                       report);

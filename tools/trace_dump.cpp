@@ -11,7 +11,7 @@
 //                   timeline;
 //   --mode metrics  runs BOTH interpreters over one schedule and prints
 //                   the measured-vs-modelled reconciliation table
-//                   (telemetry/reconcile.hpp): wire bytes must match the
+//                   (perf/reconcile.hpp): wire bytes must match the
 //                   DES prediction exactly, compute phases must match in
 //                   count and flops, and per-phase time shares are
 //                   compared within --band. Exits non-zero when the
@@ -23,27 +23,23 @@
 //                   validated trace is rewritten normalised (flow events
 //                   regenerated from the matched send/recv pairs).
 //
-// All write paths verify the output stream after flushing — a full disk
-// or closed pipe is an error, never a silently truncated document.
+// All write paths go through write_output_file (util/cli.hpp), which
+// verifies the stream after flushing — a full disk or closed pipe is an
+// error, never a silently truncated document.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "causal/trace_io.hpp"
 #include "dist/block_cyclic.hpp"
-#include "dist/driver.hpp"
 #include "dist/grid.hpp"
 #include "dist/parallel_fw.hpp"
-#include "perf/des.hpp"
 #include "perf/experiments.hpp"
-#include "perf/schedule.hpp"
+#include "perf/reconcile.hpp"
 #include "sched/trace.hpp"
-#include "telemetry/adapters.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/reconcile.hpp"
 #include "util/cli.hpp"
 
 using namespace parfw;
@@ -134,13 +130,12 @@ int run_des(const CliArgs& args, dist::Variant variant,
   return 0;
 }
 
-// Run the data-carrying interpreter and the DES over the SAME schedule,
-// reconcile the two traces, and print the side-by-side phase table. Exit
+// Run the data-carrying interpreter and the DES over the SAME schedule
+// (perf::reconcile_run) and print the side-by-side phase table. Exit
 // status reflects the exact checks (wire bytes, compute counts/flops);
 // share-band deviations are flagged in the table but do not fail the
 // tool — absolute DES times model Summit GPUs, not this host.
 int run_metrics(const CliArgs& args, dist::Variant variant) {
-  using S = MinPlus<float>;
   const int pr = static_cast<int>(args.get_int("pr", 2));
   const int pc = static_cast<int>(args.get_int("pc", 2));
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", 96));
@@ -148,101 +143,37 @@ int run_metrics(const CliArgs& args, dist::Variant variant) {
   const bool reordered = args.get_bool("reordered");
   const auto grid = reordered ? dist::GridSpec::tiled(pr, 1, 1, pc)
                               : dist::GridSpec::row_major(pr, pc);
-  const int ranks_per_node = std::max(1, grid.size() / 2);
-
-  telemetry::Registry reg;
-  sched::StatsTraceSink measured;
 
   dist::DistFwOptions opt;
   opt.variant = variant;
   opt.block_size = b;
-  // The DES costs diagonal closures as log-squaring (the GPU-friendly
-  // strategy the modelled machine runs); use it here too so the exact
-  // flops check compares like with like.
-  opt.diag = DiagStrategy::kLogSquaring;
-  opt.trace = &measured;
-  opt.metrics = &reg;
   if (variant == dist::Variant::kOffload) {
     opt.oog.mx = opt.oog.nx = 2 * b;
     opt.oog.num_streams = 2;
   }
-
-  mpi::RuntimeOptions ropt;
-  ropt.node_model = grid.node_model(ranks_per_node);
-  ropt.trace = &measured;
-  ropt.metrics = &reg;
-
-  DenseEntryGen<float> gen(7, 0.85, 1.0f, 90.0f, /*integral=*/true);
-  const mpi::TrafficStats full = mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) {
-        dist::BlockCyclicMatrix<float> local(n, b, grid,
-                                             grid.coord_of(world.rank()));
-        local.fill(gen);
-        world.barrier();
-        dist::parallel_fw<S>(world, local, opt);
-      },
-      ropt);
-
-  // The communicator split inside parallel_fw exchanges its own messages;
-  // run it alone and subtract, so the measured wire bytes cover exactly
-  // the schedule's traffic (the DES-vs-real tests use the same split).
-  mpi::RuntimeOptions sropt;
-  sropt.node_model = ropt.node_model;
-  const mpi::TrafficStats split_only = mpi::Runtime::run(
-      grid.size(),
-      [&](mpi::Comm& world) { (void)dist::make_row_col_comms(world, grid); },
-      sropt);
-
-  // DES of the same schedule on the modelled machine.
-  perf::FwProblem prob;
-  prob.variant = variant;
-  prob.n = static_cast<double>(n);
-  prob.b = static_cast<double>(b);
-  prob.offload_mx = static_cast<double>(2 * b);
-  std::vector<int> node_of(static_cast<std::size_t>(grid.size()));
-  for (int w = 0; w < grid.size(); ++w)
-    node_of[static_cast<std::size_t>(w)] = ropt.node_model.node(w);
-  const perf::MachineConfig m = perf::MachineConfig::summit();
-  const perf::BuiltProgram built =
-      perf::build_fw_program(m, prob, grid, node_of);
-  sched::StatsTraceSink modelled;
-  (void)perf::simulate(built.programs, built.node_of, m, &modelled);
-  const perf::WireTotals wire =
-      perf::program_traffic(built.programs, built.node_of);
-
-  const auto measured_wire =
-      static_cast<std::int64_t>(full.bytes_total - split_only.bytes_total);
-  const telemetry::ReconcileReport rep = telemetry::reconcile(
-      measured.table(), modelled.table(), measured_wire, wire.bytes_total,
-      args.get_double("band", 0.25));
+  telemetry::Registry reg;
+  perf::ReconcileReport rep =
+      perf::reconcile_run(grid, std::max(1, grid.size() / 2), n, opt,
+                          /*track_paths=*/false, &reg);
+  rep.share_band = args.get_double("band", 0.25);
 
   std::printf("variant %s, %dx%d grid (%s), n=%zu b=%zu\n",
               dist::variant_name(variant), pr, pc,
               reordered ? "tiled" : "row-major", n, b);
   std::fputs(rep.table().c_str(), stdout);
 
-  // Registry exports (CI artifacts): live series plus the aggregate
-  // TrafficStats snapshot through the adapter.
-  telemetry::publish_traffic_stats(reg, full);
-  if (args.has("metrics-json")) {
-    std::ofstream os(args.get("metrics-json", ""));
-    if (!os) {
-      std::fprintf(stderr, "cannot open '%s'\n",
-                   args.get("metrics-json", "").c_str());
-      return 1;
-    }
-    telemetry::to_json(reg, os);
-  }
-  if (args.has("metrics-prom")) {
-    std::ofstream os(args.get("metrics-prom", ""));
-    if (!os) {
-      std::fprintf(stderr, "cannot open '%s'\n",
-                   args.get("metrics-prom", "").c_str());
-      return 1;
-    }
-    telemetry::to_prometheus(reg, os);
-  }
+  // Registry exports (CI artifacts): live series plus the TrafficStats
+  // snapshot.
+  if (args.has("metrics-json") &&
+      !write_output_file(args.get("metrics-json", ""), [&](std::ostream& os) {
+        telemetry::to_json(reg, os);
+      }))
+    return 1;
+  if (args.has("metrics-prom") &&
+      !write_output_file(args.get("metrics-prom", ""), [&](std::ostream& os) {
+        telemetry::to_prometheus(reg, os);
+      }))
+    return 1;
 
   const auto mismatches = rep.exact_mismatches();
   if (!rep.bytes_match()) {
@@ -281,17 +212,9 @@ int run_check(const CliArgs& args) {
     sched::CollectTraceSink sink;
     for (const sched::TraceEvent& e : loaded.events) sink.record(e);
     const std::string out = args.get("out", "");
-    std::ofstream os(out);
-    if (!os) {
-      std::fprintf(stderr, "cannot open '%s'\n", out.c_str());
+    if (!write_output_file(
+            out, [&](std::ostream& os) { sink.write_chrome(os); }))
       return 1;
-    }
-    sink.write_chrome(os);
-    os.flush();
-    if (!os) {
-      std::fprintf(stderr, "write failed on '%s'\n", out.c_str());
-      return 1;
-    }
     std::fprintf(stderr, "rewrote %zu events to %s\n", loaded.events.size(),
                  out.c_str());
   }
@@ -328,17 +251,9 @@ int main(int argc, char** argv) {
   if (rc != 0) return rc;
 
   const std::string out = args.get("out", "trace.json");
-  std::ofstream os(out);
-  if (!os) {
-    std::fprintf(stderr, "cannot open '%s'\n", out.c_str());
+  if (!write_output_file(out,
+                         [&](std::ostream& os) { sink.write_chrome(os); }))
     return 1;
-  }
-  sink.write_chrome(os);
-  os.flush();
-  if (!os) {
-    std::fprintf(stderr, "write failed on '%s'\n", out.c_str());
-    return 1;
-  }
   std::fprintf(stderr, "wrote %zu events to %s\n", sink.size(), out.c_str());
   return 0;
 }
