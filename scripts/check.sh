@@ -467,8 +467,11 @@ if [[ -n "$san" ]]; then
   "$build_dir/tests/test_tune" --gtest_filter='Manifest.*'
   # The serve manifest reader on hostile stores (counts it must not trust).
   "$build_dir/tests/test_serve" --gtest_filter='ServeManifest.*'
-  # The checkpoint-v2 codec on hostile headers and every truncation.
-  "$build_dir/tests/test_resilience" --gtest_filter='CheckpointFormat.*'
+  # The checkpoint-v3 codec on hostile headers, every truncation and a
+  # flipped byte anywhere in a blob; the file store's shared descriptor
+  # cache under concurrent readers and writers.
+  "$build_dir/tests/test_resilience" \
+    --gtest_filter='CheckpointFormat.*:CheckpointStore.*'
   # The blocked solver's look-ahead: pivot(k+1) writes panels while other
   # workers still run round k's tiles.
   "$build_dir/tests/test_core" --gtest_filter='*BlockedFw*'

@@ -10,22 +10,34 @@
 //     within one process" mode.
 //   * FileCheckpointStore  — one file per key under a directory
 //     (tmp-write + atomic rename), the durable choice for real runs;
-//     examples honour PARFW_CKPT_DIR to select it.
+//     examples honour PARFW_CKPT_DIR to select it. Ranged reads go
+//     through a small cache of open read-only descriptors with pread;
+//     put and erase drop the key's descriptor, so reads through this
+//     store see its own writes. A descriptor opened before another
+//     store or process replaced the file keeps reading the blob it
+//     opened.
 //
 // Stores must be thread-safe: mpisim ranks are threads and all snapshot
 // concurrently at a checkpoint cut.
 #pragma once
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -37,6 +49,18 @@ struct ByteRange {
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
 };
+
+namespace detail {
+/// Throw check_error unless `r` lies inside a blob of `size` bytes. Written
+/// so that no hostile offset or length can wrap the sum past the test.
+inline void check_range(const ByteRange& r, std::uint64_t size,
+                        const std::string& key) {
+  PARFW_CHECK_MSG(r.offset <= size && r.length <= size - r.offset,
+                  "range [" << r.offset << ", +" << r.length
+                            << ") past end of blob '" << key << "' (" << size
+                            << " bytes)");
+}
+}  // namespace detail
 
 class CheckpointStore {
  public:
@@ -65,10 +89,7 @@ class CheckpointStore {
     auto blob = get(key);
     if (!blob.has_value()) return false;
     for (const ByteRange& r : ranges) {
-      PARFW_CHECK_MSG(r.offset + r.length <= blob->size(),
-                      "range [" << r.offset << ", +" << r.length
-                                << ") past end of blob '" << key << "' ("
-                                << blob->size() << " bytes)");
+      detail::check_range(r, blob->size(), key);
       std::memcpy(out, blob->data() + r.offset,
                   static_cast<std::size_t>(r.length));
       out += r.length;
@@ -114,10 +135,7 @@ class MemoryCheckpointStore final : public CheckpointStore {
     if (it == blobs_.end()) return false;
     const auto& blob = it->second;
     for (const ByteRange& r : ranges) {
-      PARFW_CHECK_MSG(r.offset + r.length <= blob.size(),
-                      "range [" << r.offset << ", +" << r.length
-                                << ") past end of blob '" << key << "' ("
-                                << blob.size() << " bytes)");
+      detail::check_range(r, blob.size(), key);
       std::memcpy(out, blob.data() + r.offset,
                   static_cast<std::size_t>(r.length));
       out += r.length;
@@ -132,6 +150,10 @@ class MemoryCheckpointStore final : public CheckpointStore {
 
 class FileCheckpointStore final : public CheckpointStore {
  public:
+  /// Read descriptors kept open at once, least recently used closed
+  /// first. Serving reads one blob per rank of the publishing grid.
+  static constexpr std::size_t kMaxOpenBlobs = 16;
+
   explicit FileCheckpointStore(std::filesystem::path dir)
       : dir_(std::move(dir)) {
     std::filesystem::create_directories(dir_);
@@ -150,6 +172,7 @@ class FileCheckpointStore final : public CheckpointStore {
       PARFW_CHECK_MSG(out.good(), "checkpoint write failed: " << tmp);
     }
     std::filesystem::rename(tmp, path);  // atomic replace
+    forget(key);
   }
   std::optional<std::vector<std::uint8_t>> get(
       const std::string& key) const override {
@@ -166,6 +189,7 @@ class FileCheckpointStore final : public CheckpointStore {
   void erase(const std::string& key) override {
     std::error_code ec;
     std::filesystem::remove(path_of(key), ec);
+    forget(key);
   }
   std::vector<std::string> keys() const override {
     std::vector<std::string> out;
@@ -179,25 +203,39 @@ class FileCheckpointStore final : public CheckpointStore {
   }
   bool get_ranges(const std::string& key, std::span<const ByteRange> ranges,
                   std::uint8_t* out) const override {
-    // One open, one seek+read per range — the tile-fetch fast path.
-    std::ifstream in(path_of(key), std::ios::binary | std::ios::ate);
-    if (!in.good()) return false;
-    const auto size = static_cast<std::uint64_t>(in.tellg());
+    // The tile-fetch fast path: a cached descriptor and one pread per
+    // range (a checkpoint v3 tile is one range).
+    const std::shared_ptr<const ReadHandle> h = handle(key);
+    if (h == nullptr) return false;
     for (const ByteRange& r : ranges) {
-      PARFW_CHECK_MSG(r.offset + r.length <= size,
-                      "range [" << r.offset << ", +" << r.length
-                                << ") past end of blob '" << key << "' ("
-                                << size << " bytes)");
-      in.seekg(static_cast<std::streamoff>(r.offset));
-      in.read(reinterpret_cast<char*>(out),
-              static_cast<std::streamsize>(r.length));
-      PARFW_CHECK_MSG(in.good(), "ranged checkpoint read failed: " << key);
+      detail::check_range(r, h->size, key);
+      for (std::uint64_t done = 0; done < r.length;) {
+        const ssize_t got = ::pread(h->fd, out + done,
+                                    static_cast<std::size_t>(r.length - done),
+                                    static_cast<off_t>(r.offset + done));
+        if (got < 0 && errno == EINTR) continue;
+        PARFW_CHECK_MSG(got > 0, "ranged checkpoint read failed: " << key);
+        done += static_cast<std::uint64_t>(got);
+      }
       out += r.length;
     }
     return true;
   }
 
  private:
+  /// A read-only descriptor of one blob file and its size at open. Shared:
+  /// an evicted or forgotten handle closes when its last reader drops it.
+  struct ReadHandle {
+    int fd = -1;
+    std::uint64_t size = 0;
+    ReadHandle() = default;
+    ReadHandle(const ReadHandle&) = delete;
+    ReadHandle& operator=(const ReadHandle&) = delete;
+    ~ReadHandle() {
+      if (fd >= 0) ::close(fd);
+    }
+  };
+
   std::filesystem::path path_of(const std::string& key) const {
     // Keys are generated by this library ([A-Za-z0-9._-]); refuse anything
     // that could escape the directory.
@@ -207,7 +245,44 @@ class FileCheckpointStore final : public CheckpointStore {
     return dir_ / (key + ".ckpt");
   }
 
+  /// The cached descriptor of `key`'s blob, opened on first use; null iff
+  /// the blob does not exist. Opening under the lock orders it against
+  /// forget(): a put's rename either precedes the open or drops its handle.
+  std::shared_ptr<const ReadHandle> handle(const std::string& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it =
+        std::find_if(open_.begin(), open_.end(),
+                     [&key](const auto& e) { return e.first == key; });
+    if (it != open_.end()) {
+      std::rotate(it, it + 1, open_.end());  // most recently used last
+      return open_.back().second;
+    }
+    const auto path = path_of(key);
+    auto h = std::make_shared<ReadHandle>();
+    h->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (h->fd < 0) {
+      const int err = errno;
+      PARFW_CHECK_MSG(err == ENOENT,
+                      "cannot open " << path << ": " << std::strerror(err));
+      return nullptr;
+    }
+    struct stat st {};
+    PARFW_CHECK_MSG(::fstat(h->fd, &st) == 0, "cannot stat " << path);
+    h->size = static_cast<std::uint64_t>(st.st_size);
+    if (open_.size() == kMaxOpenBlobs) open_.erase(open_.begin());
+    open_.emplace_back(key, std::move(h));
+    return open_.back().second;
+  }
+  /// Drop `key`'s cached descriptor (its blob was replaced or removed).
+  void forget(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(open_, [&key](const auto& e) { return e.first == key; });
+  }
+
   std::filesystem::path dir_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::pair<std::string, std::shared_ptr<const ReadHandle>>>
+      open_;  ///< guarded by mu_; least recently used first
 };
 
 /// Resilience knobs carried by the solver options (one struct so the

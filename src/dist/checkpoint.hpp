@@ -1,4 +1,4 @@
-// Checkpoint-v2 codec and the coordinated-cut commit protocol (DESIGN.md
+// Checkpoint-v3 codec and the coordinated-cut commit protocol (DESIGN.md
 // "Resilience") — the only code that knows how APSP state sits on disk.
 //
 // Blocked FW is naturally checkpointable: after iteration k the matrix
@@ -11,23 +11,33 @@
 // commit record does not exist as far as restart is concerned, so a crash
 // mid-snapshot falls back to the previous committed cut (whose blobs live
 // under different keys). A published (served) run is the same protocol at
-// k0 = nb. A single-node run is the 1x1 grid, whose packed local matrix
-// is the row-major matrix.
+// k0 = nb. A single-node run is the 1x1 grid.
 //
-// Rank blob layout (native byte order), v2:
+// Rank blob layout (native byte order), v3, for t = tile_count tiles of
+// b x b elements:
 //
 //   [0, 40)    CheckpointHeader   magic, version, elem_size, n,
 //                                 next_block (= k0), block_size
-//   [40, 80)   CheckpointExtV2    variant, grid shape, grid coordinate,
+//   [40, 80)   CheckpointExt      variant, grid shape, grid coordinate,
 //                                 pred_elem_size, sched_op_index,
 //                                 tile_count
-//   tile_count x CheckpointTileRef  global (block_row, block_col) of each
-//                                 local tile, row-major local order
-//   value rows                    the packed local matrix, row-major:
-//                                 (local_block_rows * b) rows of
-//                                 (local_block_cols * b) elements
-//   pred rows                     present iff pred_elem_size != 0: the
-//                                 local predecessor matrix, same shape
+//   [80, 80 + 24 t)               t x CheckpointTileRef: global
+//                                 (block_row, block_col) of each local
+//                                 tile in row-major local order, with the
+//                                 CRC32C of its value and pred tile
+//   8 bytes    header_crc32c      CRC32C of every byte before it (header,
+//                                 ext, tile table), zero-extended to 64
+//                                 bits so the payload stays 8-byte aligned
+//   value tiles                   t tiles in tile-table order, each one
+//                                 b x b row-major block stored contiguously
+//   pred tiles                    present iff pred_elem_size != 0: the
+//                                 predecessor tiles, same order and shape
+//
+// Tiles are the unit of both I/O and integrity: a served fetch is one
+// ranged read of one tile, checked against the CRC the manifest read from
+// the tile table; a resume checks the header CRC and every tile CRC
+// before it writes anything back. A mismatch is a check_error naming the
+// key and, for payload bytes, the tile.
 //
 // Restart (driver.hpp supervision loop): every rank reads the committed
 // k0's blob back into a freshly laid-out BlockCyclicMatrix and re-enters
@@ -41,6 +51,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -50,13 +61,14 @@
 #include "dist/block_cyclic.hpp"
 #include "mpisim/communicator.hpp"
 #include "sched/variant.hpp"
+#include "util/crc32c.hpp"
 #include "util/timer.hpp"
 
 namespace parfw::dist {
 
 struct CheckpointHeader {
   static constexpr std::uint64_t kMagic = 0x50464b43'50415246ull;  // "PARFWCKP"
-  static constexpr std::uint32_t kVersion = 2;
+  static constexpr std::uint32_t kVersion = 3;
   std::uint64_t magic = kMagic;
   std::uint32_t version = kVersion;
   std::uint32_t elem_size = 0;
@@ -65,69 +77,84 @@ struct CheckpointHeader {
   std::uint64_t block_size = 0;
 };
 
-/// v2 extension, immediately after the header.
-struct CheckpointExtV2 {
+/// Extension, immediately after the header.
+struct CheckpointExt {
   std::uint32_t variant = 0;     ///< sched::Variant of the producing run
   std::uint32_t grid_rows = 1;   ///< process grid shape
   std::uint32_t grid_cols = 1;
   std::int32_t coord_row = 0;    ///< producing rank's grid coordinate
   std::int32_t coord_col = 0;
-  /// sizeof one predecessor id when the blob carries a pred payload after
-  /// the value payload (paths runs); 0 = values only. Occupies the v2
-  /// format's former reserved word, which every existing producer wrote
-  /// as 0 — old blobs load as "no predecessors" with no format bump.
+  /// sizeof one predecessor id when the blob carries pred tiles after the
+  /// value tiles (paths runs); 0 = values only.
   std::uint32_t pred_elem_size = 0;
   std::uint64_t sched_op_index = 0;  ///< schedule position within the run
-  std::uint64_t tile_count = 0;      ///< tile manifest entries
+  std::uint64_t tile_count = 0;      ///< tile table entries
 };
-static_assert(sizeof(CheckpointHeader) == 40 && sizeof(CheckpointExtV2) == 40,
-              "checkpoint blob layout is part of the on-disk format");
 
-/// One manifest entry: the global block coordinate of a local tile, in
-/// the row-major order the tiles appear in the payload.
+/// One tile-table entry: the global block coordinate of a local tile, in
+/// the order the tiles appear in the payload, and the CRC32C of its
+/// value and pred tile (pred_crc32c is 0 in a values-only blob).
 struct CheckpointTileRef {
   std::uint64_t block_row = 0;
   std::uint64_t block_col = 0;
+  std::uint32_t value_crc32c = 0;
+  std::uint32_t pred_crc32c = 0;
 };
+static_assert(sizeof(CheckpointHeader) == 40 && sizeof(CheckpointExt) == 40 &&
+                  sizeof(CheckpointTileRef) == 24,
+              "checkpoint blob layout is part of the on-disk format");
 
 inline constexpr std::size_t kRankBlobHeaderBytes =
-    sizeof(CheckpointHeader) + sizeof(CheckpointExtV2);
+    sizeof(CheckpointHeader) + sizeof(CheckpointExt);
+/// The header checksum word after the tile table.
+inline constexpr std::size_t kHeaderCrcBytes = sizeof(std::uint64_t);
+
+/// Where one tile sits in its rank blob and the CRC32C its bytes carry.
+struct TileSlice {
+  ByteRange range;
+  std::uint32_t crc32c = 0;
+};
 
 /// A validated rank-blob header and the byte layout it implies.
 struct RankBlobLayout {
   CheckpointHeader header;
-  CheckpointExtV2 ext;
+  CheckpointExt ext;
   std::uint64_t local_block_rows = 0, local_block_cols = 0;
-  std::uint64_t payload_offset = 0;       ///< first value row
-  std::uint64_t pred_payload_offset = 0;  ///< first pred row (= end of values)
+  std::uint64_t header_crc_offset = 0;    ///< the header checksum word
+  std::uint64_t payload_offset = 0;       ///< first value tile
+  std::uint64_t pred_payload_offset = 0;  ///< first pred tile (= end of values)
   std::uint64_t blob_bytes = 0;           ///< total size the header implies
+  /// The tile table; empty until decode_rank_blob_table has checked it.
+  std::vector<CheckpointTileRef> tiles;
 
-  /// The b byte ranges (one per tile row) of global tile (I, J) — which
-  /// this rank must own — in its value or pred payload, into `out`
-  /// (cleared first).
-  void tile_ranges(std::uint64_t block_row, std::uint64_t block_col,
-                   bool pred, std::vector<ByteRange>& out) const {
+  std::uint64_t tile_bytes(bool pred) const {
+    const std::uint64_t b = header.block_size;
+    return b * b * (pred ? ext.pred_elem_size : header.elem_size);
+  }
+  /// Tile t (in table order) of the value or pred payload.
+  TileSlice tile_slice(std::uint64_t t, bool pred) const {
+    PARFW_DCHECK(t < tiles.size());
+    const std::uint64_t tb = tile_bytes(pred);
+    return TileSlice{
+        ByteRange{(pred ? pred_payload_offset : payload_offset) + t * tb, tb},
+        pred ? tiles[t].pred_crc32c : tiles[t].value_crc32c};
+  }
+  /// Global tile (I, J) — which this rank must own.
+  TileSlice tile_range(std::uint64_t block_row, std::uint64_t block_col,
+                       bool pred) const {
     PARFW_DCHECK(block_row % ext.grid_rows ==
                      static_cast<std::uint64_t>(ext.coord_row) &&
                  block_col % ext.grid_cols ==
                      static_cast<std::uint64_t>(ext.coord_col));
-    const std::uint64_t b = header.block_size;
-    const std::uint64_t il = block_row / ext.grid_rows;
-    const std::uint64_t jl = block_col / ext.grid_cols;
-    const std::uint64_t row_elems = local_block_cols * b;
-    const std::uint64_t es = pred ? ext.pred_elem_size : header.elem_size;
-    const std::uint64_t base = pred ? pred_payload_offset : payload_offset;
-    out.clear();
-    out.reserve(static_cast<std::size_t>(b));
-    for (std::uint64_t r = 0; r < b; ++r)
-      out.push_back(ByteRange{base + ((il * b + r) * row_elems + jl * b) * es,
-                              b * es});
+    return tile_slice((block_row / ext.grid_rows) * local_block_cols +
+                          block_col / ext.grid_cols,
+                      pred);
   }
 };
 
 /// Decode and validate the first kRankBlobHeaderBytes of the rank blob
 /// stored under `key`. Blobs are outside input: every field is checked
-/// (magic, version, element widths, geometry, grid coordinate, manifest
+/// (magic, version, element widths, geometry, grid coordinate, table
 /// length) and every implied size is computed without wrapping before
 /// anything is sized from it. Throws check_error naming `key`.
 inline RankBlobLayout decode_rank_blob_header(
@@ -140,7 +167,7 @@ inline RankBlobLayout decode_rank_blob_header(
   std::memcpy(&l.header, bytes.data(), sizeof(l.header));
   std::memcpy(&l.ext, bytes.data() + sizeof(l.header), sizeof(l.ext));
   const CheckpointHeader& h = l.header;
-  const CheckpointExtV2& e = l.ext;
+  const CheckpointExt& e = l.ext;
   PARFW_CHECK_MSG(h.magic == CheckpointHeader::kMagic,
                   "'" << key << "' is not a parallelfw checkpoint");
   PARFW_CHECK_MSG(h.version == CheckpointHeader::kVersion,
@@ -187,17 +214,96 @@ inline RankBlobLayout decode_rank_blob_header(
   };
   const std::uint64_t tiles = mul(l.local_block_rows, l.local_block_cols);
   PARFW_CHECK_MSG(e.tile_count == tiles,
-                  "checkpoint '" << key << "' tile manifest length "
+                  "checkpoint '" << key << "' tile table length "
                                  << e.tile_count << " != " << tiles
                                  << " tiles its coordinate owns");
-  const std::uint64_t elems = mul(l.local_block_rows * h.block_size,
-                                  l.local_block_cols * h.block_size);
-  l.payload_offset =
+  const std::uint64_t elems = mul(tiles, mul(h.block_size, h.block_size));
+  l.header_crc_offset =
       add(kRankBlobHeaderBytes, mul(tiles, sizeof(CheckpointTileRef)));
+  l.payload_offset = add(l.header_crc_offset, kHeaderCrcBytes);
   l.pred_payload_offset = add(l.payload_offset, mul(elems, h.elem_size));
   l.blob_bytes = add(l.pred_payload_offset, mul(elems, e.pred_elem_size));
   return l;
 }
+
+/// Check the header checksum over `bytes` (at least the blob's first
+/// l.payload_offset bytes: header, ext, tile table and checksum word) and
+/// fill l.tiles from the tile table, whose coordinates must be the ones
+/// the stated grid coordinate owns. Throws check_error naming `key`.
+inline void decode_rank_blob_table(RankBlobLayout& l,
+                                   std::span<const std::uint8_t> bytes,
+                                   const std::string& key) {
+  PARFW_CHECK_MSG(bytes.size() >= l.payload_offset,
+                  "checkpoint '" << key << "' is truncated: " << bytes.size()
+                                 << " bytes, its header and tile table need "
+                                 << l.payload_offset);
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + l.header_crc_offset, sizeof(stored));
+  const std::uint32_t crc = crc32c(bytes.first(l.header_crc_offset));
+  PARFW_CHECK_MSG(stored == crc, "checkpoint '"
+                                     << key
+                                     << "' header fails its CRC32C check "
+                                        "(stored 0x"
+                                     << std::hex << stored << ", computed 0x"
+                                     << crc << ")");
+  l.tiles.resize(l.ext.tile_count);
+  // copy_n, not memcpy: a rank owning no tiles has an empty table.
+  std::copy_n(bytes.data() + kRankBlobHeaderBytes,
+              l.tiles.size() * sizeof(CheckpointTileRef),
+              reinterpret_cast<std::uint8_t*>(l.tiles.data()));
+  for (std::uint64_t t = 0; t < l.tiles.size(); ++t) {
+    const CheckpointTileRef& ref = l.tiles[t];
+    const std::uint64_t il = t / l.local_block_cols;
+    const std::uint64_t jl = t % l.local_block_cols;
+    PARFW_CHECK_MSG(
+        ref.block_row == il * l.ext.grid_rows + l.ext.coord_row &&
+            ref.block_col == jl * l.ext.grid_cols + l.ext.coord_col,
+        "checkpoint '" << key << "' tile table entry " << t << " names tile ("
+                       << ref.block_row << "," << ref.block_col
+                       << "), not one its coordinate owns at (" << il << ","
+                       << jl << ")");
+  }
+}
+
+/// Throw check_error unless `bytes`, the value or pred tile (I, J) of the
+/// blob under `key`, has the CRC32C its tile table recorded.
+inline void verify_tile(std::span<const std::uint8_t> bytes,
+                        std::uint32_t want, const std::string& key,
+                        std::uint64_t block_row, std::uint64_t block_col,
+                        bool pred) {
+  const std::uint32_t got = crc32c(bytes);
+  PARFW_CHECK_MSG(got == want, "checkpoint '"
+                                   << key << "' " << (pred ? "pred" : "value")
+                                   << " tile (" << block_row << ","
+                                   << block_col
+                                   << ") fails its CRC32C check (stored 0x"
+                                   << std::hex << want << ", computed 0x"
+                                   << got << ")");
+}
+
+namespace detail {
+
+/// Copy local tile (il, jl) of `local` into `dst` as one contiguous b x b
+/// row-major block and return its CRC32C, taken while it is in cache.
+template <typename E>
+std::uint32_t gather_tile(const Matrix<E>& local, std::size_t il,
+                          std::size_t jl, std::size_t b, std::uint8_t* dst) {
+  const MatrixView<const E> tile = local.sub(il * b, jl * b, b, b);
+  for (std::size_t r = 0; r < b; ++r)
+    std::memcpy(dst + r * b * sizeof(E), &tile(r, 0), b * sizeof(E));
+  return crc32c(std::span<const std::uint8_t>(dst, b * b * sizeof(E)));
+}
+
+/// The inverse of gather_tile.
+template <typename E>
+void scatter_tile(const std::uint8_t* src, std::size_t il, std::size_t jl,
+                  std::size_t b, Matrix<E>& local) {
+  const MatrixView<E> tile = local.sub(il * b, jl * b, b, b);
+  for (std::size_t r = 0; r < b; ++r)
+    std::memcpy(&tile(r, 0), src + r * b * sizeof(E), b * sizeof(E));
+}
+
+}  // namespace detail
 
 /// Where in the generated schedule a checkpoint cut sits.
 struct SchedulePosition {
@@ -267,7 +373,7 @@ inline std::optional<CommitRecord> read_commit(const CheckpointStore& store) {
 
 /// Snapshot this rank's local tiles + schedule position. Returns the blob
 /// size in bytes (for TrafficStats::checkpoint_bytes). When `pred` is set
-/// (a paths run) its local tiles follow the value payload row-for-row and
+/// (a paths run) its tiles follow the value tiles in the same order and
 /// ext.pred_elem_size records their element width.
 template <typename T>
 std::size_t save_rank_checkpoint(
@@ -275,14 +381,15 @@ std::size_t save_rank_checkpoint(
     const SchedulePosition& pos,
     const BlockCyclicMatrix<std::int64_t>* pred = nullptr) {
   const std::size_t nlr = a.local_block_rows(), nlc = a.local_block_cols();
+  const std::size_t b = a.block_size();
 
   CheckpointHeader h;
   h.elem_size = sizeof(T);
   h.n = a.n();
   h.next_block = pos.k0;
-  h.block_size = a.block_size();
+  h.block_size = b;
 
-  CheckpointExtV2 ext;
+  CheckpointExt ext;
   ext.variant = static_cast<std::uint32_t>(pos.variant);
   ext.grid_rows = static_cast<std::uint32_t>(a.grid().rows());
   ext.grid_cols = static_cast<std::uint32_t>(a.grid().cols());
@@ -292,46 +399,58 @@ std::size_t save_rank_checkpoint(
       pred != nullptr ? static_cast<std::uint32_t>(sizeof(std::int64_t)) : 0;
   ext.sched_op_index = pos.sched_op_index;
   ext.tile_count = nlr * nlc;
-
-  const Matrix<T>& local = a.local();
-  std::size_t bytes = kRankBlobHeaderBytes +
-                      ext.tile_count * sizeof(CheckpointTileRef) +
-                      local.size() * sizeof(T);
-  if (pred != nullptr) {
+  if (pred != nullptr)
     PARFW_CHECK_MSG(pred->block_size() == a.block_size() && pred->n() == a.n(),
                     "pred layout does not match the value matrix");
-    bytes += pred->local().size() * sizeof(std::int64_t);
-  }
-  std::vector<std::uint8_t> blob;
-  blob.reserve(bytes);
-  auto append = [&blob](const void* p, std::size_t len) {
-    const auto* c = static_cast<const std::uint8_t*>(p);
-    blob.insert(blob.end(), c, c + len);
-  };
-  append(&h, sizeof(h));
-  append(&ext, sizeof(ext));
+
+  const std::size_t tiles = nlr * nlc;
+  const std::size_t value_tile = b * b * sizeof(T);
+  const std::size_t pred_tile = b * b * ext.pred_elem_size;
+  const std::size_t crc_at =
+      kRankBlobHeaderBytes + tiles * sizeof(CheckpointTileRef);
+  const std::size_t values_at = crc_at + kHeaderCrcBytes;
+  const std::size_t preds_at = values_at + tiles * value_tile;
+  const std::size_t bytes = preds_at + tiles * pred_tile;
+  const auto blob = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
+
+  std::vector<CheckpointTileRef> refs(tiles);
   for (std::size_t il = 0; il < nlr; ++il)
     for (std::size_t jl = 0; jl < nlc; ++jl) {
-      const CheckpointTileRef ref{a.global_row(il), a.global_col(jl)};
-      append(&ref, sizeof(ref));
+      const std::size_t t = il * nlc + jl;
+      CheckpointTileRef& ref = refs[t];
+      ref.block_row = a.global_row(il);
+      ref.block_col = a.global_col(jl);
+      ref.value_crc32c = detail::gather_tile(
+          a.local(), il, jl, b, blob.get() + values_at + t * value_tile);
+      if (pred != nullptr)
+        ref.pred_crc32c = detail::gather_tile(
+            pred->local(), il, jl, b, blob.get() + preds_at + t * pred_tile);
     }
-  append(local.data(), local.size() * sizeof(T));
-  if (pred != nullptr)
-    append(pred->local().data(), pred->local().size() * sizeof(std::int64_t));
+  std::memcpy(blob.get(), &h, sizeof(h));
+  std::memcpy(blob.get() + sizeof(h), &ext, sizeof(ext));
+  // copy_n, not memcpy: a rank owning no tiles has an empty table.
+  std::copy_n(reinterpret_cast<const std::uint8_t*>(refs.data()),
+              tiles * sizeof(CheckpointTileRef),
+              blob.get() + kRankBlobHeaderBytes);
+  const std::uint64_t header_crc =
+      crc32c(std::span<const std::uint8_t>(blob.get(), crc_at));
+  std::memcpy(blob.get() + crc_at, &header_crc, sizeof(header_crc));
 
   const int w = a.grid().world_rank(a.coord());
-  store.put(rank_checkpoint_key(pos.k0, w), blob);
-  return blob.size();
+  store.put(rank_checkpoint_key(pos.k0, w),
+            std::span<const std::uint8_t>(blob.get(), bytes));
+  return bytes;
 }
 
 /// Restore this rank's tiles from the blob committed for iteration k0.
 /// `a` must already have the run's layout (n, b, grid, coord); the blob's
-/// cut, geometry and tile manifest are validated against it. Pass `pred`
-/// to restore a paths run: the blob must then carry the pred payload
-/// (ext.pred_elem_size = 8) — a resumed paths run cannot reconstruct
-/// predecessors from distances, so a value-only blob is an error. The
-/// reverse (blob has preds, caller wants values only) is allowed; the
-/// pred payload trails the value rows and is simply not read.
+/// cut, geometry and tile table are validated against it, and the header
+/// CRC and every tile CRC are checked before any tile is written back.
+/// Pass `pred` to restore a paths run: the blob must then carry pred
+/// tiles (ext.pred_elem_size = 8) — a resumed paths run cannot
+/// reconstruct predecessors from distances, so a value-only blob is an
+/// error. The reverse (blob has preds, caller wants values only) is
+/// allowed; the pred tiles are checked but not restored.
 template <typename T>
 SchedulePosition load_rank_checkpoint(
     const CheckpointStore& store, std::uint64_t k0, BlockCyclicMatrix<T>& a,
@@ -340,43 +459,31 @@ SchedulePosition load_rank_checkpoint(
   const std::string key = rank_checkpoint_key(k0, w);
   auto blob = store.get(key);
   PARFW_CHECK_MSG(blob.has_value(), "no rank checkpoint under '" << key << "'");
-  const RankBlobLayout l = decode_rank_blob_header(*blob, key);
+  RankBlobLayout l = decode_rank_blob_header(*blob, key);
+  PARFW_CHECK_MSG(blob->size() == l.blob_bytes,
+                  "checkpoint '" << key << "' is " << blob->size()
+                                 << " bytes; its header implies "
+                                 << l.blob_bytes);
+  decode_rank_blob_table(l, *blob, key);
   const CheckpointHeader& h = l.header;
-  const CheckpointExtV2& ext = l.ext;
+  const CheckpointExt& ext = l.ext;
   PARFW_CHECK_MSG(h.elem_size == sizeof(T),
-                  "checkpoint element size " << h.elem_size << " != requested "
-                                             << sizeof(T));
+                  "checkpoint '" << key << "' element size " << h.elem_size
+                                 << " != requested " << sizeof(T));
   PARFW_CHECK_MSG(h.next_block == k0,
                   "checkpoint '" << key << "' holds the cut at k0="
                                  << h.next_block << ", not k0=" << k0);
   PARFW_CHECK_MSG(h.n == a.n() && h.block_size == a.block_size(),
-                  "checkpoint geometry mismatch (n=" << h.n << " b="
-                                                     << h.block_size << ")");
+                  "checkpoint '" << key << "' geometry mismatch (n=" << h.n
+                                 << " b=" << h.block_size << ")");
   PARFW_CHECK_MSG(ext.grid_rows == static_cast<std::uint32_t>(a.grid().rows()) &&
                       ext.grid_cols ==
                           static_cast<std::uint32_t>(a.grid().cols()) &&
                       ext.coord_row == a.coord().row &&
                       ext.coord_col == a.coord().col,
-                  "checkpoint grid/coordinate mismatch for rank " << w);
-  PARFW_CHECK_MSG(blob->size() == l.blob_bytes,
-                  "checkpoint '" << key << "' is " << blob->size()
-                                 << " bytes; its header implies "
-                                 << l.blob_bytes);
-
-  const std::uint8_t* p = blob->data() + kRankBlobHeaderBytes;
-  for (std::size_t il = 0; il < a.local_block_rows(); ++il)
-    for (std::size_t jl = 0; jl < a.local_block_cols(); ++jl) {
-      CheckpointTileRef ref;
-      std::memcpy(&ref, p, sizeof(ref));
-      p += sizeof(ref);
-      PARFW_CHECK_MSG(ref.block_row == a.global_row(il) &&
-                          ref.block_col == a.global_col(jl),
-                      "tile manifest entry mismatch at (" << il << "," << jl
-                                                          << ")");
-    }
-  // copy_n, not memcpy: a rank owning no tiles has a null local().data().
-  std::copy_n(blob->data() + l.payload_offset, a.local().size() * sizeof(T),
-              reinterpret_cast<std::uint8_t*>(a.local().data()));
+                  "checkpoint '" << key
+                                 << "' grid/coordinate mismatch for rank "
+                                 << w);
   if (pred != nullptr) {
     PARFW_CHECK_MSG(ext.pred_elem_size == sizeof(std::int64_t),
                     "checkpoint '" << key << "' carries no pred payload "
@@ -385,9 +492,22 @@ SchedulePosition load_rank_checkpoint(
     PARFW_CHECK_MSG(pred->block_size() == a.block_size() &&
                         pred->n() == a.n(),
                     "pred layout does not match the value matrix");
-    std::copy_n(blob->data() + l.pred_payload_offset,
-                pred->local().size() * sizeof(std::int64_t),
-                reinterpret_cast<std::uint8_t*>(pred->local().data()));
+  }
+
+  const auto at = [&](std::size_t t, bool is_pred) {
+    return blob->data() + l.tile_slice(t, is_pred).range.offset;
+  };
+  for (std::size_t t = 0; t < l.tiles.size(); ++t)
+    for (const bool is_pred : {false, true})
+      if (!is_pred || ext.pred_elem_size != 0)
+        verify_tile({at(t, is_pred), l.tile_bytes(is_pred)},
+                    l.tile_slice(t, is_pred).crc32c, key, l.tiles[t].block_row,
+                    l.tiles[t].block_col, is_pred);
+  const std::size_t b = a.block_size(), nlc = a.local_block_cols();
+  for (std::size_t t = 0; t < l.tiles.size(); ++t) {
+    detail::scatter_tile(at(t, false), t / nlc, t % nlc, b, a.local());
+    if (pred != nullptr)
+      detail::scatter_tile(at(t, true), t / nlc, t % nlc, b, pred->local());
   }
 
   SchedulePosition pos;

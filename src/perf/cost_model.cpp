@@ -15,20 +15,6 @@ double model_compute_time(const MachineConfig& m, double n, int ranks) {
   return fw_flops(n) / (static_cast<double>(ranks) * rank_rate);
 }
 
-double model_fw_time(const MachineConfig& m, double n, double b,
-                     const GridShape& g) {
-  // t_w is the effective cost per word leaving a rank. With Q ranks per
-  // node sharing one NIC, the per-rank share is nic_bw * (rank's NIC
-  // fraction); equivalently the volume term scales by Q_r/P_r + Q_c/P_c
-  // (§3.4.1). We model the bandwidth term at node granularity directly.
-  const double t_comp = model_compute_time(m, n, g.ranks());
-  const double t_lat =
-      2.0 * (n / b) * m.wire_latency * std::ceil(std::log2(std::max(2, g.pr)));
-  const double volume = model_node_volume(m, n, g);  // bytes per node
-  const double t_bw = volume / m.nic_bw;
-  return t_comp + t_lat + t_bw;
-}
-
 double model_node_volume(const MachineConfig& m, double n, const GridShape& g) {
   const double kr = std::max(1, g.kr());
   const double kc = std::max(1, g.kc());

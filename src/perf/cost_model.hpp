@@ -1,6 +1,6 @@
 // Closed-form performance models from the paper.
 //
-//   Eq. (1)  T_fw = 2n³/P·t_f + 2(n/b)·t_l + t_w(n²/P_r + n²/P_c)
+//   Eq. (1)  compute term 2n³/P·t_f, the perfect-overlap floor
 //   §3.4.1   per-node volume lower bound  t_w·n²(Q_r/P_r + Q_c/P_c)
 //   §4.5     ooGSrGemm phase costs t0/t1/t2 and the s-stream combinations
 //   Eq. (5)  minimum block size for offload to be compute-bound
@@ -31,11 +31,6 @@ struct GridShape {
 
 /// Total FW flops under the paper's 2n³ convention.
 double fw_flops(double n);
-
-/// Eq. (1): bulk-synchronous ParallelFw time (no overlap), with t_w taken
-/// from the NIC model for the given shape.
-double model_fw_time(const MachineConfig& m, double n, double b,
-                     const GridShape& g);
 
 /// Pure compute time 2n³/(P·srgemm_flops/ranks_per_gpu) — the
 /// perfect-overlap floor, each rank getting its share of a GPU.

@@ -154,7 +154,7 @@ struct Gen {
         op.kind = OpKind::kCheckpoint;
         op.k = static_cast<std::uint32_t>(k);
         // Snapshot footprint: the value tiles plus, in paths mode, the
-        // predecessor tiles (checkpoint-v2 persists both).
+        // predecessor tiles (checkpoint-v3 persists both).
         op.bytes = static_cast<std::int64_t>(owned(r, pr) * b * owned(c, pc) *
                                              b * (word + predw));
         s.steps.push_back({grid.world_rank({r, c}), op});

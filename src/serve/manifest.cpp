@@ -34,16 +34,25 @@ ServeManifest ServeManifest::open(const CheckpointStore& store) {
   // promises until every blob they name has been found, so ranks_ grows
   // one found blob at a time and rank_of_coord_ is sized after the loop.
   std::uint8_t header_bytes[dist::kRankBlobHeaderBytes];
-  const ByteRange header_range{0, sizeof(header_bytes)};
+  std::vector<std::uint8_t> table;
   for (std::uint32_t w = 0; w < m.world_size_; ++w) {
     RankBlob rb;
     rb.key = dist::rank_checkpoint_key(commit->k0, static_cast<int>(w));
-    const bool present = store.get_ranges(
-        rb.key, std::span<const ByteRange>(&header_range, 1), header_bytes);
-    PARFW_CHECK_MSG(present, "manifest names rank " << w
-                                                    << " but blob '" << rb.key
-                                                    << "' is missing");
+    const auto read = [&](ByteRange r, std::uint8_t* out) {
+      PARFW_CHECK_MSG(
+          store.get_ranges(rb.key, std::span<const ByteRange>(&r, 1), out),
+          "manifest names rank " << w << " but blob '" << rb.key
+                                 << "' is missing");
+    };
+    read({0, sizeof(header_bytes)}, header_bytes);
     rb.layout = dist::decode_rank_blob_header(header_bytes, rb.key);
+    // Read the last byte the header implies before sizing anything from
+    // it: a short blob fails here (get_ranges throws), not at a fetch.
+    std::uint8_t last = 0;
+    read({rb.layout.blob_bytes - 1, 1}, &last);
+    table.resize(rb.layout.payload_offset);
+    read({0, rb.layout.payload_offset}, table.data());
+    dist::decode_rank_blob_table(rb.layout, table, rb.key);
     const auto& h = rb.layout.header;
     const auto& ext = rb.layout.ext;
     PARFW_CHECK_MSG(h.n == m.n_ && h.block_size == m.block_size_ &&
@@ -103,22 +112,16 @@ const RankBlob& ServeManifest::rank(int world_rank) const {
   return ranks_[static_cast<std::size_t>(world_rank)];
 }
 
-std::uint64_t ServeManifest::tile_bytes(TileKind kind) const {
-  const std::uint64_t es =
-      kind == TileKind::kValue ? elem_size_ : pred_elem_size_;
-  return block_size_ * block_size_ * es;
-}
-
-void ServeManifest::tile_ranges(std::uint64_t block_row,
-                                std::uint64_t block_col, TileKind kind,
-                                std::vector<ByteRange>& out) const {
+dist::TileSlice ServeManifest::tile_range(std::uint64_t block_row,
+                                          std::uint64_t block_col,
+                                          TileKind kind) const {
   PARFW_CHECK_MSG(block_row < nb_ && block_col < nb_,
                   "tile (" << block_row << "," << block_col
                            << ") outside the " << nb_ << "^2 block grid");
   PARFW_CHECK_MSG(kind == TileKind::kValue || has_pred(),
                   "pred tile requested from a values-only manifest");
-  ranks_[static_cast<std::size_t>(owner_of(block_row, block_col))]
-      .layout.tile_ranges(block_row, block_col, kind == TileKind::kPred, out);
+  return ranks_[static_cast<std::size_t>(owner_of(block_row, block_col))]
+      .layout.tile_range(block_row, block_col, kind == TileKind::kPred);
 }
 
 }  // namespace parfw::serve

@@ -1,11 +1,11 @@
-// ServeManifest — the read-side view of a published checkpoint-v2 run.
+// ServeManifest — the read-side view of a published checkpoint-v3 run.
 //
-// A completed solve publishes one checkpoint-v2 blob per rank (its packed
-// block-cyclic local matrix, plus the optional pred payload) and a commit
-// record with k0 == nb, i.e. "every pivot iteration done" (driver.hpp's
-// publish step, or serve::publish_result for in-memory results). Opening
-// a manifest reads ONLY the commit record and each rank blob's 80-byte
-// header — never a payload — and derives:
+// A completed solve publishes one checkpoint-v3 blob per rank (its local
+// tiles, plus the optional pred tiles) and a commit record with k0 == nb,
+// i.e. "every pivot iteration done" (driver.hpp's publish step, or
+// serve::publish_result for in-memory results). Opening a manifest reads
+// ONLY the commit record and each rank blob's header and tile table —
+// never a tile — checks each header CRC, and derives:
 //
 //   * the geometry (n, b, grid shape, element widths), cross-validated
 //     across ranks;
@@ -14,8 +14,9 @@
 //     (row-major or tiled) that the producing GridSpec used round-trips
 //     without the manifest knowing placement existed;
 //   * which rank blob holds tile (I, J); that blob's decoded layout
-//     (dist/checkpoint.hpp) gives the byte ranges of the tile's rows,
-//     which PathService hands to CheckpointStore::get_ranges.
+//     (dist/checkpoint.hpp) gives the tile's one byte range and its
+//     CRC32C, which PathService reads with CheckpointStore::get_ranges
+//     and checks before the tile is used.
 //
 // A store holding only mid-run cuts (k0 < nb — the normal state after a
 // crash-resume run that never published) is rejected with a hard error:
@@ -32,7 +33,8 @@
 
 namespace parfw::serve {
 
-/// One rank's published blob: its store key and decoded layout.
+/// One rank's published blob: its store key and decoded layout, tile
+/// table included.
 struct RankBlob {
   std::string key;
   dist::RankBlobLayout layout;
@@ -41,8 +43,9 @@ struct RankBlob {
 class ServeManifest {
  public:
   /// Open + validate the published manifest in `store`. Throws check_error
-  /// on: no commit record, a mid-run (k0 < nb) commit, missing rank blobs,
-  /// or cross-rank geometry disagreement.
+  /// on: no commit record, a mid-run (k0 < nb) commit, missing or short
+  /// rank blobs, a header or tile table that fails its CRC, or cross-rank
+  /// geometry disagreement.
   static ServeManifest open(const CheckpointStore& store);
 
   std::uint64_t n() const { return n_; }
@@ -60,12 +63,9 @@ class ServeManifest {
   int owner_of(std::uint64_t block_row, std::uint64_t block_col) const;
   const RankBlob& rank(int world_rank) const;
 
-  std::uint64_t tile_bytes(TileKind kind) const;
-
-  /// The b byte ranges (one per tile row) of tile (I, J) inside its
-  /// owner's blob, appended to `out` (cleared first).
-  void tile_ranges(std::uint64_t block_row, std::uint64_t block_col,
-                   TileKind kind, std::vector<ByteRange>& out) const;
+  /// Where tile (I, J) sits inside its owner's blob, and its CRC32C.
+  dist::TileSlice tile_range(std::uint64_t block_row, std::uint64_t block_col,
+                             TileKind kind) const;
 
  private:
   std::uint64_t n_ = 0, block_size_ = 0, nb_ = 0;

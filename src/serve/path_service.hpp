@@ -4,10 +4,13 @@
 // The service opens a ServeManifest over a CheckpointStore and answers
 // QueryBatch requests (core/query.hpp): each distance read fetches one
 // b x b value tile, each predecessor-walk step one pred tile, all through
-// a byte-budgeted TileCache. A cross-tile path walk is the interesting
-// case: pred(src, cur) hops along block row src/b, touching a different
-// pred tile every time cur crosses a block-column boundary — exactly the
-// access pattern the cache's admission policy is shaped for.
+// a byte-budgeted TileCache. A miss is one ranged store read of one
+// contiguous tile, checked against the CRC32C from the blob's tile table;
+// a mismatch is a hard error, never an answer. A cross-tile path walk is
+// the interesting case: pred(src, cur) hops along block row src/b,
+// touching a different pred tile every time cur crosses a block-column
+// boundary — exactly the access pattern the cache's admission policy is
+// shaped for.
 //
 // Semantics are pinned to the in-memory oracle: for every (src, dst),
 // status, distance and path are bit-identical to what
@@ -176,22 +179,25 @@ class PathService {
                       static_cast<std::uint32_t>(J)};
     StageScope cache_scope(tracer_, Stage::kCache);
     if (const auto* hit = cache_.find(key)) return *hit;
-    manifest_.tile_ranges(I, J, kind, range_scratch_);
-    const int owner = manifest_.owner_of(I, J);
-    std::vector<std::uint8_t> buf(
-        static_cast<std::size_t>(manifest_.tile_bytes(kind)));
-    bool ok = false;
+    // One ranged read per miss: a checkpoint v3 tile is contiguous. Its
+    // CRC is checked inside the io stage, so a corrupt tile is a hard
+    // error before any entry of it is used, and the check's cost shows
+    // as io time.
+    const dist::TileSlice slice = manifest_.tile_range(I, J, kind);
+    const std::string& blob = manifest_.rank(manifest_.owner_of(I, J)).key;
+    std::vector<std::uint8_t> buf(static_cast<std::size_t>(slice.range.length));
     double io_seconds = 0.0;
     {
       StageScope io_scope(tracer_, Stage::kIo);
       const Timer io_timer;
-      ok = store_.get_ranges(manifest_.rank(owner).key,
-                             std::span<const ByteRange>(range_scratch_),
-                             buf.data());
+      PARFW_CHECK_MSG(
+          store_.get_ranges(blob, std::span<const ByteRange>(&slice.range, 1),
+                            buf.data()),
+          "rank blob '" << blob << "' vanished while serving");
+      dist::verify_tile(buf, slice.crc32c, blob, I, J,
+                        kind == TileKind::kPred);
       io_seconds = io_timer.seconds();
     }
-    PARFW_CHECK_MSG(ok, "rank blob '" << manifest_.rank(owner).key
-                                      << "' vanished while serving");
     tracer_.record_miss(key, io_seconds,
                         static_cast<std::uint64_t>(buf.size()));
     const auto* stored = cache_.insert(key, buf);
@@ -241,7 +247,6 @@ class PathService {
   ServeManifest manifest_;
   ServeOptions opt_;
   TileCache cache_;
-  std::vector<ByteRange> range_scratch_;
   std::vector<std::uint8_t> scratch_tile_;
   TileCacheStats published_;  ///< last stats synced into the registry
   QueryTracer tracer_;

@@ -7,7 +7,7 @@
 // k0 = nb, then rank 0 commits). This header covers the other direction:
 // take a full in-memory result — any ApspAlgorithm, or a gathered
 // distributed run — shard it over a chosen serving grid, and write the
-// same per-rank checkpoint-v2 blobs + commit record. Both paths produce
+// same per-rank checkpoint-v3 blobs + commit record. Both paths produce
 // stores that ServeManifest::open accepts interchangeably.
 #pragma once
 

@@ -1,5 +1,6 @@
 // Resilience subsystem tests (DESIGN.md "Resilience"): CheckpointStore
-// round-trips, checkpoint v2 format and hostile-header rejection, crash-restart
+// round-trips and range reads, the checkpoint v3 format, hostile-header and
+// whole-blob corruption rejection, crash-restart
 // bit-identity for every ParallelFw variant on both placements, retry
 // completion under seeded message drops, and the parfw::solve front door.
 #include <gtest/gtest.h>
@@ -7,8 +8,10 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint_store.hpp"
@@ -18,6 +21,9 @@
 #include "dist/solve.hpp"
 #include "graph/generators.hpp"
 #include "sched/trace.hpp"
+#include "serve/path_service.hpp"
+#include "serve/publish.hpp"
+#include "util/crc32c.hpp"
 
 namespace parfw {
 namespace {
@@ -82,7 +88,138 @@ TEST(CheckpointStore, FileStoreRejectsPathTraversalKeys) {
   std::filesystem::remove_all(dir);
 }
 
-// --- Checkpoint format: the v2 rank-blob codec -----------------------------
+/// A store that overrides only the four required calls, so get_ranges is
+/// the base class's whole-blob fallback.
+class WholeBlobStore final : public CheckpointStore {
+ public:
+  void put(const std::string& key,
+           std::span<const std::uint8_t> blob) override {
+    inner_.put(key, blob);
+  }
+  std::optional<std::vector<std::uint8_t>> get(
+      const std::string& key) const override {
+    return inner_.get(key);
+  }
+  void erase(const std::string& key) override { inner_.erase(key); }
+  std::vector<std::string> keys() const override { return inner_.keys(); }
+
+ private:
+  MemoryCheckpointStore inner_;
+};
+
+bool read_range(const CheckpointStore& store, const std::string& key,
+                ByteRange r, std::uint8_t* out) {
+  return store.get_ranges(key, std::span<const ByteRange>(&r, 1), out);
+}
+
+TEST(CheckpointStore, RangeChecksDoNotWrap) {
+  // offset + length wraps to 4 here, which an unguarded "end <= size"
+  // test accepts before copying from 2^64 - 3 bytes into the blob. Every
+  // get_ranges implementation must refuse it, and ranges that end exactly
+  // at the blob's end still read.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "parfw_resilience_range_wrap";
+  std::filesystem::remove_all(dir);
+  WholeBlobStore whole;
+  MemoryCheckpointStore memory;
+  FileCheckpointStore file(dir);
+  const std::vector<std::uint8_t> blob = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (CheckpointStore* store :
+       std::initializer_list<CheckpointStore*>{&whole, &memory, &file}) {
+    store->put("k", blob);
+    std::uint8_t out[8] = {};
+    const std::uint64_t near_max =
+        std::numeric_limits<std::uint64_t>::max() - 3;
+    EXPECT_THROW(read_range(*store, "k", {near_max, 8}, out), check_error);
+    EXPECT_THROW(read_range(*store, "k", {9, 0}, out), check_error);
+    EXPECT_THROW(read_range(*store, "k", {4, 5}, out), check_error);
+    ASSERT_TRUE(read_range(*store, "k", {5, 3}, out));
+    EXPECT_EQ(out[0], 6);
+    EXPECT_EQ(out[2], 8);
+    EXPECT_TRUE(read_range(*store, "k", {8, 0}, out));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointStore, FileStoreRangeReadsSeeReplacedAndErasedBlobs) {
+  // get_ranges reads through a cached descriptor; put and erase of the
+  // same key must drop it, so a reader never sees the replaced file.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "parfw_resilience_store_handles";
+  std::filesystem::remove_all(dir);
+  FileCheckpointStore store(dir);
+  std::uint8_t out[2] = {};
+  EXPECT_FALSE(read_range(store, "k", {0, 1}, out));
+  store.put("k", std::vector<std::uint8_t>{1, 2, 3, 4});
+  ASSERT_TRUE(read_range(store, "k", {1, 2}, out));
+  EXPECT_EQ(out[0], 2);
+  EXPECT_EQ(out[1], 3);
+  store.put("k", std::vector<std::uint8_t>{9, 8, 7, 6, 5});
+  ASSERT_TRUE(read_range(store, "k", {1, 2}, out));
+  EXPECT_EQ(out[0], 8);
+  EXPECT_EQ(out[1], 7);
+  ASSERT_TRUE(read_range(store, "k", {4, 1}, out));  // the new blob's size
+  EXPECT_EQ(out[0], 5);
+  store.erase("k");
+  EXPECT_FALSE(read_range(store, "k", {0, 1}, out));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointStore, FileStoreServesMoreBlobsThanItKeepsOpen) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "parfw_resilience_store_many";
+  std::filesystem::remove_all(dir);
+  FileCheckpointStore store(dir);
+  const std::size_t blobs = 3 * FileCheckpointStore::kMaxOpenBlobs + 1;
+  for (std::size_t i = 0; i < blobs; ++i)
+    store.put("blob-" + std::to_string(i),
+              std::vector<std::uint8_t>{static_cast<std::uint8_t>(i),
+                                        static_cast<std::uint8_t>(i + 1)});
+  for (int pass = 0; pass < 2; ++pass)
+    for (std::size_t i = 0; i < blobs; ++i) {
+      std::uint8_t out = 0;
+      ASSERT_TRUE(read_range(store, "blob-" + std::to_string(i), {1, 1}, &out));
+      EXPECT_EQ(out, static_cast<std::uint8_t>(i + 1)) << "blob " << i;
+    }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointStore, FileStoreConcurrentRangeReadsDuringPut) {
+  // Four readers share one key's cached descriptor while a writer replaces
+  // another key (which drops that key's descriptor under the same lock).
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "parfw_resilience_store_threads";
+  std::filesystem::remove_all(dir);
+  FileCheckpointStore store(dir);
+  std::vector<std::uint8_t> hot(4096);
+  for (std::size_t i = 0; i < hot.size(); ++i)
+    hot[i] = static_cast<std::uint8_t>(i * 7);
+  store.put("hot", hot);
+  std::vector<std::thread> readers;
+  std::vector<int> bad(4, 0);
+  for (int t = 0; t < 4; ++t)
+    readers.emplace_back([&store, &hot, &bad, t] {
+      std::uint8_t out[64];
+      for (int it = 0; it < 300; ++it) {
+        const auto off = static_cast<std::uint64_t>((it * 61 + t) % 4000);
+        if (!read_range(store, "hot", {off, sizeof(out)}, out) ||
+            std::memcmp(out, hot.data() + off, sizeof(out)) != 0)
+          ++bad[static_cast<std::size_t>(t)];
+      }
+    });
+  for (int it = 0; it < 100; ++it) {
+    store.put("cold",
+              std::vector<std::uint8_t>(64, static_cast<std::uint8_t>(it)));
+    std::uint8_t out = 0;
+    EXPECT_TRUE(read_range(store, "cold", {63, 1}, &out));
+    EXPECT_EQ(out, static_cast<std::uint8_t>(it));
+  }
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(bad, std::vector<int>(4, 0));
+  std::filesystem::remove_all(dir);
+}
+
+// --- Checkpoint format: the v3 rank-blob codec -----------------------------
 
 /// Rank (0,1) — world rank 1 — of a 2x2 grid over an 8x8 matrix in 2x2
 /// blocks (4 block rows: the rank owns 2x2 tiles), value M(i,j) = 100i + j
@@ -126,20 +263,49 @@ struct SampleRankBlob {
   }
 };
 
+/// The native bytes of `v`, appended to `out`.
+template <typename V>
+void append_bytes(std::vector<std::uint8_t>& out, V v) {
+  std::uint8_t raw[sizeof v];
+  std::memcpy(raw, &v, sizeof v);
+  out.insert(out.end(), raw, raw + sizeof v);
+}
+
+/// Re-seal a mutated sample blob: recompute the header CRC over the
+/// header, ext and the 4-entry tile table, so the reader's own field
+/// checks — not the checksum — must catch the mutation.
+void reseal_sample(std::vector<std::uint8_t>& blob) {
+  constexpr std::size_t crc_at = 80 + 4 * 24;
+  const std::uint64_t crc = crc32c({blob.data(), crc_at});
+  std::memcpy(blob.data() + crc_at, &crc, sizeof crc);
+}
+
 TEST(CheckpointFormat, RankBlobMatchesDocumentedLayout) {
   // Hand-assemble the blob from the layout in dist/checkpoint.hpp, field
   // by field in native byte order, without the codec's structs: the
   // writer must produce exactly these bytes.
   const SampleRankBlob s;
+  // Local tile (il, jl) is global block (2 il, 2 jl + 1); each tile is its
+  // 2x2 block, row-major and contiguous.
+  std::vector<std::vector<std::uint8_t>> value_tiles, pred_tiles;
+  for (std::uint64_t il = 0; il < 2; ++il)
+    for (std::uint64_t jl = 0; jl < 2; ++jl) {
+      const std::uint64_t bi = 2 * il, bj = 2 * jl + 1;
+      std::vector<std::uint8_t> v, p;
+      for (std::uint64_t r = 0; r < 2; ++r)
+        for (std::uint64_t c = 0; c < 2; ++c) {
+          const std::uint64_t i = 2 * bi + r, j = 2 * bj + c;
+          append_bytes(v, static_cast<float>(100 * i + j));
+          append_bytes(p, static_cast<std::int64_t>(1000 + 10 * i + j));
+        }
+      value_tiles.push_back(v);
+      pred_tiles.push_back(p);
+    }
   std::vector<std::uint8_t> want;
-  auto put = [&want](auto v) {
-    std::uint8_t raw[sizeof v];
-    std::memcpy(raw, &v, sizeof v);
-    want.insert(want.end(), raw, raw + sizeof v);
-  };
+  const auto put = [&want](auto v) { append_bytes(want, v); };
   // Header.
   put(std::uint64_t{0x50464b4350415246});  // "PARFWCKP"
-  put(std::uint32_t{2});                   // version
+  put(std::uint32_t{3});                   // version
   put(std::uint32_t{4});                   // elem_size: float
   put(std::uint64_t{8});                   // n
   put(std::uint64_t{3});                   // next_block = k0
@@ -153,25 +319,19 @@ TEST(CheckpointFormat, RankBlobMatchesDocumentedLayout) {
   put(std::uint32_t{8});    // pred_elem_size
   put(std::uint64_t{41});   // sched_op_index
   put(std::uint64_t{4});    // tile_count
-  // Tile manifest: local (il, jl) holds global block (2 il, 2 jl + 1).
-  for (std::uint64_t il = 0; il < 2; ++il)
-    for (std::uint64_t jl = 0; jl < 2; ++jl) {
-      put(2 * il);
-      put(2 * jl + 1);
-    }
-  // Value rows, then pred rows: local row r is global row
-  // (2 (r / b)) b + r % b, local column c is global column
-  // (2 (c / b) + 1) b + c % b.
-  auto global_row = [](std::size_t r) { return 2 * (r / 2) * 2 + r % 2; };
-  auto global_col = [](std::size_t c) { return (2 * (c / 2) + 1) * 2 + c % 2; };
-  for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 4; ++c)
-      put(static_cast<float>(100 * global_row(r) + global_col(c)));
-  for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 4; ++c)
-      put(static_cast<std::int64_t>(1000 + 10 * global_row(r) +
-                                    global_col(c)));
-  ASSERT_EQ(s.bytes.size(), 80u + 4 * 16 + 16 * 4 + 16 * 8);
+  // Tile table: coordinate, then the CRC32C of the value and pred tile.
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    put(2 * (t / 2));
+    put(2 * (t % 2) + 1);
+    put(crc32c(value_tiles[t]));
+    put(crc32c(pred_tiles[t]));
+  }
+  // Header CRC over everything so far, zero-extended to 64 bits.
+  put(static_cast<std::uint64_t>(crc32c(want)));
+  for (const auto* tiles : {&value_tiles, &pred_tiles})
+    for (const auto& tile : *tiles)
+      want.insert(want.end(), tile.begin(), tile.end());
+  ASSERT_EQ(s.bytes.size(), 80u + 4 * 24 + 8 + 16 * 4 + 16 * 8);
   EXPECT_EQ(s.bytes, want);
 }
 
@@ -189,12 +349,32 @@ TEST(CheckpointFormat, V1StreamsAreRejected) {
   }
 }
 
+TEST(CheckpointFormat, V2BlobsAreRejected) {
+  // There is one reader: a version-2 blob (row-major payload, no CRCs) is
+  // refused by name, even with a valid header checksum.
+  const SampleRankBlob s;
+  std::vector<std::uint8_t> v2 = s.bytes;
+  const std::uint32_t version = 2;
+  std::memcpy(v2.data() + 8, &version, sizeof version);
+  reseal_sample(v2);
+  for (bool with_pred : {false, true}) {
+    try {
+      s.load(v2, with_pred);
+      FAIL() << "a version-2 blob loaded";
+    } catch (const check_error& e) {
+      EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CheckpointFormat, HostileHeadersAreRejected) {
   // Every header field, the extension fields the reader relies on, and
-  // one tile-manifest entry, each set to a hostile value at its
-  // documented byte offset. Both readers (values only, values + preds)
-  // must refuse every case with check_error — no crash, no allocation
-  // sized from the lie.
+  // the first tile-table entry, each set to a hostile value at its
+  // documented byte offset. The header CRC is recomputed after each
+  // mutation, so the checksum cannot be what rejects it: both readers
+  // (values only, values + preds) must refuse every case by validating
+  // the field — no crash, no allocation sized from the lie.
   const SampleRankBlob s;
   s.load(s.bytes, true);  // the unmodified blob is fine
   s.load(s.bytes, false);
@@ -207,7 +387,7 @@ TEST(CheckpointFormat, HostileHeadersAreRejected) {
   const std::uint64_t kNeg1 = 0xffffffffu;  // int32 -1
   const Field cases[] = {
       {"magic", 0, 8, 0x1234},
-      {"version", 8, 4, 3},
+      {"version", 8, 4, 4},
       {"elem_size", 12, 4, 0},
       {"elem_size", 12, 4, 3},
       {"elem_size", 12, 4, 8},  // a float blob read as double, reversed
@@ -243,6 +423,8 @@ TEST(CheckpointFormat, HostileHeadersAreRejected) {
       {"tile_count", 72, 8, std::uint64_t{1} << 62},
       {"tile_ref.block_row", 80, 8, 2},
       {"tile_ref.block_col", 88, 8, 0},
+      {"tile_ref.value_crc32c", 96, 4, 0},
+      {"tile_ref.pred_crc32c", 100, 4, 0},
   };
   for (const Field& f : cases) {
     std::vector<std::uint8_t> blob = s.bytes;
@@ -251,6 +433,7 @@ TEST(CheckpointFormat, HostileHeadersAreRejected) {
       std::memcpy(blob.data() + f.offset, &f.value, 8);
     else
       std::memcpy(blob.data() + f.offset, &narrow, 4);
+    reseal_sample(blob);
     for (bool with_pred : {false, true})
       EXPECT_THROW(s.load(blob, with_pred), check_error)
           << f.name << " = " << f.value << (with_pred ? " (paths)" : "");
@@ -267,9 +450,16 @@ TEST(CheckpointFormat, EveryTruncationIsRejected) {
   for (std::size_t len = 0; len < s.bytes.size(); ++len) {
     const std::vector<std::uint8_t> cut(s.bytes.begin(),
                                         s.bytes.begin() + len);
-    for (bool with_pred : {false, true})
-      EXPECT_THROW(s.load(cut, with_pred), check_error)
-          << len << " of " << s.bytes.size() << " bytes";
+    for (bool with_pred : {false, true}) {
+      try {
+        s.load(cut, with_pred);
+        ADD_FAILURE() << len << " of " << s.bytes.size() << " bytes loaded";
+      } catch (const check_error& e) {
+        EXPECT_NE(std::string(e.what()).find(SampleRankBlob::key()),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   }
   std::vector<std::uint8_t> longer = s.bytes;
   longer.push_back(0);
@@ -296,9 +486,101 @@ TEST(CheckpointFormat, BlobFromAnotherCutIsRejected) {
   }
 }
 
-TEST(CheckpointFormat, V2RoundTripThroughStore) {
+bool same_answers(const std::vector<QueryResult<float>>& x,
+                  const std::vector<QueryResult<float>>& y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (x[i].status != y[i].status || x[i].distance != y[i].distance ||
+        x[i].path != y[i].path)
+      return false;
+  return true;
+}
+
+TEST(CheckpointFormat, WholeBlobMutationSweep) {
+  // Every byte of every rank blob of a published 2x2-grid paths run
+  // (n = 32, b = 8), flipped one at a time. Resuming from the blob and
+  // serving from the manifest must each fail with a check_error that
+  // names the blob's key — and, for a payload byte, its tile — and never
+  // answer with a wrong distance or predecessor.
+  constexpr std::size_t n = 32, b = 8, nb = n / b;
+  const Graph g = gen::erdos_renyi(n, 0.15, 11);
+  ApspOptions opt;
+  opt.block_size = b;
+  opt.track_paths = true;
+  const ApspResult<float> oracle = apsp<S>(g, opt);
+  MemoryCheckpointStore pub;
+  serve::publish_result(pub, oracle, b, 2, 2);
+  const auto grid = dist::GridSpec::row_major(2, 2);
+  // src in block row I, dst in block column J, src != dst: the batch
+  // fetches every value tile and every pred tile.
+  QueryBatch batch;
+  for (std::size_t I = 0; I < nb; ++I)
+    for (std::size_t J = 0; J < nb; ++J)
+      batch.add(static_cast<std::int64_t>(I * b + 1),
+                static_cast<std::int64_t>(J * b + 2));
+  ASSERT_TRUE(same_answers(serve::PathService<S>(pub).answer(batch),
+                           oracle.answer(batch)));
+
+  std::size_t flips = 0;
+  for (int w = 0; w < grid.size(); ++w) {
+    const std::string key = dist::rank_checkpoint_key(nb, w);
+    const std::vector<std::uint8_t> clean = *pub.get(key);
+    dist::RankBlobLayout l = dist::decode_rank_blob_header(clean, key);
+    dist::decode_rank_blob_table(l, clean, key);
+    ASSERT_EQ(clean.size(), l.blob_bytes);
+    for (std::size_t at = 0; at < clean.size(); ++at, ++flips) {
+      // What the error must name: the key, plus the tile for payload bytes.
+      std::vector<std::string> names = {"'" + key + "'"};
+      if (at >= l.payload_offset) {
+        const bool pred = at >= l.pred_payload_offset;
+        const std::uint64_t t =
+            (at - (pred ? l.pred_payload_offset : l.payload_offset)) /
+            l.tile_bytes(pred);
+        names.push_back(std::string(pred ? "pred" : "value") + " tile (" +
+                        std::to_string(l.tiles[t].block_row) + "," +
+                        std::to_string(l.tiles[t].block_col) + ")");
+      }
+      const auto named = [&](const check_error& e) {
+        for (const std::string& want : names)
+          if (std::string(e.what()).find(want) == std::string::npos)
+            return testing::AssertionFailure()
+                   << "byte " << at << " of '" << key << "': " << e.what();
+        return testing::AssertionSuccess();
+      };
+      std::vector<std::uint8_t> bad = clean;
+      bad[at] ^= 0xff;
+      pub.put(key, bad);
+
+      dist::BlockCyclicMatrix<float> a(n, b, grid, grid.coord_of(w));
+      dist::BlockCyclicMatrix<std::int64_t> p(n, b, grid, grid.coord_of(w));
+      try {
+        (void)dist::load_rank_checkpoint<float>(pub, nb, a, &p);
+        ADD_FAILURE() << "resumed from a blob with byte " << at << " of '"
+                      << key << "' flipped";
+      } catch (const check_error& e) {
+        EXPECT_TRUE(named(e));
+      }
+      try {
+        serve::PathService<S> service(pub);
+        const auto got = service.answer(batch);
+        ADD_FAILURE() << "served a blob with byte " << at << " of '" << key
+                      << "' flipped; answers "
+                      << (same_answers(got, oracle.answer(batch)) ? "match"
+                                                                  : "DIFFER")
+                      << " the oracle";
+      } catch (const check_error& e) {
+        EXPECT_TRUE(named(e));
+      }
+      if (HasFailure()) return;
+    }
+    pub.put(key, clean);
+  }
+  EXPECT_EQ(flips, 4 * (80 + 4 * 24 + 8 + 4 * 64 * (4 + 8)));
+}
+
+TEST(CheckpointFormat, V3RoundTripThroughStore) {
   // Every rank of each grid round-trips its tiles and schedule position.
-  // On 1x1 the packed local matrix is the row-major matrix itself (the
+  // On 1x1 the local matrix is the row-major matrix itself (the
   // single-node checkpoint). On 3x3 over 2 block rows some ranks own no
   // tiles and still round-trip.
   const std::size_t n = 6, b = 3;
@@ -315,8 +597,8 @@ TEST(CheckpointFormat, V2RoundTripThroughStore) {
       dist::BlockCyclicMatrix<double> a(n, b, grid, grid.coord_of(w));
       a.load(m.view());
       const std::size_t bytes = dist::save_rank_checkpoint(store, a, pos);
-      EXPECT_EQ(bytes, 80 + a.local_block_rows() * a.local_block_cols() *
-                                (16 + b * b * sizeof(double)));
+      EXPECT_EQ(bytes, 80 + 8 + a.local_block_rows() * a.local_block_cols() *
+                                    (24 + b * b * sizeof(double)));
 
       dist::BlockCyclicMatrix<double> back(n, b, grid, grid.coord_of(w));
       const auto got = dist::load_rank_checkpoint<double>(store, 1, back);
@@ -334,9 +616,8 @@ TEST(CheckpointFormat, V2RoundTripThroughStore) {
 }
 
 TEST(CheckpointFormat, PredPayloadRoundTripAndValueOnlyCompat) {
-  // Per-rank blobs carry the pred tiles after the value payload, keyed by
-  // the repurposed (formerly always-zero) reserved word — so old blobs
-  // read as "values only" and a values reader can skip a pred payload.
+  // Per-rank blobs carry the pred tiles after the value tiles, flagged by
+  // ext.pred_elem_size; a values reader checks but skips the pred tiles.
   const std::size_t n = 24, b = 4;
   const auto grid = dist::GridSpec::row_major(2, 2);
   DenseEntryGen<float> gen(303, 0.8, 1.0f, 50.0f, /*integral=*/true);

@@ -39,6 +39,7 @@
 #include "serve/tile_cache.hpp"
 #include "serve/workload.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/crc32c.hpp"
 
 namespace parfw {
 namespace {
@@ -396,14 +397,22 @@ TEST(ServeManifest, RejectsHostileCounts) {
     h.n = commit.n;
     h.next_block = commit.k0;
     h.block_size = commit.block_size;
-    dist::CheckpointExtV2 ext;
+    dist::CheckpointExt ext;
     ext.grid_rows = 65536;
     ext.grid_cols = 65535;
     ext.tile_count = 1;
-    std::vector<std::uint8_t> blob(sizeof(h) + sizeof(ext) +
-                                   sizeof(dist::CheckpointTileRef));
+    const std::vector<std::uint8_t> tile(
+        commit.block_size * commit.block_size * sizeof(float), 0);
+    dist::CheckpointTileRef ref;  // global (0, 0)
+    ref.value_crc32c = crc32c(tile);
+    std::vector<std::uint8_t> blob(sizeof(h) + sizeof(ext) + sizeof(ref));
     std::memcpy(blob.data(), &h, sizeof(h));
     std::memcpy(blob.data() + sizeof(h), &ext, sizeof(ext));
+    std::memcpy(blob.data() + sizeof(h) + sizeof(ext), &ref, sizeof(ref));
+    const std::uint64_t header_crc = crc32c(blob);
+    const auto* seal = reinterpret_cast<const std::uint8_t*>(&header_crc);
+    blob.insert(blob.end(), seal, seal + sizeof(header_crc));
+    blob.insert(blob.end(), tile.begin(), tile.end());
     store.put(dist::rank_checkpoint_key(commit.k0, 0), blob);
     expect_missing_rank(store, 1);
   }

@@ -1,4 +1,5 @@
-// Unit tests for util: thread pool, aligned buffers, matrix views, tables.
+// Unit tests for util: thread pool, aligned buffers, matrix views, tables,
+// CRC32C.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,11 +7,13 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/aligned_buffer.hpp"
 #include "util/check.hpp"
+#include "util/crc32c.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -171,6 +174,44 @@ TEST(Matrix, MaxAbsDiff) {
 TEST(Check, ThrowsCheckError) {
   EXPECT_THROW(PARFW_CHECK(1 == 2), check_error);
   EXPECT_NO_THROW(PARFW_CHECK(1 == 1));
+}
+
+TEST(Crc32c, MatchesRfc3720Vectors) {
+  const std::string digits = "123456789";
+  EXPECT_EQ(crc32c({reinterpret_cast<const std::uint8_t*>(digits.data()),
+                    digits.size()}),
+            0xE3069283u);
+  const std::vector<std::uint8_t> zeros(32, 0x00);
+  EXPECT_EQ(crc32c(zeros), 0x8A9136AAu);
+  const std::vector<std::uint8_t> ones(32, 0xff);
+  EXPECT_EQ(crc32c(ones), 0x62A8AB43u);
+  EXPECT_EQ(crc32c({}), 0u);
+}
+
+TEST(Crc32c, ChainsAndBothPathsAgreeAtEveryLengthAndOffset) {
+  // The compiled hardware path (SSE4.2, with VPCLMULQDQ folding of whole
+  // 256-byte blocks where the target has it) and the slice-by-8 fallback
+  // must give the same value for every length 0..257 at every start
+  // offset 0..7 (word loop, byte tail, misaligned loads) and around
+  // multiples of 256 up to a 32 KiB tile, and splitting the input must
+  // not change the result.
+  std::vector<std::size_t> lengths(258);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  for (std::size_t edge : {512, 768, 4096, 16384, 32768})
+    for (std::size_t len : {edge - 1, edge, edge + 1, edge + 9})
+      lengths.push_back(len);
+  std::vector<std::uint8_t> buf(8 + 32768 + 9);
+  Rng rng(0xc5c);
+  for (auto& v : buf) v = static_cast<std::uint8_t>(rng.next_below(256));
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len : lengths) {
+      const std::uint8_t* p = buf.data() + off;
+      const std::uint32_t want = detail::crc32c_portable(p, len, 0);
+      ASSERT_EQ(crc32c({p, len}), want) << off << "+" << len;
+      const std::size_t cut = len / 3;
+      ASSERT_EQ(crc32c({p + cut, len - cut}, crc32c({p, cut})), want)
+          << off << "+" << len;
+    }
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

@@ -65,7 +65,7 @@ void print_usage() {
       "                      — all pairs go through one batched query\n"
       "  --output FILE       write the full distance matrix\n"
       "  --publish DIR       after solving, publish the result as a served\n"
-      "                      tile manifest under DIR (checkpoint-v2 blobs)\n"
+      "                      tile manifest under DIR (checkpoint-v3 blobs)\n"
       "  --publish-grid PRxPC   serving grid for --publish (default 1x1)\n"
       "  --serve DIR         answer --query from a published manifest in DIR\n"
       "                      (no solve; --paths needs a manifest published\n"
