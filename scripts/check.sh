@@ -11,7 +11,12 @@
 #   scripts/check.sh --monitor [build-dir]
 #
 # 1. Configure + build (Release, all warnings).
-# 2. Run the full ctest suite.
+# 2. Run the full ctest suite. It includes both passes of the caller lint
+#    (scripts/have_callers.py): lint.headers_have_callers (every src/
+#    header is included by src/, tools/, examples/ or perfbench/ code) and
+#    lint.functions_have_callers (every namespace-scope src/ header
+#    function outside `detail` is named by src/, tools/, examples/,
+#    perfbench/ or bench/ code), plus the lint's fixture self-test.
 # 3. Run a ~2 s SRGEMM micro-bench smoke so kernel-dispatch regressions
 #    (e.g. SIMD silently falling back to scalar) show up as a number, not
 #    just as green tests.

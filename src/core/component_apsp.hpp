@@ -74,15 +74,4 @@ ApspResult<typename S::value_type> component_apsp(const Graph& g,
   return out;
 }
 
-/// Flop estimate for the component solve vs the dense solve — used by the
-/// examples and the component ablation bench.
-inline double component_apsp_flops(const std::vector<vertex_t>& labels) {
-  const vertex_t k = num_components(labels);
-  std::vector<double> sizes(static_cast<std::size_t>(k), 0.0);
-  for (vertex_t l : labels) sizes[static_cast<std::size_t>(l)] += 1.0;
-  double flops = 0.0;
-  for (double s : sizes) flops += 2.0 * s * s * s;
-  return flops;
-}
-
 }  // namespace parfw

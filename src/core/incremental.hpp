@@ -60,59 +60,6 @@ IncrementalOutcome incremental_update(MatrixView<typename S::value_type> dist,
   return IncrementalOutcome::kApplied;
 }
 
-/// Grow a CLOSED distance matrix by one vertex in O(n²) instead of
-/// recomputing the closure. `out_edges[j]` is the new vertex's edge weight
-/// to j (semiring zero if absent); `in_edges[i]` the weight from i.
-/// Steps: close the new row/column through existing paths, then relax all
-/// old pairs through the new vertex.
-template <typename S>
-Matrix<typename S::value_type> insert_vertex(
-    MatrixView<const typename S::value_type> closed,
-    std::span<const typename S::value_type> in_edges,
-    std::span<const typename S::value_type> out_edges) {
-  static_assert(is_idempotent<S>());
-  using T = typename S::value_type;
-  PARFW_CHECK(closed.rows() == closed.cols());
-  const std::size_t n = closed.rows();
-  PARFW_CHECK(in_edges.size() == n && out_edges.size() == n);
-
-  Matrix<T> out(n + 1, n + 1);
-  out.sub(0, 0, n, n).copy_from(closed);
-  out(n, n) = S::one();
-
-  // New row: dist(v, j) = ⊕_u out_edges[u] ⊗ closed(u, j); new column
-  // symmetric. (The direct edge is the u = j / i = u term since
-  // closed(j, j) = one.)
-  for (std::size_t j = 0; j < n; ++j) {
-    T best = S::zero();
-    for (std::size_t u = 0; u < n; ++u)
-      best = S::add(best, S::mul(out_edges[u], closed(u, j)));
-    out(n, j) = best;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    T best = S::zero();
-    for (std::size_t u = 0; u < n; ++u)
-      best = S::add(best, S::mul(closed(i, u), in_edges[u]));
-    out(i, n) = best;
-  }
-  // Close the new vertex against itself (a cycle through v).
-  out(n, n) = S::add(out(n, n), [&] {
-    T best = S::zero();
-    for (std::size_t u = 0; u < n; ++u)
-      best = S::add(best, S::mul(out_edges[u], out(u, n)));
-    return best;
-  }());
-
-  // Relax every old pair through the new vertex.
-  for (std::size_t i = 0; i < n; ++i) {
-    const T head = out(i, n);
-    if (head == S::zero()) continue;
-    for (std::size_t j = 0; j < n; ++j)
-      out(i, j) = S::add(out(i, j), S::mul(head, out(n, j)));
-  }
-  return out;
-}
-
 /// Apply a batch of decreases; returns the number folded in. Any update
 /// reporting kNeedsRecompute aborts and returns immediately with
 /// `needs_recompute = true` so the caller can rerun the full solver.

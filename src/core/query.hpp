@@ -26,15 +26,6 @@ enum class PathStatus : std::uint8_t {
   kNotTracked = 2,   ///< solve ran without track_paths; distance only
 };
 
-inline const char* path_status_name(PathStatus s) {
-  switch (s) {
-    case PathStatus::kFound: return "found";
-    case PathStatus::kUnreachable: return "unreachable";
-    case PathStatus::kNotTracked: return "not-tracked";
-  }
-  return "?";
-}
-
 struct PathQuery {
   std::int64_t src = 0;
   std::int64_t dst = 0;

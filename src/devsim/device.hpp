@@ -61,9 +61,8 @@ struct DeviceConfig {
 /// Traffic/usage counters, readable at any time (atomics). The transfer
 /// busy-seconds measure the stream workers' wall time inside copies
 /// (throttle sleep + memcpy), so bytes / seconds is the achieved link
-/// utilisation when a TransferModel is active. Exported through the
-/// telemetry adapter (telemetry/adapters.hpp) — one export path; this
-/// struct stays as the cheap back-compat view.
+/// utilisation when a TransferModel is active. Tests read them to check
+/// the offload pipeline's traffic; no registry exports them.
 struct DeviceCounters {
   std::uint64_t bytes_h2d = 0;
   std::uint64_t bytes_d2h = 0;

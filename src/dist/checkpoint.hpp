@@ -48,6 +48,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -320,7 +321,7 @@ inline constexpr const char* kCommitKey = "commit";
 /// Coordinated-cut commit record: written by rank 0 AFTER every rank's
 /// blob for k0 is in the store. Restart trusts only committed cuts.
 struct CommitRecord {
-  static constexpr std::uint64_t kMagic = 0x50464b43'434d5431ull;  // "..CMT1"
+  static constexpr std::uint64_t kMagic = 0x50464b43'434d5432ull;  // "..CMT2"
   std::uint64_t magic = kMagic;
   std::uint64_t k0 = 0;
   std::uint32_t variant = 0;
@@ -328,7 +329,18 @@ struct CommitRecord {
   std::uint64_t n = 0;
   std::uint64_t block_size = 0;
   std::uint64_t sched_op_index = 0;
+  /// CRC32C of every byte before it, zero-extended; write_commit sets it.
+  std::uint64_t crc = 0;
 };
+static_assert(sizeof(CommitRecord) == 56,
+              "no padding: the CRC must cover every byte before it");
+
+/// The CRC32C a commit record's `crc` field must hold.
+inline std::uint32_t commit_crc(const CommitRecord& rec) {
+  return crc32c(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(&rec),
+      offsetof(CommitRecord, crc)));
+}
 
 /// The commit record of a cut at `pos` in a `world_size`-rank run over an
 /// n x n matrix in block_size blocks.
@@ -344,7 +356,8 @@ inline CommitRecord commit_record(const SchedulePosition& pos, std::uint64_t n,
   return rec;
 }
 
-inline void write_commit(CheckpointStore& store, const CommitRecord& rec) {
+inline void write_commit(CheckpointStore& store, CommitRecord rec) {
+  rec.crc = commit_crc(rec);
   store.put(kCommitKey,
             std::span<const std::uint8_t>(
                 reinterpret_cast<const std::uint8_t*>(&rec), sizeof(rec)));
@@ -368,6 +381,12 @@ inline std::optional<CommitRecord> read_commit(const CheckpointStore& store) {
                                             << blob->size()
                                             << " bytes): bad magic 0x"
                                             << std::hex << rec.magic);
+  PARFW_CHECK_MSG(rec.crc == commit_crc(rec),
+                  "corrupt commit record '" << kCommitKey
+                                            << "': CRC32C mismatch (stored 0x"
+                                            << std::hex << rec.crc
+                                            << ", computed 0x"
+                                            << commit_crc(rec) << ")");
   return rec;
 }
 

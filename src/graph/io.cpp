@@ -58,12 +58,6 @@ void write_edge_list(const Graph& g, std::ostream& out) {
     out << e.src << ' ' << e.dst << ' ' << e.weight << '\n';
 }
 
-void write_edge_list_file(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  PARFW_CHECK_MSG(out.good(), "cannot open '" << path << "' for writing");
-  write_edge_list(g, out);
-}
-
 Graph read_dimacs(std::istream& in) {
   std::string line;
   vertex_t n = -1;

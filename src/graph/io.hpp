@@ -15,7 +15,6 @@ namespace parfw::io {
 Graph read_edge_list(std::istream& in);
 Graph read_edge_list_file(const std::string& path);
 void write_edge_list(const Graph& g, std::ostream& out);
-void write_edge_list_file(const Graph& g, const std::string& path);
 
 Graph read_dimacs(std::istream& in);
 void write_dimacs(const Graph& g, std::ostream& out);

@@ -114,9 +114,9 @@ struct RuntimeOptions {
   /// retry count; payload distribution per retransmission). The
   /// collectives add per-collective byte histograms (mpi.coll_bytes,
   /// labelled coll=tree|ring). TrafficStats stays the cheap back-compat
-  /// aggregate; telemetry/adapters.hpp publishes it into a registry at
-  /// end of run (under a distinct label set — the adapter gauges reuse
-  /// the mpi.retries / mpi.retry_bytes names).
+  /// aggregate; telemetry::publish_traffic_stats publishes it into a
+  /// registry at end of run (under a distinct label set — the adapter
+  /// gauges reuse the mpi.retries / mpi.retry_bytes names).
   telemetry::Registry* metrics = nullptr;
 };
 

@@ -60,20 +60,6 @@ struct OogStats {
   std::size_t elems_d2h = 0;  ///< result downloads: m * n (padded chunks)
 };
 
-/// Variant for DEVICE-RESIDENT panels: dA addresses an m x k block with
-/// leading dimension lda inside a device image; dB a k x n block with
-/// leading dimension ldb (e.g. the panels the offload FW just produced
-/// on-device during PanelUpdate). No uploads happen; only the result
-/// chunks stream back (§4.4's "A_i and B_j need to be sent only once"
-/// taken to its conclusion inside one iteration).
-template <typename S>
-OogStats oog_srgemm_device(dev::Device& device,
-                           const typename S::value_type* dA, std::size_t lda,
-                           const typename S::value_type* dB, std::size_t ldb,
-                           std::size_t m, std::size_t n, std::size_t k,
-                           MatrixView<typename S::value_type> C,
-                           const OogConfig& cfg = {});
-
 template <typename S>
 OogStats oog_srgemm(dev::Device& device,
                     MatrixView<const typename S::value_type> A,
@@ -474,137 +460,6 @@ OogStats oog_srgemm_pred(dev::Device& device,
     }
   }
 
-  while (!inflight.empty()) {
-    const Pending p = inflight.front();
-    inflight.pop_front();
-    retire(p);
-  }
-  stats.blocks = mb * nb;
-  return stats;
-}
-
-template <typename S>
-OogStats oog_srgemm_device(dev::Device& device,
-                           const typename S::value_type* dA, std::size_t lda,
-                           const typename S::value_type* dB, std::size_t ldb,
-                           std::size_t m, std::size_t n, std::size_t k,
-                           MatrixView<typename S::value_type> C,
-                           const OogConfig& cfg) {
-  using T = typename S::value_type;
-  PARFW_CHECK(C.rows() == m && C.cols() == n);
-  PARFW_CHECK(cfg.mx > 0 && cfg.nx > 0 && cfg.num_streams > 0);
-  OogStats stats;
-  if (C.empty() || k == 0) return stats;
-
-  const std::size_t mb = (m + cfg.mx - 1) / cfg.mx;
-  const std::size_t nb = (n + cfg.nx - 1) / cfg.nx;
-  const std::size_t s = cfg.num_streams;
-
-  std::vector<dev::DeviceBuffer<T>> X;
-  std::vector<AlignedBuffer<T>> staging;
-  X.reserve(s);
-  staging.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) {
-    X.push_back(device.alloc<T>(cfg.mx * cfg.nx));
-    staging.emplace_back(cfg.mx * cfg.nx);
-  }
-  std::vector<dev::Device::StreamPtr> streams;
-  streams.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) streams.push_back(device.create_stream());
-
-  struct Pending {
-    dev::Event done;
-    std::size_t i, j, r;
-    std::uint64_t seq;
-  };
-  std::deque<Pending> inflight;
-  std::uint64_t chunk_seq = 0;
-  const std::uint64_t dev_ctx =
-      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.rank);
-  auto host_update = [&](const Pending& p) {
-    const std::size_t r0 = p.i * cfg.mx, c0 = p.j * cfg.nx;
-    const std::size_t nr = std::min(cfg.mx, m - r0);
-    const std::size_t nc = std::min(cfg.nx, n - c0);
-    const bool timed = cfg.trace != nullptr || cfg.metrics != nullptr;
-    const double t0 = timed ? sched::now_seconds() : 0.0;
-    MatrixView<const T> xv(staging[p.r].data(), nr, nc, cfg.nx);
-    srgemm::ewise_add<S>(xv, C.sub(r0, c0, nr, nc));
-    if (timed) {
-      const double t1 = sched::now_seconds();
-      if (cfg.trace)
-        cfg.trace->record(sched::TraceEvent{
-            cfg.rank, "oogHost", 0, t0, t1,
-            static_cast<std::int64_t>(nr * nc * sizeof(T)), 0.0});
-      if (cfg.metrics)
-        cfg.metrics->histogram("oog.host_update_seconds").observe(t1 - t0);
-    }
-  };
-  auto retire = [&](const Pending& p) {
-    const double t0 = cfg.trace ? sched::now_seconds() : 0.0;
-    p.done.wait();
-    if (cfg.trace) {
-      sched::TraceEvent e{cfg.rank, "oogWait", 0, t0,
-                          sched::now_seconds(), 0, 0.0};
-      e.ek = sched::EventKind::kRecv;
-      e.peer = cfg.rank;
-      e.ctx = dev_ctx;
-      e.seq = p.seq;
-      cfg.trace->record(e);
-    }
-    host_update(p);
-  };
-
-  std::size_t next_stream = 0;
-  for (std::size_t i = 0; i < mb; ++i) {
-    for (std::size_t j = 0; j < nb; ++j) {
-      const std::size_t r = next_stream;
-      next_stream = (next_stream + 1) % s;
-      dev::Stream& st = *streams[r];
-      if (inflight.size() >= s) {
-        const Pending p = inflight.front();
-        inflight.pop_front();
-        retire(p);
-      }
-      const std::size_t r0 = i * cfg.mx, c0 = j * cfg.nx;
-      const std::size_t nr = std::min(cfg.mx, m - r0);
-      const std::size_t nc = std::min(cfg.nx, n - c0);
-      T* xr = X[r].data();
-      const T* a_panel = dA + r0 * lda;
-      const T* b_panel = dB + c0;
-      const srgemm::Config gemm = cfg.gemm;
-      const std::size_t ldx = cfg.nx;
-      device.launch(st, [=] {
-        MatrixView<T> xv(xr, nr, nc, ldx);
-        xv.fill(S::zero());
-        srgemm::multiply_prepacked<S>(MatrixView<const T>(a_panel, nr, k, lda),
-                                      MatrixView<const T>(b_panel, k, nc, ldb),
-                                      xv, gemm);
-      });
-      device.memcpy_d2h(st, staging[r].data(), xr,
-                        ((nr - 1) * ldx + nc) * sizeof(T));
-      stats.elems_d2h += nr * nc;
-      inflight.push_back(Pending{st.record(), i, j, r, chunk_seq});
-      if (cfg.trace) {
-        const double t = sched::now_seconds();
-        sched::TraceEvent e{cfg.rank, "oogDev", 0, t, t,
-                            static_cast<std::int64_t>(nr * nc * sizeof(T)),
-                            0.0};
-        e.ek = sched::EventKind::kSend;
-        e.peer = cfg.rank;
-        e.ctx = dev_ctx;
-        e.seq = chunk_seq;
-        cfg.trace->record(e);
-      }
-      ++chunk_seq;
-      if (cfg.metrics) {
-        cfg.metrics->counter("oog.bytes_d2h")
-            .add(((nr - 1) * ldx + nc) * sizeof(T));
-        const double depth = static_cast<double>(inflight.size());
-        cfg.metrics->gauge("oog.inflight_depth").set(depth);
-        cfg.metrics->gauge("oog.inflight_max").update_max(depth);
-      }
-    }
-  }
   while (!inflight.empty()) {
     const Pending p = inflight.front();
     inflight.pop_front();

@@ -68,12 +68,6 @@ double max_in_gpu_vertices(const MachineConfig& m, int nodes) {
   return std::sqrt(aggregate * m.gpu_mem_usable_frac / m.word_bytes);
 }
 
-double max_in_host_vertices(const MachineConfig& m, int nodes) {
-  const double aggregate = static_cast<double>(nodes) * m.host_mem_bytes;
-  // Offload keeps one copy of the matrix plus O(b·n) working panels.
-  return std::sqrt(aggregate * 0.8 / m.word_bytes);
-}
-
 double OogCost::total(int streams) const {
   if (streams <= 1) return t0 + t1 + t2;
   if (streams == 2) {

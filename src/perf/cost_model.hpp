@@ -56,9 +56,6 @@ double compute_bound_threshold(const MachineConfig& m, int nodes);
 /// `nodes` nodes (the "Beyond GPU Memory" wall of Figure 7).
 double max_in_gpu_vertices(const MachineConfig& m, int nodes);
 
-/// Largest n whose matrix fits in aggregate HOST memory (offload wall).
-double max_in_host_vertices(const MachineConfig& m, int nodes);
-
 // --- §4.5: out-of-device SRGEMM -------------------------------------------
 
 struct OogCost {

@@ -42,7 +42,6 @@ struct MachineConfig {
 
   // --- memory ------------------------------------------------------------
   double gpu_mem_bytes = 16e9;    ///< HBM2 per V100
-  double host_mem_bytes = 512e9;  ///< DDR4 per node
   /// Fraction of aggregate GPU memory usable for the local distance matrix
   /// (the rest goes to panels, broadcast buffers, CUTLASS workspace, and
   /// the 2-ranks-per-GPU duplication). CALIBRATED so the largest feasible

@@ -365,17 +365,6 @@ void multiply_prepacked(MatrixView<const typename S::value_type> A,
   detail::multiply_impl<S>(A, B, C, cfg, /*prepacked=*/true);
 }
 
-/// Reference implementation (naive triple loop) — the oracle the tiled
-/// kernel is validated against, and the fallback for exotic semirings.
-template <typename S>
-void multiply_reference(MatrixView<const typename S::value_type> A,
-                        MatrixView<const typename S::value_type> B,
-                        MatrixView<typename S::value_type> C) {
-  PARFW_CHECK(A.rows() == C.rows() && B.cols() == C.cols() &&
-              A.cols() == B.rows());
-  detail::naive_kernel<S>(A, B, C);
-}
-
 /// Scalar reference for multiply_with_pred: the oracle the fused kernel
 /// is diffed against and the baseline bench_paths measures it by. On
 /// non-aliased operands the two are bit-identical (each (i,j) is the same

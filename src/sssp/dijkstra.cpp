@@ -41,14 +41,4 @@ SsspResult dijkstra(const Graph& g, vertex_t source) {
   return r;
 }
 
-Matrix<double> dijkstra_apsp(const Graph& g) {
-  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-  Matrix<double> out(n, n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const SsspResult r = dijkstra(g, static_cast<vertex_t>(s));
-    for (std::size_t v = 0; v < n; ++v) out(s, v) = r.dist[v];
-  }
-  return out;
-}
-
 }  // namespace parfw::sssp

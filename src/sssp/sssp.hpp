@@ -22,26 +22,14 @@ struct SsspResult {
 /// weights (checked).
 SsspResult dijkstra(const Graph& g, vertex_t source);
 
-/// Dijkstra with a decrease-key pairing heap — the Fibonacci-class-heap
-/// variant Johnson's complexity bound assumes (§6).
-SsspResult dijkstra_decrease_key(const Graph& g, vertex_t source);
-
 /// Bellman-Ford. Handles negative edges; sets *negative_cycle when a
 /// negative cycle is reachable from the source (optional out-param).
 SsspResult bellman_ford(const Graph& g, vertex_t source,
                         bool* negative_cycle = nullptr);
 
-/// Δ-stepping (Meyer & Sanders): bucketed relaxation, light/heavy edge
-/// split. delta <= 0 picks delta = max_weight / avg_degree heuristically.
-SsspResult delta_stepping(const Graph& g, vertex_t source, double delta = 0.0);
-
 /// Johnson's APSP: Bellman-Ford reweighting + n Dijkstra runs.
 /// O(nm + n² log n); the sparse-graph comparator (paper §6). Throws on
 /// negative cycles.
 Matrix<double> johnson_apsp(const Graph& g);
-
-/// n Dijkstra runs without reweighting (valid for non-negative weights) —
-/// the simplest APSP oracle for tests.
-Matrix<double> dijkstra_apsp(const Graph& g);
 
 }  // namespace parfw::sssp

@@ -1,54 +1,23 @@
-// Adapter hooks promoting the pre-telemetry counter structs into the
-// metrics registry, so there is ONE export path (ISSUE 4 satellite 1).
+// Adapter hook promoting the pre-telemetry mpisim::TrafficStats into the
+// metrics registry, so there is ONE export path.
 //
-// devsim::DeviceCounters and mpisim::TrafficStats predate the registry
-// and stay as cheap back-compat views (tests and the supervision loop
-// read them directly); these adapters publish a snapshot of either into
-// a Registry under the canonical metric names, after which every exporter
-// (JSON / Prometheus / table) sees them alongside the native metrics.
+// TrafficStats predates the registry and stays as a cheap view (tests and
+// the supervision loop read it directly); this adapter publishes a
+// snapshot of it into a Registry under the canonical metric names, after
+// which every exporter (JSON / Prometheus / table) sees it alongside the
+// native metrics.
 //
 // Header-only on purpose: the telemetry library itself depends only on
-// util+sched; including this header is what pulls in devsim/mpisim, so
-// only call sites that already link those libraries pay the dependency.
+// util+sched; including this header is what pulls in mpisim, so only call
+// sites that already link it pay the dependency.
 #pragma once
 
 #include <string>
 
-#include "devsim/device.hpp"
 #include "mpisim/runtime.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace parfw::telemetry {
-
-/// Publish a device's counters (allocator watermark, transfer-engine
-/// traffic and busy time) under dev.* with the given label set (e.g.
-/// "rank=3"). Counters are set as gauges because the adapter snapshots
-/// absolute values, not deltas — re-publishing overwrites.
-inline void publish_device_counters(Registry& r, const dev::DeviceCounters& c,
-                                    const std::string& labels = "") {
-  r.gauge("dev.bytes_h2d", labels).set(static_cast<double>(c.bytes_h2d));
-  r.gauge("dev.bytes_d2h", labels).set(static_cast<double>(c.bytes_d2h));
-  r.gauge("dev.kernels_launched", labels)
-      .set(static_cast<double>(c.kernels_launched));
-  r.gauge("dev.allocs", labels).set(static_cast<double>(c.allocs));
-  r.gauge("dev.peak_bytes_in_use", labels)
-      .set(static_cast<double>(c.peak_bytes_in_use));
-  r.gauge("dev.h2d_seconds", labels).set(c.h2d_seconds);
-  r.gauge("dev.d2h_seconds", labels).set(c.d2h_seconds);
-}
-
-/// As above, reading the counters and capacity from a live device.
-/// `dev.mem_utilization` is peak bytes over capacity (the Figure 5/6
-/// buffer-occupancy axis).
-inline void publish_device(Registry& r, const dev::Device& d,
-                           const std::string& labels = "") {
-  const dev::DeviceCounters c = d.counters();
-  publish_device_counters(r, c, labels);
-  if (d.memory_bytes() > 0)
-    r.gauge("dev.mem_utilization", labels)
-        .set(static_cast<double>(c.peak_bytes_in_use) /
-             static_cast<double>(d.memory_bytes()));
-}
 
 /// Publish a run's TrafficStats under mpi.* with the given label set.
 /// The logical counters (messages / bytes) are the DES-comparable totals

@@ -1,16 +1,11 @@
-// Tests for the extension features: component-wise APSP, resuming from a
-// snapshot (the blob codec is tested in resilience_test.cpp), incremental
-// updates.
+// Tests for the extension features: component-wise APSP and resuming from
+// a snapshot (the blob codec is tested in resilience_test.cpp).
 #include <gtest/gtest.h>
-
-#include <span>
 
 #include "core/blocked_fw.hpp"
 #include "core/component_apsp.hpp"
 #include "core/floyd_warshall.hpp"
-#include "core/incremental.hpp"
 #include "graph/generators.hpp"
-#include "sssp/sssp.hpp"
 #include "util/thread_pool.hpp"
 
 namespace parfw {
@@ -73,17 +68,6 @@ TEST(ComponentApsp, IsolatedVerticesStayUnreachable) {
   EXPECT_EQ(r.dist(3, 3), 0.0);
 }
 
-TEST(ComponentApsp, FlopSavingsEstimate) {
-  // 4 balanced components of size m: flops = 4·2m³ vs dense 2(4m)³ = 128m³:
-  // a 16x saving.
-  std::vector<vertex_t> labels;
-  for (vertex_t c = 0; c < 4; ++c)
-    for (int i = 0; i < 10; ++i) labels.push_back(c);
-  const double split = component_apsp_flops(labels);
-  const double dense = 2.0 * 40.0 * 40.0 * 40.0;
-  EXPECT_DOUBLE_EQ(dense / split, 16.0);
-}
-
 // --- checkpoint/restart -----------------------------------------------------
 
 TEST(Checkpoint, ResumeReproducesUninterruptedRun) {
@@ -140,76 +124,6 @@ TEST(Checkpoint, ResumeFromEveryIteration) {
           << "resume from " << stop << (p ? " with a 4-worker pool" : "");
     }
   }
-}
-
-// --- incremental vertex insertion ---------------------------------------------
-
-TEST(InsertVertex, MatchesRecomputeFromScratch) {
-  for (std::uint64_t seed : {41u, 42u, 43u}) {
-    const vertex_t n = 30;
-    auto g = gen::erdos_renyi(n, 0.2, seed, 1.0, 100.0, /*integral=*/true);
-    auto closed = g.distance_matrix<S>();
-    floyd_warshall<S>(closed.view());
-
-    // New vertex with a handful of integral-weight edges each way.
-    Rng rng(seed + 99);
-    std::vector<double> in_e(static_cast<std::size_t>(n), S::zero());
-    std::vector<double> out_e(static_cast<std::size_t>(n), S::zero());
-    Graph g2(n + 1);
-    for (const Edge& e : g.edges()) g2.add_edge(e.src, e.dst, e.weight);
-    for (int k = 0; k < 6; ++k) {
-      const auto u = static_cast<vertex_t>(rng.next_below(static_cast<std::uint64_t>(n)));
-      const double w1 = static_cast<double>(1 + rng.next_below(50));
-      const double w2 = static_cast<double>(1 + rng.next_below(50));
-      out_e[static_cast<std::size_t>(u)] =
-          std::min(out_e[static_cast<std::size_t>(u)], w1);
-      in_e[static_cast<std::size_t>(u)] =
-          std::min(in_e[static_cast<std::size_t>(u)], w2);
-      g2.add_edge(n, u, w1);
-      g2.add_edge(u, n, w2);
-    }
-    const auto grown = insert_vertex<S>(
-        closed.view(), std::span<const double>(in_e),
-        std::span<const double>(out_e));
-
-    auto expected = g2.distance_matrix<S>();
-    floyd_warshall<S>(expected.view());
-    EXPECT_EQ(max_abs_diff<double>(expected.view(), grown.view()), 0.0)
-        << "seed " << seed;
-  }
-}
-
-TEST(InsertVertex, IsolatedVertexLeavesMatrixUntouched) {
-  const auto g = gen::erdos_renyi(15, 0.3, 50, 1.0, 100.0, true);
-  auto closed = g.distance_matrix<S>();
-  floyd_warshall<S>(closed.view());
-  std::vector<double> none(15, S::zero());
-  const auto grown =
-      insert_vertex<S>(closed.view(), std::span<const double>(none),
-                       std::span<const double>(none));
-  EXPECT_EQ(grown.rows(), 16u);
-  EXPECT_EQ(max_abs_diff<double>(closed.view(), grown.sub(0, 0, 15, 15)), 0.0);
-  EXPECT_TRUE(value_traits<double>::is_inf(grown(15, 0)));
-  EXPECT_TRUE(value_traits<double>::is_inf(grown(0, 15)));
-  EXPECT_EQ(grown(15, 15), 0.0);
-}
-
-TEST(InsertVertex, NewShortcutImprovesOldPairs) {
-  // Two chains joined only through the new hub vertex.
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(2, 3, 1.0);
-  auto closed = g.distance_matrix<S>();
-  floyd_warshall<S>(closed.view());
-  ASSERT_TRUE(value_traits<double>::is_inf(closed(0, 3)));
-  std::vector<double> in_e(4, S::zero()), out_e(4, S::zero());
-  in_e[1] = 2.0;   // 1 -> v
-  out_e[2] = 3.0;  // v -> 2
-  const auto grown = insert_vertex<S>(closed.view(),
-                                      std::span<const double>(in_e),
-                                      std::span<const double>(out_e));
-  EXPECT_EQ(grown(0, 3), 1.0 + 2.0 + 3.0 + 1.0);  // 0-1-v-2-3
-  EXPECT_EQ(grown(1, 2), 5.0);
 }
 
 }  // namespace

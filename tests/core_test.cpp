@@ -20,6 +20,8 @@
 #include "graph/generators.hpp"
 #include "sssp/sssp.hpp"
 
+#include "oracles.hpp"
+
 namespace parfw {
 namespace {
 

@@ -128,73 +128,6 @@ TEST(OogSrgemm, WorksOnSubViews) {
   EXPECT_EQ(max_abs_diff<float>(expected.view(), big.view()), 0.0);
 }
 
-TEST(OogSrgemmDevice, MatchesHostPanelsVariant) {
-  // Upload panels manually, then run the device-resident variant; the
-  // result must match the uploading variant and move zero h2d bytes.
-  const std::size_t m = 96, n = 80, k = 16;
-  auto A = random_panel(m, k, 31);
-  auto B = random_panel(k, n, 32);
-  auto C0 = random_panel(m, n, 33);
-  auto C1 = C0.clone();
-
-  dev::Device device;
-  offload::OogConfig cfg;
-  cfg.mx = cfg.nx = 32;
-  cfg.num_streams = 3;
-  offload::oog_srgemm<S>(device, A.view(), B.view(), C0.view(), cfg);
-  device.synchronize();
-
-  auto dA = device.alloc<float>(m * k);
-  auto dB = device.alloc<float>(k * n);
-  {
-    auto st = device.create_stream();
-    device.memcpy_h2d(*st, dA.data(), A.data(), m * k * sizeof(float));
-    device.memcpy_h2d(*st, dB.data(), B.data(), k * n * sizeof(float));
-    st->synchronize();
-  }
-  device.reset_counters();
-  const auto stats = offload::oog_srgemm_device<S>(
-      device, dA.data(), k, dB.data(), n, m, n, k, C1.view(), cfg);
-  device.synchronize();
-  EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0);
-  EXPECT_EQ(stats.elems_h2d, 0u);
-  EXPECT_EQ(device.counters().bytes_h2d, 0u);
-  EXPECT_EQ(stats.elems_d2h, m * n);
-}
-
-TEST(OogSrgemmDevice, StridedPanelViews) {
-  // Quadrant slicing: dA/dB address sub-blocks of larger device images
-  // via leading dimensions, exactly how offload FW carves its panels.
-  const std::size_t big_n = 64, bk = 8;
-  auto col_panel = random_panel(big_n, bk, 41);  // n x b image
-  auto row_panel = random_panel(bk, big_n, 42);  // b x n image
-  auto C0 = random_panel(24, 40, 43);
-  auto C1 = C0.clone();
-
-  // Host reference: quadrant rows [16,40) x cols [8,48).
-  srgemm::multiply<S>(col_panel.sub(16, 0, 24, bk), row_panel.sub(0, 8, bk, 40),
-                      C0.view());
-
-  dev::Device device;
-  auto d_col = device.alloc<float>(big_n * bk);
-  auto d_row = device.alloc<float>(bk * big_n);
-  {
-    auto st = device.create_stream();
-    device.memcpy_h2d(*st, d_col.data(), col_panel.data(),
-                      big_n * bk * sizeof(float));
-    device.memcpy_h2d(*st, d_row.data(), row_panel.data(),
-                      bk * big_n * sizeof(float));
-    st->synchronize();
-  }
-  offload::OogConfig cfg;
-  cfg.mx = cfg.nx = 16;
-  offload::oog_srgemm_device<S>(device, d_col.data() + 16 * bk, bk,
-                                d_row.data() + 8, big_n, 24, 40, bk,
-                                C1.view(), cfg);
-  device.synchronize();
-  EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0);
-}
-
 TEST(OffloadFw, HostMatrixLargerThanDeviceMemory) {
   // The headline property: close a matrix whose footprint exceeds device
   // capacity. The kOffload variant on a 1x1 grid keeps the whole 64 KiB

@@ -689,6 +689,94 @@ TEST(CheckpointFormat, CommitRecordRoundTrip) {
   EXPECT_THROW(dist::read_commit(store), check_error);
 }
 
+/// Forwards to a memory store, flipping byte `flip_at` of every commit
+/// record written through it.
+class FlipCommitStore final : public CheckpointStore {
+ public:
+  explicit FlipCommitStore(std::size_t flip_at) : flip_at_(flip_at) {}
+  void put(const std::string& key,
+           std::span<const std::uint8_t> blob) override {
+    std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
+    if (key == dist::kCommitKey) bytes.at(flip_at_) ^= 0xff;
+    inner_.put(key, bytes);
+  }
+  std::optional<std::vector<std::uint8_t>> get(
+      const std::string& key) const override {
+    return inner_.get(key);
+  }
+  void erase(const std::string& key) override { inner_.erase(key); }
+  std::vector<std::string> keys() const override { return inner_.keys(); }
+
+ private:
+  std::size_t flip_at_;
+  MemoryCheckpointStore inner_;
+};
+
+TEST(CheckpointFormat, CommitRecordMutationSweep) {
+  // Every byte of a committed record, flipped one at a time. A restart
+  // that resumes from the cut and a reader that opens the published
+  // manifest must each fail with a check_error naming the commit record,
+  // never resume from or serve a misread cut.
+  constexpr std::size_t n = 32, b = 8;
+  const auto grid = dist::GridSpec::row_major(2, 2);
+  DenseEntryGen<float> gen(515, 0.9, 1.0f, 80.0f, /*integral=*/true);
+  const Graph g = gen::erdos_renyi(n, 0.15, 12);
+  ApspOptions aopt;
+  aopt.block_size = b;
+  MemoryCheckpointStore pub;
+  serve::publish_result(pub, apsp<S>(g, aopt), b, 2, 2);
+  const std::vector<std::uint8_t> clean = *pub.get(dist::kCommitKey);
+  ASSERT_EQ(clean.size(), sizeof(dist::CommitRecord));
+  sched::ScheduleParams sp;
+  sp.variant = sched::Variant::kAsync;
+  sp.nb = n / b;
+  sp.b = b;
+  sp.word_bytes = sizeof(float);
+  sp.checkpoint_every = 1;
+  const auto len =
+      static_cast<std::int64_t>(sched::build_schedule(grid, sp).steps.size());
+
+  const auto names_commit = [](const check_error& e, std::size_t at) {
+    if (std::string(e.what()).find("corrupt commit record 'commit'") !=
+        std::string::npos)
+      return testing::AssertionSuccess();
+    return testing::AssertionFailure() << "byte " << at << ": " << e.what();
+  };
+  for (std::size_t at = 0; at < clean.size(); ++at) {
+    // Resume: a crash past the first cut makes the restart read the
+    // (flipped) commit record.
+    FlipCommitStore store(at);
+    dist::DistFwOptions opt;
+    opt.variant = sched::Variant::kAsync;
+    opt.block_size = b;
+    opt.resilience.checkpoint_every = 1;
+    opt.resilience.store = &store;
+    opt.faults.seed = 7;
+    opt.faults.crash_rank = 1;
+    opt.faults.crash_at_op = len * 3 / 5;
+    try {
+      (void)dist::run_parallel_fw<S>(n, gen, grid, 2, opt);
+      ADD_FAILURE() << "resumed from a commit record with byte " << at
+                    << " flipped";
+    } catch (const check_error& e) {
+      EXPECT_TRUE(names_commit(e, at));
+    }
+
+    std::vector<std::uint8_t> bad = clean;
+    bad[at] ^= 0xff;
+    pub.put(dist::kCommitKey, bad);
+    try {
+      (void)serve::ServeManifest::open(pub);
+      ADD_FAILURE() << "opened a manifest whose commit record has byte "
+                    << at << " flipped";
+    } catch (const check_error& e) {
+      EXPECT_TRUE(names_commit(e, at));
+    }
+  }
+  pub.put(dist::kCommitKey, clean);
+  EXPECT_NO_THROW((void)serve::ServeManifest::open(pub));
+}
+
 // --- Crash-restart property -----------------------------------------------------
 
 Matrix<float> oracle(std::size_t n, const DenseEntryGen<float>& gen) {

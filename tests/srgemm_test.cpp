@@ -9,6 +9,8 @@
 #include "srgemm/srgemm.hpp"
 #include "util/rng.hpp"
 
+#include "oracles.hpp"
+
 namespace parfw {
 namespace {
 

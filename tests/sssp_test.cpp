@@ -1,10 +1,12 @@
-// SSSP baseline tests: Dijkstra / Bellman-Ford / delta-stepping agreement,
+// SSSP baseline tests: Dijkstra / Bellman-Ford agreement,
 // Johnson's APSP vs Floyd-Warshall, negative-cycle handling.
 #include <gtest/gtest.h>
 
 #include "core/floyd_warshall.hpp"
 #include "graph/generators.hpp"
 #include "sssp/sssp.hpp"
+
+#include "oracles.hpp"
 
 namespace parfw {
 namespace {
@@ -86,25 +88,6 @@ TEST(BellmanFord, UnreachableNegativeCycleIgnored) {
   const auto r = sssp::bellman_ford(g, 0, &neg);
   EXPECT_FALSE(neg);
   EXPECT_EQ(r.dist[1], 1.0);
-}
-
-TEST(DeltaStepping, MatchesDijkstra) {
-  for (std::uint64_t seed : {7u, 8u}) {
-    const auto g = gen::erdos_renyi(120, 0.08, seed);
-    const auto d = sssp::dijkstra(g, 3);
-    for (double delta : {0.0, 1.0, 25.0, 1000.0}) {
-      const auto ds = sssp::delta_stepping(g, 3, delta);
-      EXPECT_EQ(diff(d.dist, ds.dist), 0.0)
-          << "seed " << seed << " delta " << delta;
-    }
-  }
-}
-
-TEST(DeltaStepping, GridGraph) {
-  const auto g = gen::grid2d(8, 9, 44);
-  const auto d = sssp::dijkstra(g, 0);
-  const auto ds = sssp::delta_stepping(g, 0);
-  EXPECT_EQ(diff(d.dist, ds.dist), 0.0);
 }
 
 TEST(Johnson, MatchesFloydWarshallWithNegativeEdges) {

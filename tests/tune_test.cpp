@@ -7,6 +7,7 @@
 // least 20% relative.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -387,6 +388,67 @@ TEST(Manifest, RejectsMalformedDocuments) {
     EXPECT_NE(err.find(std::string("\"") + field + "\""), std::string::npos)
         << err;
   }
+}
+
+/// A two-row manifest document, trailing whitespace removed so that its
+/// last byte is the root object's closing brace.
+std::string two_row_manifest() {
+  tune::Manifest m;
+  tune::ManifestEntry e;
+  e.workload.n = 96;
+  e.workload.ranks = 4;
+  e.workload.ranks_per_node = 2;
+  e.workload.track_paths = true;
+  e.winner.variant = sched::Variant::kAsync;
+  e.winner.placement.pr = 2;
+  e.winner.placement.pc = 2;
+  e.winner.block = 16;
+  e.predicted_makespan = 0.125;
+  e.predicted_stall_share = 0.25;
+  e.default_makespan = 0.5;
+  e.default_stall_share = 0.75;
+  m.put(e);
+  e.stall_weight = 0.0;
+  e.winner.variant = sched::Variant::kPipelined;
+  m.put(e);
+  std::string doc = tune::write_manifest(m);
+  while (!doc.empty() && std::isspace(static_cast<unsigned char>(doc.back())))
+    doc.pop_back();
+  return doc;
+}
+
+TEST(Manifest, EveryTruncationIsRejected) {
+  const std::string doc = two_row_manifest();
+  tune::Manifest m;
+  std::string err;
+  ASSERT_TRUE(tune::read_manifest(doc, &m, &err)) << err;
+  ASSERT_EQ(m.entries.size(), 2u);
+  for (std::size_t len = 0; len < doc.size(); ++len) {
+    err.clear();
+    EXPECT_FALSE(tune::read_manifest(doc.substr(0, len), &m, &err))
+        << "prefix of " << len << " bytes parsed";
+    EXPECT_FALSE(err.empty()) << "prefix of " << len << " bytes";
+  }
+}
+
+TEST(Manifest, ByteFlipsNeverCrash) {
+  // Hostile bytes anywhere: each flip is rejected with a diagnostic or
+  // parses into rows, never undefined behaviour (run under UBSan/ASan by
+  // check.sh --san).
+  const std::string doc = two_row_manifest();
+  std::size_t rejected = 0;
+  for (std::size_t at = 0; at < doc.size(); ++at)
+    for (const unsigned char mask : {0x01, 0x20, 0x80, 0xff}) {
+      std::string bad = doc;
+      bad[at] = static_cast<char>(static_cast<unsigned char>(bad[at]) ^ mask);
+      tune::Manifest m;
+      std::string err;
+      if (!tune::read_manifest(bad, &m, &err)) {
+        ++rejected;
+        EXPECT_FALSE(err.empty()) << "byte " << at << " ^ " << int{mask};
+      }
+    }
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- solve() front door: kAuto -----------------------------------------------
