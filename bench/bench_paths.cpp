@@ -1,11 +1,15 @@
 // Path-tracking benchmarks: the argmin-SIMD fused kernel vs the scalar
-// reference, the end-to-end overhead a paths run adds to a value run of
-// the distributed solver, and a single-node paths solve on the pool.
+// reference and vs the values kernel, the end-to-end overhead a paths run
+// adds to a value run of the distributed solver, and a single-node paths
+// solve on the pool.
 //
 // Acceptance claims this binary measures:
 //   * srgemm::multiply_with_pred (SIMD argmin tracking) is >= 5x the
 //     scalar srgemm::multiply_with_pred_reference oracle at n = 512 —
 //     check.sh --paths enforces the ratio from the emitted JSON;
+//   * at the 2x2 outer-update shape, the argmin kernel (BM_PredOuter)
+//     holds at least 0.30 of the values kernel's rate (BM_ValueOuter) —
+//     also enforced by check.sh --paths;
 //   * the paths overhead of the distributed solve stays a small constant
 //     factor (pred companion broadcasts roughly triple the row-panel
 //     volume; compute roughly doubles per improving element);
@@ -106,6 +110,38 @@ void BM_PredFused(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_PredFused)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
+
+/// The 2x2 per-rank outer-update shape of a paths solve (n = 1536, b = 64:
+/// a 768 x 64 column panel times a 64 x 768 row panel into a 768 x 768
+/// quadrant), single thread. C is closed (every entry already beats every
+/// candidate), the state most of a solve's outer updates see.
+/// check.sh --paths gates the pred/values ratio of the two rows: both are
+/// measured in one process, so host load mostly cancels out of it.
+constexpr std::size_t kOuterM = 768, kOuterK = 64;
+
+void BM_PredOuter(benchmark::State& state) {
+  auto A = make(kOuterM, kOuterK, 1), B = make(kOuterK, kOuterM, 2);
+  parfw::Matrix<float> C(kOuterM, kOuterM, 1.0f);
+  auto predB = make_pred(kOuterK, kOuterM);
+  parfw::Matrix<std::int64_t> predC(kOuterM, kOuterM, -1);
+  timed_loop(state, parfw::srgemm::flops(kOuterM, kOuterM, kOuterK), [&] {
+    parfw::srgemm::multiply_with_pred<S>(A.view(), B.view(), C.view(),
+                                         predB.view(), predC.view());
+    benchmark::DoNotOptimize(C.data());
+    benchmark::DoNotOptimize(predC.data());
+  });
+}
+BENCHMARK(BM_PredOuter)->Unit(benchmark::kMillisecond);
+
+void BM_ValueOuter(benchmark::State& state) {
+  auto A = make(kOuterM, kOuterK, 1), B = make(kOuterK, kOuterM, 2);
+  parfw::Matrix<float> C(kOuterM, kOuterM, 1.0f);
+  timed_loop(state, parfw::srgemm::flops(kOuterM, kOuterM, kOuterK), [&] {
+    parfw::srgemm::multiply_prepacked<S>(A.view(), B.view(), C.view());
+    benchmark::DoNotOptimize(C.data());
+  });
+}
+BENCHMARK(BM_ValueOuter)->Unit(benchmark::kMillisecond);
 
 /// End-to-end distributed solve, values only — the denominator of the
 /// paths-overhead claim. The rows warm up for 2 s first: the first second

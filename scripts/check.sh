@@ -27,7 +27,9 @@
 # the trace sinks, the run monitor, and for the blocked solver's
 # self-scheduled rounds and the thread pool they run on; `--san
 # undefined` also covers the tune-manifest, serve-manifest and
-# checkpoint-blob readers' hostile inputs.
+# checkpoint-blob readers' hostile inputs. Every --san run also takes the
+# pred-kernel suite (SrgemmPred.*): the argmin kernel reads predB at a
+# lane-computed row, so a wrong t index is an out-of-bounds read.
 #
 # --faults is the resilience gate: the fault-injection matrix and the
 # crash-restart suites under AddressSanitizer, so recovery paths
@@ -68,7 +70,8 @@
 # --paths is the path-tracking gate: bench_paths (argmin-SIMD kernel vs
 # the scalar oracle, plus the end-to-end paths overhead of a distributed
 # solve) diffed against BENCH_paths.json, the >= 5x fused-kernel speedup
-# acceptance enforced from the fresh JSON, and apsp --paths end-to-end
+# acceptance and the pred/values outer-shape ratio floor enforced from the
+# fresh JSON, and apsp --paths end-to-end
 # runs (distributed 2x2, then single-node on the pool) that must answer
 # a path query with the same path.
 #
@@ -273,6 +276,20 @@ print(f"fused/scalar argmin speedup at n=512: {ratio:.1f}x")
 assert ratio >= 5.0, f"argmin SIMD kernel below 5x scalar ({ratio:.2f}x)"
 EOF
 
+  echo "== argmin kernel vs values kernel at the 2x2 outer shape (ratio) =="
+  # Both rows run in one process, so host load mostly cancels out of the
+  # ratio. The argmin kernel read 0.42-0.58 over seven runs, the
+  # row-buffered sweep 0.15; the floor catches the outer product falling
+  # back to the sweep.
+  python3 - "$out_dir/paths_fresh.json" <<'EOF'
+import json, sys
+rows = {b["name"]: b for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b.get("run_type", "iteration") == "iteration"}
+ratio = rows["BM_PredOuter"]["GFLOP/s"] / rows["BM_ValueOuter"]["GFLOP/s"]
+print(f"pred/values outer-shape rate ratio: {ratio:.2f}")
+assert ratio >= 0.30, f"argmin outer rate below 0.30 of values ({ratio:.2f})"
+EOF
+
   echo "== apsp --paths end-to-end (distributed, path query) =="
   "$build_dir/tools/apsp" --gen er --n 240 --p 0.2 --seed 7 \
     --algorithm dist --dist 2x2 --rpn 2 --block 48 --paths --query 0,199 \
@@ -461,7 +478,7 @@ if [[ -n "$san" ]]; then
   cmake --build "$build_dir" -j"$(nproc)" \
     --target test_mpisim_stress test_mpisim test_sched test_telemetry \
     test_core test_core_ext test_util test_monitor test_tune test_serve \
-    test_resilience
+    test_resilience test_srgemm
   "$build_dir/tests/test_mpisim_stress"
   "$build_dir/tests/test_mpisim"
   "$build_dir/tests/test_sched"
@@ -482,6 +499,9 @@ if [[ -n "$san" ]]; then
   "$build_dir/tests/test_core" --gtest_filter='*BlockedFw*'
   "$build_dir/tests/test_core_ext" --gtest_filter='Checkpoint.Resume*'
   "$build_dir/tests/test_util" --gtest_filter='ThreadPool*'
+  # The argmin kernel's pred gather reads predB at a lane-computed row: a
+  # wrong t index is an out-of-bounds read.
+  "$build_dir/tests/test_srgemm" --gtest_filter='SrgemmPred.*'
   echo "check.sh --san $san: OK"
   exit 0
 fi

@@ -273,29 +273,21 @@ inline void run_slice(MatrixView<const typename S::value_type> A,
 }
 
 /// Ambient dispatch-level metrics (PARFW_METRICS gate): one set of series
-/// per resolved {kernel, micro} pair in the global registry. Recording
-/// costs two atomic adds + two histogram observes per multiply() call —
-/// measured at the dispatch granularity, not per tile, so the kernels
-/// themselves stay untouched.
-template <typename S>
-inline void record_dispatch_metrics(Kernel kernel, const Config& cfg,
-                                    std::size_t m, std::size_t n,
-                                    std::size_t k, bool prepacked,
-                                    double seconds) {
+/// per kernel label in the global registry — the resolved {kernel, micro}
+/// pair for multiply(), kernel=argmin or kernel=pred_rows for
+/// multiply_with_pred(). Recording costs two atomic adds + two histogram
+/// observes per call — measured at the dispatch granularity, not per tile,
+/// so the kernels themselves stay untouched.
+inline void record_dispatch_metrics(const std::string& labels, std::size_t m,
+                                    std::size_t n, std::size_t k,
+                                    std::size_t bytes_packed, double seconds) {
   telemetry::Registry& reg = telemetry::Registry::global();
-  std::string labels = std::string("kernel=") + kernel_name(kernel);
-  if (kernel == Kernel::kSimd)
-    labels += std::string(",micro=") + micro_name(resolve_micro(cfg.micro));
   const double fl = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                     static_cast<double>(k);
   reg.counter("srgemm.calls", labels).inc();
   reg.counter("srgemm.flops", labels).add(static_cast<std::uint64_t>(fl));
-  if (!prepacked && (kernel == Kernel::kPacked || kernel == Kernel::kSimd)) {
-    // Operand footprint staged through the pack buffers (A and B panels).
-    reg.counter("srgemm.bytes_packed", labels)
-        .add(static_cast<std::uint64_t>((m * k + k * n) *
-                                        sizeof(typename S::value_type)));
-  }
+  if (bytes_packed > 0)
+    reg.counter("srgemm.bytes_packed", labels).add(bytes_packed);
   reg.histogram("srgemm.seconds", labels).observe(seconds);
   if (seconds > 0.0)
     reg.histogram("srgemm.gflops", labels).observe(fl / seconds / 1e9);
@@ -317,8 +309,58 @@ inline void multiply_impl(MatrixView<const typename S::value_type> A,
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  record_dispatch_metrics<S>(kernel, cfg, C.rows(), C.cols(), A.cols(),
-                             prepacked, secs);
+  std::string labels = std::string("kernel=") + kernel_name(kernel);
+  if (kernel == Kernel::kSimd)
+    labels += std::string(",micro=") + micro_name(resolve_micro(cfg.micro));
+  // Operand footprint staged through the pack buffers (A and B panels).
+  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
+  const bool packs =
+      !prepacked && (kernel == Kernel::kPacked || kernel == Kernel::kSimd);
+  record_dispatch_metrics(
+      labels, m, n, k,
+      packs ? (m * k + k * n) * sizeof(typename S::value_type) : 0, secs);
+}
+
+/// True iff the address spans of two non-empty views intersect (a span
+/// runs from the first element to one past the last, gaps included, so
+/// disjoint sub-views that interleave rows count as overlapping).
+template <typename X, typename Y>
+inline bool spans_overlap(MatrixView<X> x, MatrixView<Y> y) {
+  const auto lo = [](auto v) {
+    return reinterpret_cast<std::uintptr_t>(v.data());
+  };
+  const auto hi = [](auto v) {
+    return reinterpret_cast<std::uintptr_t>(v.data() +
+                                            (v.rows() - 1) * v.ld() + v.cols());
+  };
+  return lo(x) < hi(y) && lo(y) < hi(x);
+}
+
+/// Kernel body of one predecessor product: the register-blocked argmin
+/// kernel when no output overlaps its input, else the row-buffered sweep
+/// the aliased panel forms depend on. Returns the metric label.
+template <typename S>
+inline const char* run_pred(MatrixView<const typename S::value_type> A,
+                            MatrixView<const typename S::value_type> B,
+                            MatrixView<typename S::value_type> C,
+                            MatrixView<const std::int64_t> predB,
+                            MatrixView<std::int64_t> predC) {
+  using T = typename S::value_type;
+  if constexpr (simd_ops<S>::available && simd::kNativeBytes > 0) {
+    if (!spans_overlap(C, A) && !spans_overlap(C, B) &&
+        !spans_overlap(predC, predB)) {
+      // 32-register ISAs hold 4x2 (8 value + 8 index vectors), 16-register
+      // ISAs 2x2. The k-panel keeps the kk x NR B micro-panel in half of L1.
+      constexpr std::size_t MR = simd::kNativeBytes >= 64 ? 4 : 2, NV = 2;
+      constexpr std::size_t NR = NV * simd::native_lanes<T>();
+      static const std::size_t panel_k =
+          detect_cache().l1 / (2 * NR * sizeof(T));
+      argmin_kernel<S, MR, NV>(A, B, C, predB, predC, panel_k);
+      return "kernel=argmin";
+    }
+  }
+  pred_sweep_rows<S>(A, B, C, predB, predC);
+  return "kernel=pred_rows";
 }
 
 }  // namespace detail
@@ -399,13 +441,19 @@ void multiply_with_pred_reference(MatrixView<const typename S::value_type> A,
 /// Fused predecessor-tracking SRGEMM:
 ///     where C[i,j] improves through row t of B, predC[i,j] ← predB[t,j]
 /// (the blocked-FW pred rule: pred(i,j) ← pred(t,j), with predB carrying
-/// global vertex ids). One deterministic kernel — detail::pred_sweep_rows,
-/// SIMD when the semiring has lane-wise forms — services every call site,
-/// which is what makes the distributed pred matrices bit-identical to the
+/// global vertex ids). Two deterministic kernels, chosen per call by
+/// address overlap:
+///   * no overlap of C with A or B, nor of predC with predB (outer-update
+///     tiles, look-ahead strips, offload chunks, disjoint sub-views of one
+///     pred matrix): detail::argmin_kernel, register-blocked, bit-identical
+///     to multiply_with_pred_reference;
+///   * any overlap (the aliased panel updates): detail::pred_sweep_rows.
+/// Both resolve every (i,j) to the first t attaining its minimum, which is
+/// what makes the distributed pred matrices bit-identical to the
 /// single-node blocked_floyd_warshall_paths result.
 ///
 /// Aliasing: the blocked-FW panel updates deliberately alias (row panel
-/// B ≡ C, column panel A ≡ C); both are well-defined under the kernel's
+/// B ≡ C, column panel A ≡ C); both are well-defined under the sweep's
 /// row-buffered order. Row-panel aliasing carries cross-row dependencies,
 /// so a caller may cut such a product into column ranges but not rows.
 template <typename S>
@@ -422,7 +470,17 @@ void multiply_with_pred(MatrixView<const typename S::value_type> A,
   PARFW_CHECK(predB.rows() == B.rows() && predB.cols() == B.cols());
   PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
   if (C.empty() || A.cols() == 0) return;
-  detail::pred_sweep_rows<S>(A, B, C, predB, predC);
+  if (!telemetry::enabled()) {
+    detail::run_pred<S>(A, B, C, predB, predC);
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  const char* label = detail::run_pred<S>(A, B, C, predB, predC);
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  detail::record_dispatch_metrics(label, C.rows(), C.cols(), A.cols(), 0,
+                                  secs);
 }
 
 /// Element-wise accumulate with predecessor attachment (the offload

@@ -1,5 +1,8 @@
 // Kernel bodies for SRGEMM: naive oracle, cache-tiled + register-blocked
-// kernel, and the argmin-tracking variant.
+// kernel, and two argmin-tracking (predecessor) kernels: the
+// register-blocked argmin_kernel for operands that do not overlap, and
+// the row-buffered pred_sweep_rows whose order the aliased blocked-FW
+// panel updates depend on.
 //
 // The tiled kernel follows the canonical GotoBLAS decomposition adapted to
 // semirings: C is walked in tile_m x tile_n macro tiles; for each macro
@@ -11,12 +14,15 @@
 // (util/simd.hpp + per-semiring simd_ops traits): an MR x (NV*W) register
 // fragment of C updated with one broadcast per A element and NV vector
 // ops per ⊕/⊗ — the CPU rendition of the CUTLASS warp-fragment loop the
-// paper's kernel uses.
+// paper's kernel uses. argmin_kernel runs the same fragment loop with a
+// t-index accumulator beside each value accumulator (after Lund & Smith's
+// multi-stage FW kernel) and gathers predecessors once per k-panel.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "semiring/semiring.hpp"
 #include "util/matrix.hpp"
@@ -360,6 +366,153 @@ void pred_sweep_rows(MatrixView<const typename S::value_type> A,
     }
     std::copy_n(best, n, C.data() + i * C.ld());
     std::copy_n(bp, n, predC.data() + i * predC.ld());
+  }
+}
+
+/// Scalar argmin over one k-panel for fringe blocks: the reference
+/// ascending-t first-strict-improvement scan, in place on C and predC.
+template <typename S>
+inline void argmin_edge_kernel(const typename S::value_type* a,
+                               std::size_t lda,
+                               const typename S::value_type* b,
+                               std::size_t ldb, typename S::value_type* c,
+                               std::size_t ldc, const std::int64_t* pb,
+                               std::size_t ldpb, std::int64_t* pc,
+                               std::size_t ldpc, std::size_t mm,
+                               std::size_t nn, std::size_t kk) {
+  using T = typename S::value_type;
+  for (std::size_t i = 0; i < mm; ++i) {
+    for (std::size_t j = 0; j < nn; ++j) {
+      T best = c[i * ldc + j];
+      std::int64_t bp = pc[i * ldpc + j];
+      for (std::size_t t = 0; t < kk; ++t) {
+        const T cand = S::mul(a[i * lda + t], b[t * ldb + j]);
+        if (S::less_add(cand, best)) {
+          best = cand;
+          bp = pb[t * ldpb + j];
+        }
+      }
+      c[i * ldc + j] = best;
+      pc[i * ldpc + j] = bp;
+    }
+  }
+}
+
+/// Argmin micro-kernel: an MR x (NV*W) fragment of C in value
+/// accumulators plus as many t-index accumulators (mask_t<T> lanes, -1 =
+/// not improved in this panel), held across the k-panel. A strict
+/// improvement blends in both the candidate and t, so each lane keeps the
+/// first t attaining its minimum; predC(i,j) = predB(t*, j) is then
+/// gathered once per improved lane at the end of the panel.
+template <typename S, std::size_t MR, std::size_t NV>
+inline void argmin_micro_simd(const typename S::value_type* a,
+                              std::size_t lda,
+                              const typename S::value_type* b,
+                              std::size_t ldb, typename S::value_type* c,
+                              std::size_t ldc, const std::int64_t* pb,
+                              std::size_t ldpb, std::int64_t* pc,
+                              std::size_t ldpc, std::size_t kk) {
+  using T = typename S::value_type;
+  using M = simd::mask_t<T>;
+  using Ops = simd_ops<S>;
+  constexpr std::size_t W = simd::native_lanes<T>();
+  using V = simd::Vec<T, W>;
+  using I = simd::Vec<M, W>;
+  const I none = simd::broadcast<M, W>(M{-1});
+  V acc[MR][NV];
+  I idx[MR][NV];
+  for (std::size_t i = 0; i < MR; ++i)
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc[i][v] = simd::load<T, W>(c + i * ldc + v * W);
+      idx[i][v] = none;
+    }
+  for (std::size_t t = 0; t < kk; ++t) {
+    const T* brow = b + t * ldb;
+    V bv[NV];
+    for (std::size_t v = 0; v < NV; ++v)
+      bv[v] = simd::load<T, W>(brow + v * W);
+    const I tv = simd::broadcast<M, W>(static_cast<M>(t));
+    for (std::size_t i = 0; i < MR; ++i) {
+      const V av = simd::broadcast<T, W>(a[i * lda + t]);
+      for (std::size_t v = 0; v < NV; ++v) {
+        const V cand = Ops::vmul(av, bv[v]);
+        const auto imp = Ops::vimproves(cand, acc[i][v]);
+        acc[i][v] = simd::vselect(imp, cand, acc[i][v]);
+        idx[i][v] = simd::vselect(imp, tv, idx[i][v]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t v = 0; v < NV; ++v) {
+      simd::store<T, W>(c + i * ldc + v * W, acc[i][v]);
+      if (!simd::vany(simd::vcmp_gt(idx[i][v], none))) continue;
+      M lanes[W];
+      simd::store<M, W>(lanes, idx[i][v]);
+      std::int64_t* prow = pc + i * ldpc + v * W;
+      for (std::size_t l = 0; l < W; ++l)
+        if (lanes[l] >= 0)
+          prow[l] = pb[static_cast<std::size_t>(lanes[l]) * ldpb + v * W + l];
+    }
+  }
+}
+
+/// Rows [0, mm) of one NV-vector column strip: MR-row fragments, then
+/// single-row fragments for the row fringe.
+template <typename S, std::size_t MR, std::size_t NV>
+inline void argmin_strip(const typename S::value_type* a, std::size_t lda,
+                         const typename S::value_type* b, std::size_t ldb,
+                         typename S::value_type* c, std::size_t ldc,
+                         const std::int64_t* pb, std::size_t ldpb,
+                         std::int64_t* pc, std::size_t ldpc, std::size_t mm,
+                         std::size_t kk) {
+  std::size_t i = 0;
+  for (; i + MR <= mm; i += MR)
+    argmin_micro_simd<S, MR, NV>(a + i * lda, lda, b, ldb, c + i * ldc, ldc,
+                                 pb, ldpb, pc + i * ldpc, ldpc, kk);
+  for (; i < mm; ++i)
+    argmin_micro_simd<S, 1, NV>(a + i * lda, lda, b, ldb, c + i * ldc, ldc,
+                                pb, ldpb, pc + i * ldpc, ldpc, kk);
+}
+
+/// Register-blocked argmin SRGEMM for operands that do not overlap:
+/// bit-identical to multiply_with_pred_reference. k is consumed in panels
+/// of at most `panel_k` rows, capped so every t fits in a mask_t<T> lane
+/// (127 for 1-byte semirings); across panels a lane only moves on a
+/// strict improvement, so the first t attaining the minimum still wins.
+/// Within a panel the column strips run outermost, so one kk x NR
+/// micro-panel of B serves every row of C. Columns past the last full
+/// vector take the scalar edge kernel.
+template <typename S, std::size_t MR, std::size_t NV>
+void argmin_kernel(MatrixView<const typename S::value_type> A,
+                   MatrixView<const typename S::value_type> B,
+                   MatrixView<typename S::value_type> C,
+                   MatrixView<const std::int64_t> predB,
+                   MatrixView<std::int64_t> predC, std::size_t panel_k) {
+  using T = typename S::value_type;
+  using M = simd::mask_t<T>;
+  constexpr std::size_t W = simd::native_lanes<T>();
+  constexpr std::size_t NR = NV * W;
+  constexpr auto kMaxPanel =
+      static_cast<std::size_t>(std::numeric_limits<M>::max());
+  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
+  const std::size_t kp = std::clamp<std::size_t>(panel_k, 1, kMaxPanel);
+  const std::size_t lda = A.ld(), ldb = B.ld(), ldc = C.ld();
+  const std::size_t ldpb = predB.ld(), ldpc = predC.ld();
+  for (std::size_t k0 = 0; k0 < k; k0 += kp) {
+    const std::size_t kk = std::min(kp, k - k0);
+    const T* a = A.data() + k0;
+    const T* b = B.data() + k0 * ldb;
+    const std::int64_t* pb = predB.data() + k0 * ldpb;
+    std::size_t j = 0;
+    for (; j + NR <= n; j += NR)
+      argmin_strip<S, MR, NV>(a, lda, b + j, ldb, C.data() + j, ldc, pb + j,
+                              ldpb, predC.data() + j, ldpc, m, kk);
+    for (; j + W <= n; j += W)
+      argmin_strip<S, MR, 1>(a, lda, b + j, ldb, C.data() + j, ldc, pb + j,
+                             ldpb, predC.data() + j, ldpc, m, kk);
+    if (j < n)
+      argmin_edge_kernel<S>(a, lda, b + j, ldb, C.data() + j, ldc, pb + j,
+                            ldpb, predC.data() + j, ldpc, m, n - j, kk);
   }
 }
 

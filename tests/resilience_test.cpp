@@ -790,6 +790,13 @@ struct CrashCase {
   bool tiled;
 };
 
+// Names the instances in test ids (e.g. async_tiled). Without it gtest
+// prints the struct's raw bytes, padding included, which differ between
+// builds.
+void PrintTo(const CrashCase& c, std::ostream* os) {
+  *os << sched::variant_name(c.variant) << (c.tiled ? "_tiled" : "_naive");
+}
+
 class CrashRestart : public ::testing::TestWithParam<CrashCase> {};
 
 TEST_P(CrashRestart, BitIdenticalAfterRestartFromCheckpoint) {

@@ -425,6 +425,13 @@ struct ServeCase {
   bool tiled;
 };
 
+// Names the instances in test ids (e.g. async_tiled). Without it gtest
+// prints the struct's raw bytes, padding included, which differ between
+// builds.
+void PrintTo(const ServeCase& c, std::ostream* os) {
+  *os << sched::variant_name(c.variant) << (c.tiled ? "_tiled" : "_naive");
+}
+
 class ServedCrashResume : public ::testing::TestWithParam<ServeCase> {};
 
 TEST_P(ServedCrashResume, ServedBitIdenticalToGatheredOracle) {

@@ -4,9 +4,11 @@
 
 #include <cstdint>
 #include <tuple>
+#include <type_traits>
 
 #include "semiring/semiring.hpp"
 #include "srgemm/srgemm.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 
 #include "oracles.hpp"
@@ -151,45 +153,103 @@ TEST(Srgemm, StridedViewsWork) {
 // Fused predecessor-tracking kernel (multiply_with_pred) vs scalar oracle.
 // ---------------------------------------------------------------------------
 
+/// Entries for a pred-kernel test: S::zero() with probability inf_prob,
+/// else 1 + a draw below `range` (a small range makes many ties). For
+/// MinPlus<int32_t> one entry in eight sits just under the saturation
+/// sentinel, so sums saturate onto it.
+template <typename S>
+void fill_pred_operand(MatrixView<typename S::value_type> m, Rng& rng,
+                       double inf_prob, std::uint64_t range) {
+  using T = typename S::value_type;
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      T v = static_cast<T>(1 + rng.next_below(range));
+      if constexpr (std::is_same_v<S, MinPlus<std::int32_t>>)
+        if (rng.next_below(8) == 0) v = S::zero() - v;
+      m(i, j) = rng.next_double() < inf_prob ? S::zero() : v;
+    }
+}
+
+void fill_ids(MatrixView<std::int64_t> m, Rng& rng) {
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      m(i, j) = static_cast<std::int64_t>(rng.next_below(1000));
+}
+
+/// multiply_with_pred vs multiply_with_pred_reference on shapes with m
+/// and n off the MR/NR grid and k across the 127/128-deep panel limits,
+/// on dense operands and on strided sub-views of larger matrices (whose
+/// surroundings must stay untouched), with few and with many ties, and
+/// with sparse operands.
 template <typename S>
 void check_pred_kernel(std::uint64_t seed) {
   using T = typename S::value_type;
+  constexpr std::size_t kPad = 3;
+  const std::uint64_t range = std::is_same_v<S, BoolOrAnd> ? 1 : 50;
   for (auto [m, n, k] :
        {std::tuple{1, 1, 1}, std::tuple{3, 5, 2}, std::tuple{7, 65, 9},
-        std::tuple{33, 47, 25}, std::tuple{64, 64, 64}}) {
-    Rng rng(seed + static_cast<std::uint64_t>(m * 1000 + n));
-    auto fill = [&](Matrix<T>& mat, double inf_prob) {
-      for (std::size_t i = 0; i < mat.rows(); ++i)
-        for (std::size_t j = 0; j < mat.cols(); ++j)
-          mat(i, j) = rng.next_double() < inf_prob
-                          ? S::zero()
-                          : static_cast<T>(1 + rng.next_below(50));
-    };
-    Matrix<T> A(m, k), B(k, n), C(m, n);
-    fill(A, 0.15);
-    fill(B, 0.15);
-    fill(C, 0.4);
-    Matrix<std::int64_t> predB(k, n), predC(m, n, -1);
-    for (std::size_t t = 0; t < static_cast<std::size_t>(k); ++t)
-      for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j)
-        predB(t, j) = static_cast<std::int64_t>(rng.next_below(1000));
+        std::tuple{33, 47, 25}, std::tuple{64, 64, 64},
+        std::tuple{5, 97, 127}, std::tuple{9, 131, 128},
+        std::tuple{6, 200, 129}, std::tuple{11, 70, 300}}) {
+    for (const bool strided : {false, true}) {
+      // Few ties; many ties; sparse operands, whose first improvement
+      // mostly lands past the first k-panel.
+      for (const auto& [values, sparsity] :
+           {std::pair{range, 0.15},
+            std::pair{std::min<std::uint64_t>(range, 3), 0.15},
+            std::pair{range, 0.97}}) {
+        const std::size_t pad = strided ? kPad : 0;
+        const auto mm = static_cast<std::size_t>(m);
+        const auto nn = static_cast<std::size_t>(n);
+        const auto kk = static_cast<std::size_t>(k);
+        Rng rng(seed + static_cast<std::uint64_t>(m * 100000 + n * 100 + k) +
+                (strided ? 7 : 0) + values +
+                static_cast<std::uint64_t>(sparsity * 100));
+        Matrix<T> A(mm + 2 * pad, kk + 2 * pad), B(kk + 2 * pad, nn + 2 * pad),
+            C(mm + 2 * pad, nn + 2 * pad);
+        Matrix<std::int64_t> predB(kk + 2 * pad, nn + 2 * pad),
+            predC(mm + 2 * pad, nn + 2 * pad);
+        fill_pred_operand<S>(A.view(), rng, sparsity, values);
+        fill_pred_operand<S>(B.view(), rng, sparsity, values);
+        fill_pred_operand<S>(C.view(), rng, 0.4, values);
+        fill_ids(predB.view(), rng);
+        fill_ids(predC.view(), rng);
+        const auto a = A.sub(pad, pad, mm, kk);
+        const auto b = B.sub(pad, pad, kk, nn);
+        const auto pb = predB.sub(pad, pad, kk, nn);
 
-    auto C_ref = C.clone();
-    auto P_ref = predC.clone();
-    srgemm::multiply_with_pred_reference<S>(A.view(), B.view(), C_ref.view(),
-                                            predB.view(), P_ref.view());
-    auto C_got = C.clone();
-    auto P_got = predC.clone();
-    srgemm::multiply_with_pred<S>(A.view(), B.view(), C_got.view(),
-                                  predB.view(), P_got.view());
+        auto C_ref = C.clone();
+        auto P_ref = predC.clone();
+        srgemm::multiply_with_pred_reference<S>(
+            a, b, C_ref.sub(pad, pad, mm, nn), pb,
+            P_ref.sub(pad, pad, mm, nn));
+        auto C_got = C.clone();
+        auto P_got = predC.clone();
+        srgemm::multiply_with_pred<S>(a, b, C_got.sub(pad, pad, mm, nn), pb,
+                                      P_got.sub(pad, pad, mm, nn));
+        // The argmin kernel again with 7-deep k-panels, so every shape
+        // crosses panel boundaries whatever this host's L1 size.
+        auto C_pan = C.clone();
+        auto P_pan = predC.clone();
+        srgemm::detail::argmin_kernel<S, 4, 2>(
+            a, b, C_pan.sub(pad, pad, mm, nn), pb, P_pan.sub(pad, pad, mm, nn),
+            /*panel_k=*/7);
 
-    EXPECT_EQ(max_abs_diff<T>(C_ref.view(), C_got.view()), 0.0)
-        << m << "x" << n << "x" << k;
-    std::size_t mism = 0;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(m); ++i)
-      for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j)
-        if (P_ref(i, j) != P_got(i, j)) ++mism;
-    EXPECT_EQ(mism, 0u) << m << "x" << n << "x" << k;
+        // Whole matrices: the padding around a strided C must not move.
+        std::size_t vmism = 0, pmism = 0;
+        for (std::size_t i = 0; i < C.rows(); ++i)
+          for (std::size_t j = 0; j < C.cols(); ++j) {
+            vmism += (C_ref(i, j) != C_got(i, j)) + (C_ref(i, j) != C_pan(i, j));
+            pmism += (P_ref(i, j) != P_got(i, j)) + (P_ref(i, j) != P_pan(i, j));
+          }
+        EXPECT_EQ(vmism, 0u) << m << "x" << n << "x" << k
+                             << " strided=" << strided << " range=" << values
+                             << " sparsity=" << sparsity;
+        EXPECT_EQ(pmism, 0u) << m << "x" << n << "x" << k
+                             << " strided=" << strided << " range=" << values
+                             << " sparsity=" << sparsity;
+      }
+    }
   }
 }
 
@@ -204,6 +264,116 @@ TEST(SrgemmPred, FusedKernelMatchesScalarOracleMinPlusInt32) {
 }
 TEST(SrgemmPred, FusedKernelMatchesScalarOracleMaxMinFloat) {
   check_pred_kernel<MaxMin<float>>(94);
+}
+TEST(SrgemmPred, FusedKernelMatchesScalarOracleBoolOrAnd) {
+  check_pred_kernel<BoolOrAnd>(96);
+}
+
+TEST(SrgemmPred, AliasedPanelsKeepRowBufferedOrder) {
+  // The blocked-FW panel updates alias an operand with the output: the
+  // row panel is row ← akk ⊗ row (B ≡ C, predB ≡ predC), the column panel
+  // col ← col ⊗ akk (A ≡ C). Their result depends on the kernel's update
+  // order; both must keep the row-buffered order of pred_sweep_rows.
+  using S = MinPlus<float>;
+  const std::size_t bk = 80, nc = 70;
+  Rng rng(97);
+  Matrix<float> akk(bk, bk), row(bk, nc), col(nc, bk);
+  fill_pred_operand<S>(akk.view(), rng, 0.3, 50);
+  for (std::size_t i = 0; i < bk; ++i) akk(i, i) = 0.0f;
+  fill_pred_operand<S>(row.view(), rng, 0.5, 50);
+  fill_pred_operand<S>(col.view(), rng, 0.5, 50);
+  Matrix<std::int64_t> pkk(bk, bk), prow(bk, nc), pcol(nc, bk);
+  fill_ids(pkk.view(), rng);
+  fill_ids(prow.view(), rng);
+  fill_ids(pcol.view(), rng);
+
+  auto row_ref = row.clone();
+  auto prow_ref = prow.clone();
+  srgemm::multiply_with_pred_rows_reference<S>(
+      akk.view(), row_ref.view(), row_ref.view(), prow_ref.view(),
+      prow_ref.view());
+  srgemm::multiply_with_pred<S>(akk.view(), row.view(), row.view(),
+                                prow.view(), prow.view());
+  EXPECT_EQ(max_abs_diff<float>(row_ref.view(), row.view()), 0.0);
+  for (std::size_t i = 0; i < bk; ++i)
+    for (std::size_t j = 0; j < nc; ++j)
+      ASSERT_EQ(prow_ref(i, j), prow(i, j)) << "row panel " << i << "," << j;
+
+  auto col_ref = col.clone();
+  auto pcol_ref = pcol.clone();
+  srgemm::multiply_with_pred_rows_reference<S>(
+      col_ref.view(), akk.view(), col_ref.view(), pkk.view(), pcol_ref.view());
+  srgemm::multiply_with_pred<S>(col.view(), akk.view(), col.view(), pkk.view(),
+                                pcol.view());
+  EXPECT_EQ(max_abs_diff<float>(col_ref.view(), col.view()), 0.0);
+  for (std::size_t i = 0; i < nc; ++i)
+    for (std::size_t j = 0; j < bk; ++j)
+      ASSERT_EQ(pcol_ref(i, j), pcol(i, j)) << "col panel " << i << "," << j;
+}
+
+TEST(SrgemmPred, DisjointSubViewsOfOnePredMatrix) {
+  // The single-node outer tiles: C is a tile of the distance matrix, A and
+  // B are snapshot panels, predB = pred.sub(k0, c0, ...) and predC =
+  // pred.sub(r0, c0, ...) are disjoint block rows of ONE pred matrix.
+  using S = MinPlus<float>;
+  const std::size_t n = 200, b = 48, k0 = 48, c0 = 16, nc = 150;
+  Rng rng(98);
+  Matrix<float> D(n, n), col_panel(n, b), row_panel(b, n);
+  fill_pred_operand<S>(D.view(), rng, 0.4, 50);
+  fill_pred_operand<S>(col_panel.view(), rng, 0.15, 50);
+  fill_pred_operand<S>(row_panel.view(), rng, 0.15, 50);
+  Matrix<std::int64_t> P(n, n);
+  fill_ids(P.view(), rng);
+  for (const std::size_t r0 : {std::size_t{0}, std::size_t{96}}) {
+    const std::size_t nr = 45;
+    const auto lhs = col_panel.sub(r0, 0, nr, b);
+    const auto rhs = row_panel.sub(0, c0, b, nc);
+    auto D_ref = D.clone();
+    auto P_ref = P.clone();
+    srgemm::multiply_with_pred_reference<S>(
+        lhs, rhs, D_ref.sub(r0, c0, nr, nc), P_ref.sub(k0, c0, b, nc),
+        P_ref.sub(r0, c0, nr, nc));
+    srgemm::multiply_with_pred<S>(lhs, rhs, D.sub(r0, c0, nr, nc),
+                                  P.sub(k0, c0, b, nc), P.sub(r0, c0, nr, nc));
+    EXPECT_EQ(max_abs_diff<float>(D_ref.view(), D.view()), 0.0) << r0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        ASSERT_EQ(P_ref(i, j), P(i, j)) << r0 << ": " << i << "," << j;
+  }
+}
+
+TEST(SrgemmPred, DispatchMetricsLabelEachKernel) {
+  // multiply_with_pred records srgemm.calls/flops/seconds like multiply():
+  // a non-aliased product under kernel=argmin, an aliased one under
+  // kernel=pred_rows.
+  using S = MinPlus<float>;
+  auto& reg = telemetry::Registry::global();
+  const bool was = telemetry::enabled();
+  telemetry::set_enabled(true);
+  auto& argmin = reg.counter("srgemm.calls", "kernel=argmin");
+  auto& rows = reg.counter("srgemm.calls", "kernel=pred_rows");
+  auto& argmin_flops = reg.counter("srgemm.flops", "kernel=argmin");
+  const std::uint64_t argmin0 = argmin.value(), rows0 = rows.value();
+  const std::uint64_t flops0 = argmin_flops.value();
+
+  Rng rng(99);
+  Matrix<float> A(8, 4), B(4, 40), C(8, 40);
+  fill_pred_operand<S>(A.view(), rng, 0.0, 50);
+  fill_pred_operand<S>(B.view(), rng, 0.0, 50);
+  fill_pred_operand<S>(C.view(), rng, 0.0, 50);
+  Matrix<std::int64_t> pB(4, 40, 1), pC(8, 40, 2);
+  srgemm::multiply_with_pred<S>(A.view(), B.view(), C.view(), pB.view(),
+                                pC.view());
+  EXPECT_EQ(argmin.value(), argmin0 + 1);
+  EXPECT_EQ(rows.value(), rows0);
+  EXPECT_EQ(argmin_flops.value(), flops0 + 2 * 8 * 40 * 4);
+
+  Matrix<float> akk(8, 8, 0.0f);
+  srgemm::multiply_with_pred<S>(akk.view(), C.view(), C.view(), pC.view(),
+                                pC.view());
+  EXPECT_EQ(rows.value(), rows0 + 1);
+  EXPECT_EQ(argmin.value(), argmin0 + 1);
+  telemetry::set_enabled(was);
 }
 
 TEST(SrgemmPred, EwiseMergeEquivalentToFusedKernel) {
