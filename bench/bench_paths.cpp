@@ -1,7 +1,8 @@
 // Path-tracking benchmarks: the argmin-SIMD fused kernel vs the scalar
 // reference and vs the values kernel, the end-to-end overhead a paths run
-// adds to a value run of the distributed solver, and a single-node paths
-// solve on the pool.
+// adds to a value run of the distributed solver, single-node paths solves
+// on the pool next to their values-only twins, and the witness pass alone
+// on both of its bodies.
 //
 // Acceptance claims this binary measures:
 //   * srgemm::multiply_with_pred (SIMD argmin tracking) is >= 5x the
@@ -10,12 +11,16 @@
 //   * at the 2x2 outer-update shape, the argmin kernel (BM_PredOuter)
 //     holds at least 0.30 of the values kernel's rate (BM_ValueOuter) —
 //     also enforced by check.sh --paths;
-//   * the paths overhead of the distributed solve stays a small constant
-//     factor (pred companion broadcasts roughly triple the row-panel
-//     volume; compute roughly doubles per improving element);
-//   * BM_ApspPathsParallel: the default front door (kBlockedParallel)
-//     with track_paths on ER n = 3072, b = 64 — the look-ahead tile loop
-//     over the global pool.
+//   * the paths overhead of the distributed solve is the witness pass over
+//     the gathered matrix (the schedule is the values schedule);
+//   * BM_ApspPathsParallel / BM_ApspPathsParallelDense: the default front
+//     door (kBlockedParallel) with track_paths on ER n = 3072 (p = 0.01)
+//     and on the paper's dense uniform input (§5.1.4) at n = 1024, b = 64,
+//     next to the values-only twins BM_ApspValuesParallel{,Dense};
+//     check.sh --paths gates each paths/values time ratio from one process;
+//   * BM_Witness/<permille>/<method>: the witness pass alone on a closed
+//     ER n = 1024 matrix of the given edge density, scan (0) or product
+//     (1) — where the two cross is core/witness.hpp's density threshold.
 //
 // Every row times wall clock per iteration, and its GFLOP/s counter (the
 // metric check.sh --paths gates) is the flop count over the
@@ -39,6 +44,7 @@
 #include <vector>
 
 #include "core/apsp.hpp"
+#include "core/witness.hpp"
 #include "dist/driver.hpp"
 #include "graph/generators.hpp"
 #include "semiring/semiring.hpp"
@@ -177,24 +183,92 @@ BENCHMARK(BM_DistPaths)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Single-node paths solve through apsp(): kBlockedParallel on the global
-/// pool, ER n = 3072 (p = 0.01, integral weights), b = 64. The graph is
-/// built once; each iteration rebuilds the distance matrix inside apsp().
-void BM_ApspPathsParallel(benchmark::State& state) {
-  const parfw::vertex_t n = 3072;
-  const auto g = parfw::gen::erdos_renyi(n, 0.01, 7, 1.0, 100.0,
-                                         /*integral=*/true);
+/// Single-node solve through apsp(): kBlockedParallel on the global pool,
+/// b = 64, with or without paths. The graph is built once; each iteration
+/// rebuilds the distance matrix inside apsp().
+void apsp_parallel(benchmark::State& state, const parfw::Graph& g,
+                   bool track_paths) {
   parfw::ApspOptions opt;
   opt.algorithm = parfw::ApspAlgorithm::kBlockedParallel;
   opt.block_size = 64;
-  opt.track_paths = true;
-  timed_loop(state, parfw::blocked_fw_flops(n), [&] {
-    const auto r = parfw::apsp<S>(g, opt);
-    benchmark::DoNotOptimize(r.pred->data());
-  });
+  opt.track_paths = track_paths;
+  timed_loop(
+      state,
+      parfw::blocked_fw_flops(static_cast<std::size_t>(g.num_vertices())),
+      [&] {
+        const auto r = parfw::apsp<S>(g, opt);
+        benchmark::DoNotOptimize(r.dist.data());
+      });
+}
+
+const parfw::Graph& er_3072() {
+  static const auto g = parfw::gen::erdos_renyi(3072, 0.01, 7, 1.0, 100.0,
+                                                /*integral=*/true);
+  return g;
+}
+
+const parfw::Graph& dense_1024() {
+  static const auto g = parfw::gen::dense_uniform(1024, 7, 1.0, 100.0,
+                                                  /*integral=*/true);
+  return g;
+}
+
+void BM_ApspPathsParallel(benchmark::State& state) {
+  apsp_parallel(state, er_3072(), true);
 }
 BENCHMARK(BM_ApspPathsParallel)
     ->Iterations(3)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_ApspValuesParallel(benchmark::State& state) {
+  apsp_parallel(state, er_3072(), false);
+}
+BENCHMARK(BM_ApspValuesParallel)
+    ->Iterations(3)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_ApspPathsParallelDense(benchmark::State& state) {
+  apsp_parallel(state, dense_1024(), true);
+}
+BENCHMARK(BM_ApspPathsParallelDense)
+    ->Iterations(9)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_ApspValuesParallelDense(benchmark::State& state) {
+  apsp_parallel(state, dense_1024(), false);
+}
+BENCHMARK(BM_ApspValuesParallelDense)
+    ->Iterations(9)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// The witness pass alone over the global pool: ER n = 1024 with edge
+/// density range(0) / 1000 (integral weights), closed once outside the
+/// loop; range(1) picks the scan (0) or the product (1). The GFLOP/s
+/// counter is nominal: the product's 2n³ over the row's time.
+void BM_Witness(benchmark::State& state) {
+  const parfw::vertex_t n = 1024;
+  const auto g = parfw::gen::erdos_renyi(
+      n, static_cast<double>(state.range(0)) / 1000.0, 7, 1.0, 100.0,
+      /*integral=*/true);
+  const auto w = g.distance_matrix<S>();
+  auto d = w.clone();
+  parfw::blocked_floyd_warshall<S>(d.view(), {{.block_size = 64}});
+  parfw::Matrix<std::int64_t> pred(n, n);
+  const auto method = state.range(1) == 0 ? parfw::WitnessMethod::kScan
+                                          : parfw::WitnessMethod::kProduct;
+  timed_loop(state, parfw::srgemm::flops(n, n, n), [&] {
+    parfw::witness_predecessors<S>(w.view(), d.view(), pred.view(),
+                                   &parfw::ThreadPool::global(), nullptr,
+                                   method);
+    benchmark::DoNotOptimize(pred.data());
+  });
+}
+BENCHMARK(BM_Witness)
+    ->ArgsProduct({{10, 50, 200, 400, 700}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

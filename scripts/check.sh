@@ -67,13 +67,15 @@
 # an apsp --variant auto end-to-end run that
 # must be bit-identical to explicitly running the winning schedule.
 #
-# --paths is the path-tracking gate: bench_paths (argmin-SIMD kernel vs
-# the scalar oracle, plus the end-to-end paths overhead of a distributed
-# solve) diffed against BENCH_paths.json, the >= 5x fused-kernel speedup
-# acceptance and the pred/values outer-shape ratio floor enforced from the
-# fresh JSON, and apsp --paths end-to-end
-# runs (distributed 2x2, then single-node on the pool) that must answer
-# a path query with the same path.
+# --paths is the path-tracking gate: the witness-oracle suites, bench_paths
+# (argmin-SIMD kernel vs the scalar oracle, the end-to-end paths overhead
+# of a distributed solve, single-node paths solves next to their
+# values-only twins) diffed against BENCH_paths.json, the >= 5x
+# fused-kernel speedup, the pred/values outer-shape ratio floor and the
+# single-node paths/values time ratios enforced from the fresh JSON, and
+# apsp --paths end-to-end runs (distributed 2x2, then single-node on the
+# pool) that must answer a path query with the same path, plus a max-min
+# path query whose printed path must not repeat a vertex.
 #
 # --serve is the serving-tier gate (DESIGN.md §4.12-4.13): the
 # test_serve and test_cli suites, bench_serve diffed against
@@ -249,11 +251,12 @@ if [[ "$paths" == 1 ]]; then
   build_dir="${1:-$repo_root/build}"
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$build_dir" -j"$(nproc)" \
-    --target bench_paths apsp_cli test_dist test_resilience
+    --target bench_paths apsp_cli test_core test_dist test_resilience
   out_dir="$build_dir/paths-smoke"
   mkdir -p "$out_dir"
 
   echo "== paths bit-identity + crash-restart suites =="
+  "$build_dir/tests/test_core" --gtest_filter='Witness.*:*BlockedFwPaths*'
   "$build_dir/tests/test_dist" --gtest_filter='*DistPaths*'
   "$build_dir/tests/test_resilience" \
     --gtest_filter='*CrashRestartPaths*:CheckpointFormat.PredPayload*'
@@ -290,6 +293,28 @@ print(f"pred/values outer-shape rate ratio: {ratio:.2f}")
 assert ratio >= 0.30, f"argmin outer rate below 0.30 of values ({ratio:.2f})"
 EOF
 
+  echo "== single-node paths/values time ratios (values solve + witness) =="
+  # Twins in one process, so host load mostly cancels out of the ratio;
+  # each pair shares a flop count, so the rate ratio is the time ratio.
+  # Seven runs read 1.08-1.49 (ER n=3072, scan) and 2.69-3.38 (dense
+  # n=1024, product); the fused pred kernel this replaced read ~3.3 and
+  # ~4.7 on the same inputs.
+  python3 - "$out_dir/paths_fresh.json" <<'EOF'
+import json, sys
+rows = {b["name"]: b for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b.get("run_type", "iteration") == "iteration"}
+def rate(prefix):
+    return next(r["GFLOP/s"] for n, r in rows.items()
+                if n.startswith(prefix + "/"))
+for paths, values, bound in (
+        ("BM_ApspPathsParallel", "BM_ApspValuesParallel", 1.8),
+        ("BM_ApspPathsParallelDense", "BM_ApspValuesParallelDense",
+         4.0)):
+    ratio = rate(values) / rate(paths)
+    print(f"{paths}: paths/values time {ratio:.2f} (bound {bound})")
+    assert ratio <= bound, f"{paths} over {bound}x its values twin ({ratio:.2f})"
+EOF
+
   echo "== apsp --paths end-to-end (distributed, path query) =="
   "$build_dir/tools/apsp" --gen er --n 240 --p 0.2 --seed 7 \
     --algorithm dist --dist 2x2 --rpn 2 --block 48 --paths --query 0,199 \
@@ -306,7 +331,19 @@ EOF
      "$(grep '^path:' "$out_dir/paths_query.txt")" ]] \
     || { echo "single-node and 2x2 --paths runs print different paths"; exit 1; }
 
-  echo "== apsp --paths --variant auto (tuner prices the paths schedule) =="
+  echo "== apsp --semiring maxmin --paths (ties: the printed path is simple) =="
+  "$build_dir/tools/apsp" --gen er --n 240 --p 0.05 --seed 7 \
+    --algorithm parallel --block 48 --semiring maxmin --paths --query 0,199 \
+    | tee "$out_dir/paths_maxmin.txt"
+  python3 - "$out_dir/paths_maxmin.txt" <<'EOF'
+import sys
+path = [l.split()[1:] for l in open(sys.argv[1]) if l.startswith("path:")]
+assert path and len(path[0]) >= 2, "max-min run printed no path"
+assert len(set(path[0])) == len(path[0]), f"repeated vertex in {path[0]}"
+print(f"max-min path of {len(path[0])} vertices, none repeated")
+EOF
+
+  echo "== apsp --paths --variant auto (paths runs tune the values schedule) =="
   rm -f "$out_dir/cache.json"
   PARFW_TUNE_CACHE="$out_dir/cache.json" \
     "$build_dir/tools/apsp" --gen er --n 240 --p 0.2 --seed 7 \
@@ -317,8 +354,8 @@ EOF
   python3 - "$out_dir/cache.json" <<'EOF'
 import json, sys
 entries = json.load(open(sys.argv[1]))["entries"]
-assert any(e["track_paths"] for e in entries), \
-    "tuner cache has no paths workload entry"
+assert len(entries) == 1 and "track_paths" not in entries[0], \
+    f"want one values-schedule entry for the paths run, got {entries}"
 EOF
 
   echo "check.sh --paths: OK"
@@ -495,8 +532,8 @@ if [[ -n "$san" ]]; then
   "$build_dir/tests/test_resilience" \
     --gtest_filter='CheckpointFormat.*:CheckpointStore.*'
   # The blocked solver's look-ahead: pivot(k+1) writes panels while other
-  # workers still run round k's tiles.
-  "$build_dir/tests/test_core" --gtest_filter='*BlockedFw*'
+  # workers still run round k's tiles; the witness pass's rows on the pool.
+  "$build_dir/tests/test_core" --gtest_filter='*BlockedFw*:Witness.*'
   "$build_dir/tests/test_core_ext" --gtest_filter='Checkpoint.Resume*'
   "$build_dir/tests/test_util" --gtest_filter='ThreadPool*'
   # The argmin kernel's pred gather reads predB at a lane-computed row: a

@@ -2,11 +2,12 @@
 //
 // apsp() picks an execution strategy (sequential FW, blocked FW, blocked +
 // thread parallel) over a chosen semiring and returns the closed distance
-// matrix, optionally with predecessors for path queries. The distributed
-// strategy (kDistributed) is declared here but dispatched by parfw::solve
-// in dist/solve.hpp — the ONE front door covering every strategy — so that
-// core stays free of the runtime/grid machinery; calling apsp() directly
-// with kDistributed is an error pointing there.
+// matrix, optionally with predecessors for path queries: every strategy
+// runs its values-only solve, then the witness pass (core/witness.hpp).
+// The distributed strategy (kDistributed) is declared here but dispatched
+// by parfw::solve in dist/solve.hpp — the ONE front door covering every
+// strategy — so that core stays free of the runtime/grid machinery;
+// calling apsp() directly with kDistributed is an error pointing there.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "core/floyd_warshall.hpp"
 #include "core/query.hpp"
 #include "core/solve_options.hpp"
+#include "core/witness.hpp"
 #include "graph/graph.hpp"
 #include "sched/variant.hpp"
 
@@ -68,7 +70,8 @@ struct DistStrategy {
   /// seconds (tune::TuneOptions::stall_weight; 0 = pure makespan).
   double tune_stall_weight = 1.0;
   /// When set, solve() threads this registry into the distributed
-  /// interpreter (fw.phase.* series) and kAuto publishes the tune.*
+  /// interpreter (fw.phase.* series), the witness pass records its
+  /// paths.witness.* series into it, and kAuto publishes the tune.*
   /// series — predicted vs achieved seconds included — into it.
   telemetry::Registry* metrics = nullptr;
   /// When set, solve() threads this sink into the distributed interpreter
@@ -100,7 +103,8 @@ struct ApspOptions : SolveCommon {
 };
 
 /// Result of an APSP solve. dist(i,j) is the closed semiring distance;
-/// pred is present iff track_paths was set.
+/// pred is present iff track_paths was set, and holds the witness
+/// predecessors of dist (core/witness.hpp), whatever the engine.
 template <typename T>
 struct ApspResult {
   Matrix<T> dist;
@@ -129,34 +133,26 @@ ApspResult<typename S::value_type> apsp(const Graph& g,
   ApspResult<T> result;
   result.dist = g.distance_matrix<S>();
   auto d = result.dist.view();
-  MatrixView<std::int64_t> pred;  // empty = values only
-  if (opt.track_paths) {
-    result.pred.emplace(d.rows(), d.cols());
-    pred = result.pred->view();
-    init_predecessors<S>(d, pred);
-  }
+  Matrix<T> w;  // the input matrix, kept for the witness pass
+  if (opt.track_paths) w = result.dist.clone();
 
   BlockedFwOptions bopt;
   static_cast<SolveCommon&>(bopt) = opt;  // shared knobs, verbatim
-  switch (opt.algorithm) {
-    case ApspAlgorithm::kSequential:
-      if (opt.track_paths)
-        floyd_warshall_paths<S>(d, pred);
-      else
-        floyd_warshall<S>(d);
-      break;
-    case ApspAlgorithm::kBlockedParallel:
-      bopt.pool = &ThreadPool::global();
-      [[fallthrough]];
-    case ApspAlgorithm::kBlocked:
-      blocked_floyd_warshall<S>(d, bopt, pred);
-      break;
-    case ApspAlgorithm::kDistributed: break;  // rejected above
-  }
+  if (opt.algorithm == ApspAlgorithm::kBlockedParallel)
+    bopt.pool = &ThreadPool::global();
+  if (opt.algorithm == ApspAlgorithm::kSequential)
+    floyd_warshall<S>(d);
+  else
+    blocked_floyd_warshall<S>(d, bopt);
 
   if (opt.reject_negative_cycles) {
     PARFW_CHECK_MSG(!has_negative_cycle<S>(d),
                     "input graph contains a negative cycle");
+  }
+  if (opt.track_paths) {
+    result.pred.emplace(d.rows(), d.cols());
+    witness_predecessors<S>(w.view(), d, result.pred->view(), bopt.pool,
+                            witness_registry(nullptr));
   }
   return result;
 }

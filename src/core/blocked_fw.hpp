@@ -29,17 +29,9 @@
 // valid path candidates, so the fixpoint is unchanged. This is exactly
 // the property the paper's asynchronous pipeline also relies on.
 //
-// Given a predecessor matrix, the same loop also generates paths (the
-// paper's §7 extension): every product becomes srgemm::multiply_with_pred,
-// which rewrites pred(i,j) ← pred(t,j) wherever t strictly improves (i,j),
-// and the pivot closes A(k,k) with classic FW (diag_update_with_pred).
-// Tiles read pred block row k in place: pivot(k+1) writes pred only in
-// block row and column k+1, the tiles that read pred(k, k+1) are the
-// look-ahead ones that finish before it, and no tile writes block row k.
-// Every entry sees the same ascending-t scans in the same round order
-// whatever the tiling and worker count, so the pred matrix is
-// bit-identical across pool sizes and to the distributed interpreter,
-// which binds the same kernel.
+// A paths solve runs this loop for the values and then the witness pass
+// (core/witness.hpp) over the closed matrix; the loop itself never sees a
+// predecessor.
 #pragma once
 
 #include <algorithm>
@@ -52,6 +44,7 @@
 
 #include "core/diag_update.hpp"
 #include "core/solve_options.hpp"
+#include "core/witness.hpp"
 #include "srgemm/srgemm.hpp"
 #include "util/matrix.hpp"
 #include "util/thread_pool.hpp"
@@ -97,22 +90,16 @@ inline void push_strip(std::vector<OuterTile>& tiles, std::size_t r0,
 /// A(k_done,k_done) closed and its panels updated. Resuming from that
 /// state is still bit-identical, since re-applying a closed pivot is a
 /// no-op under idempotent ⊕.
-///
-/// A non-empty `pred` (n x n, initialised with init_predecessors) turns
-/// the solve into a paths solve; opt.diag is then ignored.
 template <typename S>
 void blocked_floyd_warshall_range(
     MatrixView<typename S::value_type> a, std::size_t start_block,
     const BlockedFwOptions& opt = {},
     const std::function<void(std::size_t, MatrixView<typename S::value_type>)>&
-        on_block = {},
-    MatrixView<std::int64_t> pred = {}) {
+        on_block = {}) {
   static_assert(is_idempotent<S>(), "blocked FW requires idempotent semiring");
   using T = typename S::value_type;
   PARFW_CHECK(a.rows() == a.cols());
   PARFW_CHECK_MSG(opt.block_size > 0, "block size must be positive");
-  const bool paths = !pred.empty();
-  PARFW_CHECK(!paths || (pred.rows() == a.rows() && pred.cols() == a.cols()));
   const std::size_t n = a.rows();
   // A block wider than the matrix is the whole matrix.
   const std::size_t b = std::max<std::size_t>(1, std::min(opt.block_size, n));
@@ -142,28 +129,17 @@ void blocked_floyd_warshall_range(
   auto pivot = [&](std::size_t k) {
     const auto [k0, bk] = block_range(k);
     auto akk = a.sub(k0, k0, bk, bk);
-    if (paths)
-      diag_update_with_pred<S>(akk, pred.sub(k0, k0, bk, bk));
-    else
-      diag_update<S>(akk, opt.diag, scratch.view(), cfg);
+    diag_update<S>(akk, opt.diag, scratch.view(), cfg);
     // PanelUpdate on the panel parts left/above and right/below A(k,k).
     // The panels are dense strips already, so the kernel reads them in
-    // place instead of packing a copy per call. With paths, the row panel
-    // takes its preds from itself and the column panel from pred(k,k).
+    // place instead of packing a copy per call.
     for (const auto& [c0, nc] :
          {std::pair{std::size_t{0}, k0}, std::pair{k0 + bk, n - k0 - bk}}) {
       if (nc == 0) continue;
       const auto row = a.sub(k0, c0, bk, nc);
       const auto col = a.sub(c0, k0, nc, bk);
-      if (paths) {
-        const auto prow = pred.sub(k0, c0, bk, nc);
-        srgemm::multiply_with_pred<S>(akk, row, row, prow, prow);
-        srgemm::multiply_with_pred<S>(col, akk, col, pred.sub(k0, k0, bk, bk),
-                                      pred.sub(c0, k0, nc, bk));
-      } else {
-        srgemm::multiply_prepacked<S>(akk, row, row, cfg);
-        srgemm::multiply_prepacked<S>(col, akk, col, cfg);
-      }
+      srgemm::multiply_prepacked<S>(akk, row, row, cfg);
+      srgemm::multiply_prepacked<S>(col, akk, col, cfg);
     }
     if (nb == 1) return;
     row_snap[k % 2].sub(0, 0, bk, n).copy_from(a.sub(k0, 0, bk, n));
@@ -210,12 +186,7 @@ void blocked_floyd_warshall_range(
         const auto lhs = col_panel.sub(x.r0, 0, x.nr, bk);
         const auto rhs = row_panel.sub(0, x.c0, bk, x.nc);
         const auto dst = a.sub(x.r0, x.c0, x.nr, x.nc);
-        if (paths)
-          srgemm::multiply_with_pred<S>(lhs, rhs, dst,
-                                        pred.sub(k0, x.c0, bk, x.nc),
-                                        pred.sub(x.r0, x.c0, x.nr, x.nc));
-        else
-          srgemm::multiply_prepacked<S>(lhs, rhs, dst, cfg);
+        srgemm::multiply_prepacked<S>(lhs, rhs, dst, cfg);
         if (t < n_ahead &&
             ahead_left.fetch_sub(1, std::memory_order_acq_rel) == 1)
           pivot(k + 1);
@@ -230,23 +201,26 @@ void blocked_floyd_warshall_range(
   }
 }
 
-/// In-place blocked FW over any idempotent semiring (paper Algorithm 2);
-/// a non-empty `pred` also generates paths (see blocked_floyd_warshall_range).
+/// In-place blocked FW over any idempotent semiring (paper Algorithm 2).
 template <typename S>
 void blocked_floyd_warshall(MatrixView<typename S::value_type> a,
-                            const BlockedFwOptions& opt = {},
-                            MatrixView<std::int64_t> pred = {}) {
-  blocked_floyd_warshall_range<S>(a, 0, opt, {}, pred);
+                            const BlockedFwOptions& opt = {}) {
+  blocked_floyd_warshall_range<S>(a, 0, opt);
 }
 
-/// Blocked FW computing both distances and predecessors in place, on the
-/// calling thread. pred must be initialised with init_predecessors.
+/// Blocked FW on the calling thread, then the witness pass: `a` holds the
+/// input matrix on entry and the closed matrix on return, `pred` (n x n,
+/// contents on entry ignored) the witness predecessors.
 template <typename S>
 void blocked_floyd_warshall_paths(MatrixView<typename S::value_type> a,
                                   MatrixView<std::int64_t> pred,
                                   std::size_t block_size = 64) {
+  using T = typename S::value_type;
   PARFW_CHECK(pred.rows() == a.rows() && pred.cols() == a.cols());
-  blocked_floyd_warshall<S>(a, {{.block_size = block_size}}, pred);
+  Matrix<T> w(a.rows(), a.cols());
+  w.view().copy_from(a);
+  blocked_floyd_warshall<S>(a, {{.block_size = block_size}});
+  witness_predecessors<S>(w.view(), a, pred);
 }
 
 /// FLOP count of blocked FW under the 2·n³ convention (paper §2.7.1).

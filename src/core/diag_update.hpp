@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "semiring/semiring.hpp"
 #include "srgemm/srgemm.hpp"
@@ -76,31 +75,6 @@ void diag_update(MatrixView<typename S::value_type> block,
     // block ← block ⊕ tmp ⊗ tmp ( = A ⊕ A² ; with unit diagonal A² ⊇ A )
     srgemm::multiply<S>(tmp, tmp, block, cfg);
   }
-}
-
-/// DiagUpdate with path tracking: classic in-place FW over the pivot block
-/// that also rewrites pk(i,j) ← pk(t,j) on every strict improvement
-/// (log-squaring loses the argmin chain structure, so paths always use
-/// classic). Shared verbatim by the single-node blocked solver and the
-/// distributed interpreter — part of what keeps their predecessor
-/// matrices bit-identical.
-template <typename S>
-void diag_update_with_pred(MatrixView<typename S::value_type> dk,
-                           MatrixView<std::int64_t> pk) {
-  using T = typename S::value_type;
-  const std::size_t bk = dk.rows();
-  for (std::size_t t = 0; t < bk; ++t)
-    for (std::size_t i = 0; i < bk; ++i) {
-      const T dit = dk(i, t);
-      if (dit == S::zero()) continue;
-      for (std::size_t j = 0; j < bk; ++j) {
-        const T cand = S::mul(dit, dk(t, j));
-        if (S::less_add(cand, dk(i, j))) {
-          dk(i, j) = cand;
-          pk(i, j) = pk(t, j);
-        }
-      }
-    }
 }
 
 /// Flop count of each strategy, used by the performance model and the

@@ -1,5 +1,6 @@
 // Sequential Floyd-Warshall (paper Algorithm 1), generic over semirings,
-// with optional predecessor tracking and negative-cycle detection.
+// with negative-cycle detection and path reconstruction from a
+// predecessor matrix (core/witness.hpp computes one).
 #pragma once
 
 #include <cstdint>
@@ -34,35 +35,8 @@ void floyd_warshall(MatrixView<typename S::value_type> dist) {
   }
 }
 
-/// Floyd-Warshall that additionally maintains the predecessor matrix:
-/// pred(i,j) = the vertex preceding j on the current best i→j path
-/// (pred(i,i) = i; -1 when j is unreachable from i). Enables O(path)
-/// reconstruction (paper §7 lists path generation as planned work).
-template <typename S>
-void floyd_warshall_paths(MatrixView<typename S::value_type> dist,
-                          MatrixView<std::int64_t> pred) {
-  static_assert(is_idempotent<S>(), "FW requires an idempotent semiring");
-  using T = typename S::value_type;
-  PARFW_CHECK(dist.rows() == dist.cols());
-  PARFW_CHECK(pred.rows() == dist.rows() && pred.cols() == dist.cols());
-  const std::size_t n = dist.rows();
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const T dik = dist(i, k);
-      if (dik == S::zero()) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        const T cand = S::mul(dik, dist(k, j));
-        if (S::less_add(cand, dist(i, j))) {
-          dist(i, j) = cand;
-          pred(i, j) = pred(k, j);
-        }
-      }
-    }
-  }
-}
-
 /// Initialise the predecessor matrix from an edge-initialised distance
-/// matrix (before running floyd_warshall_paths).
+/// matrix: pred(i,j) = i for every edge i→j and i == j, else -1.
 template <typename S>
 void init_predecessors(MatrixView<const typename S::value_type> dist,
                        MatrixView<std::int64_t> pred) {

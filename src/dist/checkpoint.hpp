@@ -52,7 +52,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -62,7 +61,9 @@
 #include "dist/block_cyclic.hpp"
 #include "mpisim/communicator.hpp"
 #include "sched/variant.hpp"
+#include "util/aligned_buffer.hpp"
 #include "util/crc32c.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace parfw::dist {
@@ -86,7 +87,7 @@ struct CheckpointExt {
   std::int32_t coord_row = 0;    ///< producing rank's grid coordinate
   std::int32_t coord_col = 0;
   /// sizeof one predecessor id when the blob carries pred tiles after the
-  /// value tiles (paths runs); 0 = values only.
+  /// value tiles (a published paths result); 0 = values only.
   std::uint32_t pred_elem_size = 0;
   std::uint64_t sched_op_index = 0;  ///< schedule position within the run
   std::uint64_t tile_count = 0;      ///< tile table entries
@@ -284,12 +285,11 @@ inline void verify_tile(std::span<const std::uint8_t> bytes,
 
 namespace detail {
 
-/// Copy local tile (il, jl) of `local` into `dst` as one contiguous b x b
-/// row-major block and return its CRC32C, taken while it is in cache.
+/// Copy a b x b tile into `dst` as one contiguous row-major block and
+/// return its CRC32C, taken while it is in cache.
 template <typename E>
-std::uint32_t gather_tile(const Matrix<E>& local, std::size_t il,
-                          std::size_t jl, std::size_t b, std::uint8_t* dst) {
-  const MatrixView<const E> tile = local.sub(il * b, jl * b, b, b);
+std::uint32_t gather_tile(MatrixView<const E> tile, std::uint8_t* dst) {
+  const std::size_t b = tile.rows();
   for (std::size_t r = 0; r < b; ++r)
     std::memcpy(dst + r * b * sizeof(E), &tile(r, 0), b * sizeof(E));
   return crc32c(std::span<const std::uint8_t>(dst, b * b * sizeof(E)));
@@ -390,37 +390,40 @@ inline std::optional<CommitRecord> read_commit(const CheckpointStore& store) {
   return rec;
 }
 
-/// Snapshot this rank's local tiles + schedule position. Returns the blob
-/// size in bytes (for TrafficStats::checkpoint_bytes). When `pred` is set
-/// (a paths run) its tiles follow the value tiles in the same order and
-/// ext.pred_elem_size records their element width.
+/// Encode and store the blob of the rank at `me` on an n x n block-cyclic
+/// layout. Tile (I, J) of the rank (global block indices) is read from
+/// `values` — the rank's local matrix, or with `global` the whole matrix
+/// — and, when `preds` is non-empty, its pred tile from `preds` at the
+/// same place; the pred tiles follow the value tiles in the same order
+/// and ext.pred_elem_size records their element width. Returns the blob
+/// size in bytes.
 template <typename T>
-std::size_t save_rank_checkpoint(
-    CheckpointStore& store, const BlockCyclicMatrix<T>& a,
-    const SchedulePosition& pos,
-    const BlockCyclicMatrix<std::int64_t>* pred = nullptr) {
-  const std::size_t nlr = a.local_block_rows(), nlc = a.local_block_cols();
-  const std::size_t b = a.block_size();
+std::size_t save_rank_blob(CheckpointStore& store, std::size_t n,
+                           std::size_t b, const GridSpec& grid, GridCoord me,
+                           const SchedulePosition& pos,
+                           MatrixView<const T> values,
+                           MatrixView<const std::int64_t> preds, bool global) {
+  const std::size_t nb = n / b;
+  const std::size_t nlr = owned_blocks(nb, me.row, grid.rows());
+  const std::size_t nlc = owned_blocks(nb, me.col, grid.cols());
+  const bool with_preds = !preds.empty();
 
   CheckpointHeader h;
   h.elem_size = sizeof(T);
-  h.n = a.n();
+  h.n = n;
   h.next_block = pos.k0;
   h.block_size = b;
 
   CheckpointExt ext;
   ext.variant = static_cast<std::uint32_t>(pos.variant);
-  ext.grid_rows = static_cast<std::uint32_t>(a.grid().rows());
-  ext.grid_cols = static_cast<std::uint32_t>(a.grid().cols());
-  ext.coord_row = a.coord().row;
-  ext.coord_col = a.coord().col;
+  ext.grid_rows = static_cast<std::uint32_t>(grid.rows());
+  ext.grid_cols = static_cast<std::uint32_t>(grid.cols());
+  ext.coord_row = me.row;
+  ext.coord_col = me.col;
   ext.pred_elem_size =
-      pred != nullptr ? static_cast<std::uint32_t>(sizeof(std::int64_t)) : 0;
+      with_preds ? static_cast<std::uint32_t>(sizeof(std::int64_t)) : 0;
   ext.sched_op_index = pos.sched_op_index;
   ext.tile_count = nlr * nlc;
-  if (pred != nullptr)
-    PARFW_CHECK_MSG(pred->block_size() == a.block_size() && pred->n() == a.n(),
-                    "pred layout does not match the value matrix");
 
   const std::size_t tiles = nlr * nlc;
   const std::size_t value_tile = b * b * sizeof(T);
@@ -430,50 +433,63 @@ std::size_t save_rank_checkpoint(
   const std::size_t values_at = crc_at + kHeaderCrcBytes;
   const std::size_t preds_at = values_at + tiles * value_tile;
   const std::size_t bytes = preds_at + tiles * pred_tile;
-  const auto blob = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
+  // Mapped directly when large, so a freed blob leaves no arena behind
+  // (util/aligned_buffer.hpp).
+  AlignedBuffer<std::uint8_t> blob(bytes);
 
   std::vector<CheckpointTileRef> refs(tiles);
   for (std::size_t il = 0; il < nlr; ++il)
     for (std::size_t jl = 0; jl < nlc; ++jl) {
       const std::size_t t = il * nlc + jl;
       CheckpointTileRef& ref = refs[t];
-      ref.block_row = a.global_row(il);
-      ref.block_col = a.global_col(jl);
+      ref.block_row = il * static_cast<std::size_t>(grid.rows()) +
+                      static_cast<std::size_t>(me.row);
+      ref.block_col = jl * static_cast<std::size_t>(grid.cols()) +
+                      static_cast<std::size_t>(me.col);
+      const std::size_t r0 = (global ? ref.block_row : il) * b;
+      const std::size_t c0 = (global ? ref.block_col : jl) * b;
       ref.value_crc32c = detail::gather_tile(
-          a.local(), il, jl, b, blob.get() + values_at + t * value_tile);
-      if (pred != nullptr)
+          values.sub(r0, c0, b, b), blob.data() + values_at + t * value_tile);
+      if (with_preds)
         ref.pred_crc32c = detail::gather_tile(
-            pred->local(), il, jl, b, blob.get() + preds_at + t * pred_tile);
+            preds.sub(r0, c0, b, b), blob.data() + preds_at + t * pred_tile);
     }
-  std::memcpy(blob.get(), &h, sizeof(h));
-  std::memcpy(blob.get() + sizeof(h), &ext, sizeof(ext));
+  std::memcpy(blob.data(), &h, sizeof(h));
+  std::memcpy(blob.data() + sizeof(h), &ext, sizeof(ext));
   // copy_n, not memcpy: a rank owning no tiles has an empty table.
   std::copy_n(reinterpret_cast<const std::uint8_t*>(refs.data()),
               tiles * sizeof(CheckpointTileRef),
-              blob.get() + kRankBlobHeaderBytes);
+              blob.data() + kRankBlobHeaderBytes);
   const std::uint64_t header_crc =
-      crc32c(std::span<const std::uint8_t>(blob.get(), crc_at));
-  std::memcpy(blob.get() + crc_at, &header_crc, sizeof(header_crc));
+      crc32c(std::span<const std::uint8_t>(blob.data(), crc_at));
+  std::memcpy(blob.data() + crc_at, &header_crc, sizeof(header_crc));
 
-  const int w = a.grid().world_rank(a.coord());
-  store.put(rank_checkpoint_key(pos.k0, w),
-            std::span<const std::uint8_t>(blob.get(), bytes));
+  store.put(rank_checkpoint_key(pos.k0, grid.world_rank(me)),
+            std::span<const std::uint8_t>(blob.data(), bytes));
   return bytes;
+}
+
+/// Snapshot this rank's local tiles + schedule position (a mid-run cut:
+/// values only). Returns the blob size in bytes (for
+/// TrafficStats::checkpoint_bytes).
+template <typename T>
+std::size_t save_rank_checkpoint(CheckpointStore& store,
+                                 const BlockCyclicMatrix<T>& a,
+                                 const SchedulePosition& pos) {
+  return save_rank_blob<T>(store, a.n(), a.block_size(), a.grid(), a.coord(),
+                           pos, a.local().view(), {}, /*global=*/false);
 }
 
 /// Restore this rank's tiles from the blob committed for iteration k0.
 /// `a` must already have the run's layout (n, b, grid, coord); the blob's
 /// cut, geometry and tile table are validated against it, and the header
-/// CRC and every tile CRC are checked before any tile is written back.
-/// Pass `pred` to restore a paths run: the blob must then carry pred
-/// tiles (ext.pred_elem_size = 8) — a resumed paths run cannot
-/// reconstruct predecessors from distances, so a value-only blob is an
-/// error. The reverse (blob has preds, caller wants values only) is
-/// allowed; the pred tiles are checked but not restored.
+/// CRC and every tile CRC are checked before any tile is written back. A
+/// blob that also carries pred tiles (a published result) has them
+/// checked, not restored.
 template <typename T>
-SchedulePosition load_rank_checkpoint(
-    const CheckpointStore& store, std::uint64_t k0, BlockCyclicMatrix<T>& a,
-    BlockCyclicMatrix<std::int64_t>* pred = nullptr) {
+SchedulePosition load_rank_checkpoint(const CheckpointStore& store,
+                                      std::uint64_t k0,
+                                      BlockCyclicMatrix<T>& a) {
   const int w = a.grid().world_rank(a.coord());
   const std::string key = rank_checkpoint_key(k0, w);
   auto blob = store.get(key);
@@ -503,16 +519,6 @@ SchedulePosition load_rank_checkpoint(
                   "checkpoint '" << key
                                  << "' grid/coordinate mismatch for rank "
                                  << w);
-  if (pred != nullptr) {
-    PARFW_CHECK_MSG(ext.pred_elem_size == sizeof(std::int64_t),
-                    "checkpoint '" << key << "' carries no pred payload "
-                                   << "(pred_elem_size="
-                                   << ext.pred_elem_size << ")");
-    PARFW_CHECK_MSG(pred->block_size() == a.block_size() &&
-                        pred->n() == a.n(),
-                    "pred layout does not match the value matrix");
-  }
-
   const auto at = [&](std::size_t t, bool is_pred) {
     return blob->data() + l.tile_slice(t, is_pred).range.offset;
   };
@@ -523,11 +529,8 @@ SchedulePosition load_rank_checkpoint(
                     l.tile_slice(t, is_pred).crc32c, key, l.tiles[t].block_row,
                     l.tiles[t].block_col, is_pred);
   const std::size_t b = a.block_size(), nlc = a.local_block_cols();
-  for (std::size_t t = 0; t < l.tiles.size(); ++t) {
+  for (std::size_t t = 0; t < l.tiles.size(); ++t)
     detail::scatter_tile(at(t, false), t / nlc, t % nlc, b, a.local());
-    if (pred != nullptr)
-      detail::scatter_tile(at(t, true), t / nlc, t % nlc, b, pred->local());
-  }
 
   SchedulePosition pos;
   pos.variant = static_cast<sched::Variant>(ext.variant);
@@ -549,12 +552,12 @@ struct CutWrite {
 /// schedule-wide join — and nothing is written.
 template <typename T>
 CutWrite commit_cut(mpi::Comm& world, CheckpointStore* store,
-                    const BlockCyclicMatrix<T>& a, const SchedulePosition& pos,
-                    const BlockCyclicMatrix<std::int64_t>* pred) {
+                    const BlockCyclicMatrix<T>& a,
+                    const SchedulePosition& pos) {
   CutWrite cut;
   if (store != nullptr) {
     Timer timer;
-    cut.bytes = save_rank_checkpoint<T>(*store, a, pos, pred);
+    cut.bytes = save_rank_checkpoint<T>(*store, a, pos);
     cut.seconds = timer.seconds();
   }
   world.barrier();
@@ -562,6 +565,40 @@ CutWrite commit_cut(mpi::Comm& world, CheckpointStore* store,
     write_commit(*store, commit_record(pos, a.n(), a.block_size(),
                                        world.size()));
   return cut;
+}
+
+/// Publish a completed n x n result as a served tile manifest: shard
+/// `dist` (and `pred`, when non-empty) over `grid`, write every rank's
+/// blob under k0 = n / b, then the commit record. The blobs are encoded on
+/// `pool` when it has more than one worker (the store must then take
+/// concurrent puts, as every CheckpointStore does for a cut).
+template <typename T>
+void publish_matrix(CheckpointStore& store, const GridSpec& grid,
+                    MatrixView<const T> dist,
+                    MatrixView<const std::int64_t> pred,
+                    std::size_t block_size, sched::Variant variant,
+                    ThreadPool* pool = nullptr) {
+  const std::size_t n = dist.rows();
+  PARFW_CHECK_MSG(n == dist.cols(), "publish needs a square matrix");
+  PARFW_CHECK_MSG(block_size > 0 && n % block_size == 0,
+                  "n=" << n << " is not a multiple of the serving block size "
+                       << block_size);
+  PARFW_CHECK_MSG(pred.empty() || (pred.rows() == n && pred.cols() == n),
+                  "pred shape does not match the value matrix");
+  SchedulePosition pos;
+  pos.variant = variant;
+  pos.k0 = n / block_size;  // every pivot round done: a completed solve
+  const auto put = [&](std::size_t w) {
+    (void)save_rank_blob<T>(store, n, block_size, grid,
+                            grid.coord_of(static_cast<int>(w)), pos, dist,
+                            pred, /*global=*/true);
+  };
+  const auto ranks = static_cast<std::size_t>(grid.size());
+  if (pool != nullptr && pool->size() > 1)
+    pool->parallel_for(ranks, put);
+  else
+    for (std::size_t w = 0; w < ranks; ++w) put(w);
+  write_commit(store, commit_record(pos, n, block_size, grid.size()));
 }
 
 }  // namespace parfw::dist

@@ -1,7 +1,9 @@
 // Convenience driver: spin up the in-process runtime, distribute a
 // matrix, run a ParallelFw variant, gather the result, and report traffic
 // statistics. This is the entry point the tests, benches and the
-// distributed example use.
+// distributed example use. A paths run is the values run plus the witness
+// pass (core/witness.hpp) over the gathered matrix and the input; a
+// publish store then receives both, sharded over the run's own grid.
 //
 // Supervision (DESIGN.md "Resilience"): any RankFailure — an injected
 // crash, an exhausted retry budget, or a peer observed dying — tears the
@@ -15,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "core/apsp.hpp"
+#include "core/witness.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/parallel_fw.hpp"
 #include "graph/graph.hpp"
@@ -29,7 +31,7 @@ namespace parfw::dist {
 template <typename T>
 struct DistRunResult {
   Matrix<T> dist;             ///< gathered closed matrix (at the caller)
-  Matrix<std::int64_t> pred;  ///< gathered predecessors (paths runs only)
+  Matrix<std::int64_t> pred;  ///< witness predecessors (paths runs only)
   /// Whole-run communication statistics: every supervised attempt merged,
   /// crashed ones included, so checkpoint/retry work is never hidden.
   mpi::TrafficStats traffic;
@@ -42,15 +44,11 @@ namespace detail {
 /// Supervised execution shared by every driver entry point. `fill` is
 /// called (with the rank's layout and world) to produce the INITIAL local
 /// tiles of a fresh run; restarts load the committed checkpoint instead.
-/// With track_paths the payload-generic interpreter carries a predecessor
-/// matrix through the SAME supervision loop: fresh attempts initialise it
-/// from the filled distances, restarts restore it from the committed
-/// blob's pred payload — so crash + resume reproduces the uninterrupted
-/// paths run bit-identically, pred matrix included.
+/// Returns the gathered closed matrix.
 template <typename S, typename Fill>
 DistRunResult<typename S::value_type> supervised_run(
     std::size_t n, const Fill& fill, const GridSpec& grid, int ranks_per_node,
-    const DistFwOptions& opt, bool track_paths = false) {
+    const DistFwOptions& opt) {
   using T = typename S::value_type;
   DistRunResult<T> result;
 
@@ -93,38 +91,16 @@ DistRunResult<typename S::value_type> supervised_run(
           [&](mpi::Comm& world) {
             BlockCyclicMatrix<T> local(n, opt.block_size, grid,
                                        grid.coord_of(world.rank()));
-            std::optional<BlockCyclicMatrix<std::int64_t>> plocal;
-            if (track_paths)
-              plocal.emplace(n, opt.block_size, grid,
-                             grid.coord_of(world.rank()));
-            BlockCyclicMatrix<std::int64_t>* pp =
-                track_paths ? &*plocal : nullptr;
-            if (resume) {
-              load_rank_checkpoint<T>(*store, resume_k, local, pp);
-            } else {
+            if (resume)
+              load_rank_checkpoint<T>(*store, resume_k, local);
+            else
               fill(local, world);
-              if (track_paths) init_predecessors_dist<S>(local, *plocal);
-            }
             world.barrier();
-            parallel_fw_resume<S>(world, local, pp,
+            parallel_fw_resume<S>(world, local,
                                   static_cast<std::size_t>(resume_k), run_opt);
             world.barrier();
-            if (opt.publish_store != nullptr) {
-              // Publish the finished run for the serving tier: final tiles
-              // under k0 = nb (all pivot rounds done), through the same
-              // commit discipline as a checkpoint cut.
-              SchedulePosition pos;
-              pos.variant = opt.variant;
-              pos.k0 = local.num_blocks();
-              (void)commit_cut<T>(world, opt.publish_store, local, pos, pp);
-            }
             Matrix<T> gathered = local.gather(world);
-            Matrix<std::int64_t> pgathered;
-            if (track_paths) pgathered = plocal->gather(world);
-            if (world.rank() == 0) {
-              result.dist = std::move(gathered);
-              if (track_paths) result.pred = std::move(pgathered);
-            }
+            if (world.rank() == 0) result.dist = std::move(gathered);
           },
           ropt);
       result.traffic.merge(attempt);
@@ -148,6 +124,29 @@ DistRunResult<typename S::value_type> supervised_run(
   return result;
 }
 
+/// What follows the gather: on paths runs the witness pass over the
+/// closed matrix and the input `w` on the global pool (its series go to
+/// opt.metrics, or to the global registry while telemetry is enabled),
+/// then, with a publish store, the published manifest.
+template <typename S>
+void finish_run(DistRunResult<typename S::value_type>& res,
+                MatrixView<const typename S::value_type> w,
+                const GridSpec& grid, const DistFwOptions& opt,
+                bool track_paths) {
+  ThreadPool& pool = ThreadPool::global();
+  if (track_paths) {
+    res.pred = Matrix<std::int64_t>(res.dist.rows(), res.dist.cols());
+    witness_predecessors<S>(w, res.dist.view(), res.pred.view(), &pool,
+                            witness_registry(opt.metrics));
+  }
+  if (opt.publish_store != nullptr)
+    publish_matrix<typename S::value_type>(
+        *opt.publish_store, grid, res.dist.view(),
+        track_paths ? MatrixView<const std::int64_t>(res.pred.view())
+                    : MatrixView<const std::int64_t>{},
+        opt.block_size, opt.variant, &pool);
+}
+
 }  // namespace detail
 
 /// Run one distributed APSP end to end on a deterministically-generated
@@ -159,34 +158,38 @@ DistRunResult<typename S::value_type> run_parallel_fw(
     const GridSpec& grid, int ranks_per_node, const DistFwOptions& opt = {},
     bool track_paths = false) {
   using T = typename S::value_type;
-  return detail::supervised_run<S>(
+  auto res = detail::supervised_run<S>(
       n,
       [&gen](BlockCyclicMatrix<T>& local, mpi::Comm&) { local.fill(gen); },
-      grid, ranks_per_node, opt, track_paths);
+      grid, ranks_per_node, opt);
+  // The input, materialised for the witness pass.
+  const Matrix<T> w = track_paths ? gen.full(static_cast<vertex_t>(n))
+                                  : Matrix<T>();
+  detail::finish_run<S>(res, w.view(), grid, opt, track_paths);
+  return res;
 }
 
 /// Graph front door: solve APSP for `g` distributed, returning the same
 /// ApspResult the core apsp() returns — this is what parfw::solve
 /// (dist/solve.hpp) dispatches to for ApspAlgorithm::kDistributed.
 /// Requires g.num_vertices() % opt.block_size == 0 (block-cyclic layout).
-/// track_paths runs the SAME payload-generic interpreter under the SAME
-/// supervision loop — every variant, placement, checkpoint cut and crash
-/// injection applies to paths runs exactly as to value runs.
+/// Every variant, placement, checkpoint cut and crash injection runs the
+/// same values schedule whether or not track_paths is set.
 template <typename S>
 ApspResult<typename S::value_type> run_parallel_fw(
     const Graph& g, const GridSpec& grid, int ranks_per_node,
     const DistFwOptions& opt = {}, bool track_paths = false) {
   using T = typename S::value_type;
   const auto n = static_cast<std::size_t>(g.num_vertices());
-  Matrix<T> full = g.distance_matrix<S>();
-  ApspResult<T> out;
-
+  const Matrix<T> full = g.distance_matrix<S>();
   auto res = detail::supervised_run<S>(
       n,
       [&full](BlockCyclicMatrix<T>& local, mpi::Comm&) {
         local.load(full.view());
       },
-      grid, ranks_per_node, opt, track_paths);
+      grid, ranks_per_node, opt);
+  detail::finish_run<S>(res, full.view(), grid, opt, track_paths);
+  ApspResult<T> out;
   out.dist = std::move(res.dist);
   if (track_paths) out.pred = std::move(res.pred);
   return out;

@@ -23,16 +23,11 @@
 // src/perf/ interprets the SAME Schedule as cost metadata, so the two
 // sides cannot drift apart.
 //
-// The interpreter is PAYLOAD-GENERIC: attach a predecessor matrix and
-// every schedule op moves/updates a tile PAYLOAD — distances, or
-// distances + predecessor tiles — instead of a bare value tile. The
-// schedule itself grows kPred companion broadcasts (sched::Payload), the
-// compute ops bind the argmin-tracking SRGEMM kernels, checkpoints
-// persist both tiles, and everything layered on the interpreter — trace
-// sinks, telemetry, fault injection, retransmits, checkpoint/restart,
-// every variant × placement — works for paths runs with no code of its
-// own. The former dedicated paths solver (one variant, no resilience, no
-// telemetry) is gone; this is the one true interpreter.
+// The interpreter moves and updates distances only. A paths solve runs
+// the same schedule; the driver (driver.hpp) reads the predecessors off
+// the gathered closed matrix afterwards with the witness pass
+// (core/witness.hpp), so no predecessor crosses a broadcast or lands in a
+// checkpoint cut.
 //
 // +Reordering (the paper's third legend) is not a code variant: it is the
 // same kPipelined/kAsync schedule generated for GridSpec::tiled placement
@@ -107,20 +102,21 @@ struct DistFwOptions : SolveCommon {
   /// index >= crash_at_op); message faults live in the runtime.
   mpi::FaultPlan faults{};
   /// When set, the driver publishes the FINISHED run as a served tile
-  /// manifest into this store: after the last pivot round every rank
-  /// snapshots its final tiles (pred payload included on paths runs)
-  /// under k0 = nb, then rank 0 writes the commit record. Checkpoint
-  /// cuts never fire after the final round, so without this step a
-  /// completed run leaves nothing the serving tier (src/serve/) can
-  /// open. May alias resilience.store. Not owned; must outlive the run.
+  /// manifest into this store: the gathered closed matrix (and, on paths
+  /// runs, its witness predecessors) sharded over the run's own grid
+  /// under k0 = nb, then the commit record (dist::publish_matrix).
+  /// Checkpoint cuts never fire after the final round, so without this
+  /// step a completed run leaves nothing the serving tier (src/serve/)
+  /// can open. May alias resilience.store. Not owned; must outlive the
+  /// run.
   CheckpointStore* publish_store = nullptr;
 };
 
 /// Row and column communicators of the 2-D grid: `row` spans my grid row
 /// ranked by grid column (size P_c); `col` spans my grid column ranked by
 /// grid row (size P_r). Split off `world` collectively — shared by the
-/// value solver, the paths solver, and tests that must reproduce the
-/// split's traffic in isolation.
+/// solver and by the reconciliation that must reproduce the split's
+/// traffic in isolation.
 struct RowColComms {
   mpi::Comm row;
   mpi::Comm col;
@@ -141,21 +137,9 @@ inline RowColComms make_row_col_comms(mpi::Comm& world, const GridSpec& grid) {
 /// (a restored checkpoint; start_k = 0 = fresh input). Collective over
 /// `world`, which must have exactly grid.size() ranks. On return the
 /// local matrix holds this rank's blocks of the closed distance matrix.
-///
-/// `pred`, when non-null, turns the run into a PATHS run: same layout as
-/// `a`, initialised with init_predecessors_dist (or restored from a
-/// checkpoint whose blob carries preds). The schedule grows kPred
-/// companion broadcasts, every compute op binds the argmin-tracking
-/// kernel, the diagonal is pinned to classic FW (log-squaring loses the
-/// argmin chain), and checkpoints persist both tiles. The bulk
-/// OuterUpdate still covers the whole local matrix: re-applying a closed
-/// panel's update can never STRICTLY improve a distance, and the pred
-/// rewrite fires only on strict improvement, so panel preds are never
-/// clobbered — no skip-strips special case.
 template <typename S>
 void parallel_fw_resume(mpi::Comm& world,
                         BlockCyclicMatrix<typename S::value_type>& a,
-                        BlockCyclicMatrix<std::int64_t>* pred,
                         std::size_t start_k, const DistFwOptions& opt = {}) {
   static_assert(is_idempotent<S>(), "distributed FW requires idempotent ⊕");
   using T = typename S::value_type;
@@ -167,14 +151,6 @@ void parallel_fw_resume(mpi::Comm& world,
   const std::size_t nb = a.num_blocks();
   const std::size_t nlr = a.local_block_rows(), nlc = a.local_block_cols();
   auto local = a.local().view();
-
-  const bool paths = pred != nullptr;
-  MatrixView<std::int64_t> plocal;
-  if (paths) {
-    PARFW_CHECK(pred->block_size() == b && pred->num_blocks() == nb &&
-                pred->coord() == a.coord());
-    plocal = pred->local().view();
-  }
 
   RowColComms comms = make_row_col_comms(world, grid);
   mpi::Comm& row_comm = comms.row;
@@ -188,9 +164,7 @@ void parallel_fw_resume(mpi::Comm& world,
   sp.nb = nb;
   sp.b = b;
   sp.word_bytes = sizeof(T);
-  sp.pred_word_bytes = paths ? sizeof(std::int64_t) : 0;
-  sp.diag_flops =
-      diag_update_flops(b, paths ? DiagStrategy::kClassic : opt.diag);
+  sp.diag_flops = diag_update_flops(b, opt.diag);
   sp.start_k = start_k;
   if (opt.resilience.store != nullptr)
     sp.checkpoint_every = opt.resilience.checkpoint_every;
@@ -202,15 +176,9 @@ void parallel_fw_resume(mpi::Comm& world,
   Matrix<T> diag_scratch(b, b);
   // Panel buffers, double-buffered by iteration parity: the pipelined
   // schedule stages iteration k+1's panels (slot (k+1) & 1) while the
-  // bulk OuterUpdate(k) still reads slot k & 1. The pred companions of
-  // the diag block and row panel mirror the value buffers; the col panel
-  // has no pred sibling (the pred rule only reads the pivot block row).
+  // bulk OuterUpdate(k) still reads slot k & 1.
   Matrix<T> rowp_buf[2] = {Matrix<T>(b, nlc * b), Matrix<T>(b, nlc * b)};
   Matrix<T> colp_buf[2] = {Matrix<T>(nlr * b, b), Matrix<T>(nlr * b, b)};
-  Matrix<std::int64_t> akk_pred(paths ? b : 0, paths ? b : 0);
-  Matrix<std::int64_t> rowp_pred_buf[2] = {
-      Matrix<std::int64_t>(paths ? b : 0, paths ? nlc * b : 0),
-      Matrix<std::int64_t>(paths ? b : 0, paths ? nlc * b : 0)};
 
   // Optional per-rank device for the offload variant.
   std::unique_ptr<dev::Device> device;
@@ -256,68 +224,34 @@ void parallel_fw_resume(mpi::Comm& world,
     const double t0 = timed ? sched::now_seconds() : 0.0;
     Matrix<T>& rowp = rowp_buf[k & 1];
     Matrix<T>& colp = colp_buf[k & 1];
-    Matrix<std::int64_t>& rowp_pred = rowp_pred_buf[k & 1];
 
     switch (op.kind) {
       case sched::OpKind::kDiagUpdate: {
-        // Owner closes A(k,k) in place and snapshots it into akk (and,
-        // for paths, the block's predecessors into akk_pred).
+        // Owner closes A(k,k) in place and snapshots it into akk.
         auto dk = a.block(a.local_row(k), a.local_col(k));
-        if (paths) {
-          auto pk = plocal.sub(pred->local_row(k) * b,
-                               pred->local_col(k) * b, b, b);
-          diag_update_with_pred<S>(dk, pk);
-          akk_pred.view().copy_from(MatrixView<const std::int64_t>(pk));
-        } else {
-          diag_update<S>(dk, opt.diag, diag_scratch.view(), opt.gemm);
-        }
+        diag_update<S>(dk, opt.diag, diag_scratch.view(), opt.gemm);
         akk.view().copy_from(dk);
         break;
       }
       case sched::OpKind::kDiagBcastRow:
-        if (op.payload == sched::Payload::kPred)
-          row_comm.bcast_bytes(bytes_of(akk_pred), op.root, op.tag);
-        else
-          row_comm.bcast_bytes(bytes_of(akk), op.root, op.tag);
+        row_comm.bcast_bytes(bytes_of(akk), op.root, op.tag);
         break;
       case sched::OpKind::kDiagBcastCol:
-        if (op.payload == sched::Payload::kPred)
-          col_comm.bcast_bytes(bytes_of(akk_pred), op.root, op.tag);
-        else
-          col_comm.bcast_bytes(bytes_of(akk), op.root, op.tag);
+        col_comm.bcast_bytes(bytes_of(akk), op.root, op.tag);
         break;
       case sched::OpKind::kPanelUpdateRow: {
         // Left-multiply my row strip by akk (the strip includes the
         // diagonal block, for which the update is an idempotent no-op).
-        // Paths: the pred source is the strip itself (intermediate t
-        // lives in the pivot block row, i.e. in this strip).
         if (nlc == 0) break;
         auto strip = local.sub(a.local_row(k) * b, 0, b, nlc * b);
-        if (paths) {
-          auto pstrip = plocal.sub(pred->local_row(k) * b, 0, b, nlc * b);
-          srgemm::multiply_with_pred<S>(
-              akk.view(), MatrixView<const T>(strip), strip,
-              MatrixView<const std::int64_t>(pstrip), pstrip);
-          rowp_pred.view().copy_from(MatrixView<const std::int64_t>(pstrip));
-        } else {
-          srgemm::multiply<S>(akk.view(), strip, strip, opt.gemm);
-        }
+        srgemm::multiply<S>(akk.view(), strip, strip, opt.gemm);
         rowp.view().copy_from(strip);
         break;
       }
       case sched::OpKind::kPanelUpdateCol: {
-        // Paths: the pred source is akk_pred (intermediate t lives in the
-        // pivot block row), which is why the col panel has no pred bcast.
         if (nlr == 0) break;
         auto strip = local.sub(0, a.local_col(k) * b, nlr * b, b);
-        if (paths) {
-          auto pstrip = plocal.sub(0, pred->local_col(k) * b, nlr * b, b);
-          srgemm::multiply_with_pred<S>(
-              MatrixView<const T>(strip), akk.view(), strip,
-              MatrixView<const std::int64_t>(akk_pred.view()), pstrip);
-        } else {
-          srgemm::multiply<S>(strip, akk.view(), strip, opt.gemm);
-        }
+        srgemm::multiply<S>(strip, akk.view(), strip, opt.gemm);
         colp.view().copy_from(strip);
         break;
       }
@@ -325,14 +259,8 @@ void parallel_fw_resume(mpi::Comm& world,
         // Down the process columns; tree or ring per the schedule. The
         // root side and receive side of the pipelined schedule are
         // distinct steps of the SAME collective (same tag/root) — each
-        // rank executes exactly one of them. The pred companion is its
-        // own collective on its own tag.
-        if (op.payload == sched::Payload::kPred) {
-          if (op.coll == sched::CollKind::kRing)
-            col_comm.ring_bcast_bytes(bytes_of(rowp_pred), op.root, op.tag);
-          else
-            col_comm.bcast_bytes(bytes_of(rowp_pred), op.root, op.tag);
-        } else if (op.coll == sched::CollKind::kRing) {
+        // rank executes exactly one of them.
+        if (op.coll == sched::CollKind::kRing) {
           col_comm.ring_bcast_bytes(bytes_of(rowp), op.root, op.tag);
         } else {
           col_comm.bcast_bytes(bytes_of(rowp), op.root, op.tag);
@@ -351,14 +279,7 @@ void parallel_fw_resume(mpi::Comm& world,
         const std::size_t k1 = k + 1;
         auto strip = local.sub(a.local_row(k1) * b, 0, b, nlc * b);
         auto cp_blk = colp.sub(a.local_row(k1) * b, 0, b, b);
-        if (paths) {
-          auto pstrip = plocal.sub(pred->local_row(k1) * b, 0, b, nlc * b);
-          srgemm::multiply_with_pred<S>(
-              MatrixView<const T>(cp_blk), rowp.view(), strip,
-              MatrixView<const std::int64_t>(rowp_pred.view()), pstrip);
-        } else {
-          srgemm::multiply_prepacked<S>(cp_blk, rowp.view(), strip, opt.gemm);
-        }
+        srgemm::multiply_prepacked<S>(cp_blk, rowp.view(), strip, opt.gemm);
         break;
       }
       case sched::OpKind::kLookaheadCol: {
@@ -366,35 +287,17 @@ void parallel_fw_resume(mpi::Comm& world,
         const std::size_t k1 = k + 1;
         auto strip = local.sub(0, a.local_col(k1) * b, nlr * b, b);
         auto rp_blk = rowp.sub(0, a.local_col(k1) * b, b, b);
-        if (paths) {
-          auto pstrip = plocal.sub(0, pred->local_col(k1) * b, nlr * b, b);
-          auto prp_blk = rowp_pred.sub(0, a.local_col(k1) * b, b, b);
-          srgemm::multiply_with_pred<S>(
-              colp.view(), MatrixView<const T>(rp_blk), strip,
-              MatrixView<const std::int64_t>(prp_blk), pstrip);
-        } else {
-          srgemm::multiply_prepacked<S>(colp.view(), rp_blk, strip, opt.gemm);
-        }
+        srgemm::multiply_prepacked<S>(colp.view(), rp_blk, strip, opt.gemm);
         break;
       }
       case sched::OpKind::kOuterUpdate: {
         // Bulk OuterUpdate(k) on the whole local matrix. Re-applying it
         // to panel strips (including look-ahead-updated ones) is an
-        // idempotent no-op — every candidate is a valid path length, and
-        // (paths) a closed strip never STRICTLY improves, so the pred
-        // rewrite never fires on it. The received panel buffers are dense
-        // and reused for every quadrant, so the CPU path runs prepacked.
+        // idempotent no-op — every candidate is a valid path length. The
+        // received panel buffers are dense and reused for every quadrant,
+        // so the CPU path runs prepacked.
         if (local.empty()) break;
-        if (paths) {
-          if (op.offload) {
-            (void)offload::oog_srgemm_pred<S>(*device, colp.view(),
-                                              rowp.view(), local,
-                                              rowp_pred.view(), plocal, oog);
-          } else {
-            srgemm::multiply_with_pred<S>(colp.view(), rowp.view(), local,
-                                          rowp_pred.view(), plocal);
-          }
-        } else if (op.offload) {
+        if (op.offload) {
           (void)offload::oog_srgemm<S>(*device, colp.view(), rowp.view(),
                                        local, oog);
         } else {
@@ -416,8 +319,7 @@ void parallel_fw_resume(mpi::Comm& world,
         pos.variant = opt.variant;
         pos.k0 = k;
         pos.sched_op_index = static_cast<std::uint64_t>(step_index);
-        const CutWrite cut =
-            commit_cut<T>(world, opt.resilience.store, a, pos, pred);
+        const CutWrite cut = commit_cut<T>(world, opt.resilience.store, a, pos);
         if (opt.resilience.store != nullptr)
           world.world().add_checkpoint(cut.bytes, cut.seconds);
         break;
@@ -461,55 +363,11 @@ void parallel_fw_resume(mpi::Comm& world,
   }
 }
 
-/// Distances-only resume — the signature every pre-paths caller uses.
-template <typename S>
-void parallel_fw_resume(mpi::Comm& world,
-                        BlockCyclicMatrix<typename S::value_type>& a,
-                        std::size_t start_k, const DistFwOptions& opt = {}) {
-  parallel_fw_resume<S>(world, a, /*pred=*/nullptr, start_k, opt);
-}
-
-/// Full run from fresh input — the signature every existing caller uses.
+/// Full run from fresh input.
 template <typename S>
 void parallel_fw(mpi::Comm& world, BlockCyclicMatrix<typename S::value_type>& a,
                  const DistFwOptions& opt = {}) {
-  parallel_fw_resume<S>(world, a, /*pred=*/nullptr, /*start_k=*/0, opt);
-}
-
-/// Full paths run from fresh input: `pred` must be initialised with
-/// init_predecessors_dist. Every variant, placement, checkpoint and
-/// fault-injection knob of `opt` applies.
-template <typename S>
-void parallel_fw(mpi::Comm& world, BlockCyclicMatrix<typename S::value_type>& a,
-                 BlockCyclicMatrix<std::int64_t>& pred,
-                 const DistFwOptions& opt = {}) {
-  parallel_fw_resume<S>(world, a, &pred, /*start_k=*/0, opt);
-}
-
-/// Initialise a distributed predecessor layout consistent with
-/// init_predecessors: pred(i,j) = i when dist(i,j) is finite or i == j,
-/// else -1. Operates on this rank's blocks only.
-template <typename S>
-void init_predecessors_dist(const BlockCyclicMatrix<typename S::value_type>& a,
-                            BlockCyclicMatrix<std::int64_t>& pred) {
-  const std::size_t b = a.block_size();
-  const auto& local = a.local();
-  auto& plocal = pred.local();
-  for (std::size_t il = 0; il < a.local_block_rows(); ++il)
-    for (std::size_t jl = 0; jl < a.local_block_cols(); ++jl) {
-      const std::size_t gi0 = a.global_row(il) * b;
-      const std::size_t gj0 = a.global_col(jl) * b;
-      for (std::size_t i = 0; i < b; ++i)
-        for (std::size_t j = 0; j < b; ++j) {
-          const std::size_t gi = gi0 + i, gj = gj0 + j;
-          const auto v = local(il * b + i, jl * b + j);
-          if (gi == gj)
-            plocal(il * b + i, jl * b + j) = static_cast<std::int64_t>(gi);
-          else
-            plocal(il * b + i, jl * b + j) =
-                v != S::zero() ? static_cast<std::int64_t>(gi) : -1;
-        }
-    }
+  parallel_fw_resume<S>(world, a, /*start_k=*/0, opt);
 }
 
 }  // namespace parfw::dist

@@ -46,8 +46,7 @@ inline dist::GridSpec grid_of(const DistStrategy& ds) {
 /// solve: the grid shape only pins the rank count, the placement itself
 /// is part of the search space.
 inline tune::Workload auto_workload(const DistStrategy& ds, std::size_t n,
-                                    std::size_t word_bytes,
-                                    bool track_paths = false) {
+                                    std::size_t word_bytes) {
   tune::Workload w;
   w.n = n;
   w.ranks = ds.grid_rows * ds.grid_cols;
@@ -55,7 +54,6 @@ inline tune::Workload auto_workload(const DistStrategy& ds, std::size_t n,
       ds.tiled ? (ds.grid_rows / ds.node_rows) * (ds.grid_cols / ds.node_cols)
                : ds.ranks_per_node;
   w.word_bytes = word_bytes;
-  w.track_paths = track_paths;
   return w;
 }
 
@@ -65,9 +63,8 @@ inline tune::Workload auto_workload(const DistStrategy& ds, std::size_t n,
 /// fresh winner back so the next run is a cache hit. Publishes the tune.*
 /// series into `metrics` when set.
 inline tune::ManifestEntry resolve_auto(const DistStrategy& ds, std::size_t n,
-                                        std::size_t word_bytes,
-                                        bool track_paths = false) {
-  const tune::Workload w = auto_workload(ds, n, word_bytes, track_paths);
+                                        std::size_t word_bytes) {
+  const tune::Workload w = auto_workload(ds, n, word_bytes);
   const char* cache_path = std::getenv("PARFW_TUNE_CACHE");
 
   tune::Manifest manifest;
@@ -141,12 +138,9 @@ ApspResult<typename S::value_type> solve(const Graph& g,
   using T = typename S::value_type;
   ApspOptions resolved = opt;
   if (opt.dist.variant == sched::Variant::kAuto) {
-    // Paths runs tune against the paths schedule (pred broadcasts,
-    // classic diagonal, pred offload transfers) — a value-schedule winner
-    // is not assumed to carry over.
+    // Paths runs execute the values schedule, so they tune against it.
     const tune::ManifestEntry entry = resolve_auto(
-        opt.dist, static_cast<std::size_t>(g.num_vertices()), sizeof(T),
-        opt.track_paths);
+        opt.dist, static_cast<std::size_t>(g.num_vertices()), sizeof(T));
     resolved.dist = apply_winner(opt.dist, entry.winner);
     resolved.block_size = entry.winner.block;
     resolved.dist.oog_streams = static_cast<std::size_t>(entry.winner.streams);

@@ -53,15 +53,11 @@ void RunMonitor::adopt_locked(const sched::Schedule& s) {
   drift_.clear();
   ops_total_ = s.steps.size();
   // The run as the DES would price it; offload chunking stays at the
-  // FwProblem defaults, and kPred companions mark a paths schedule.
+  // FwProblem defaults.
   perf::FwProblem prob;
   prob.n = static_cast<double>(s.nb * s.b);
   prob.b = static_cast<double>(s.b);
   prob.variant = s.variant;
-  prob.track_paths =
-      std::any_of(s.steps.begin(), s.steps.end(), [](const sched::Step& st) {
-        return st.op.payload == sched::Payload::kPred;
-      });
   const perf::GridShape shape{pr_, pc_, s.grid.qr(), s.grid.qc()};
   for (const sched::Step& st : s.steps) {
     if (st.rank < 0 || st.rank >= nranks) continue;

@@ -249,224 +249,4 @@ OogStats oog_srgemm(dev::Device& device,
   return stats;
 }
 
-/// ooGSrGemm with predecessor tracking: C ← C ⊕ A ⊗ B where every strict
-/// improvement also rewrites predC(i,j) ← predB(t,j). The pipeline is the
-/// value pipeline plus a pred lane: B's pred panel rides the (cached)
-/// panel uploads, each chunk streams back an Xpred image alongside X, and
-/// hostUpdate merges both via ewise_add_with_pred.
-///
-/// Bit-identity with the fused host kernel: the device chunk computes X
-/// zero-filled, so Xpred(i,j) is the FIRST t (ascending) attaining the
-/// chunk's minimum, and the strict-improvement host merge keeps exactly
-/// the lanes where that minimum beats C — composing to the same
-/// first-t-attaining-global-min scan multiply_with_pred performs in one
-/// pass. Lanes the chunk never improved still hold S::zero(), which (as
-/// the ⊕-identity) can never strictly improve C, so their Xpred filler
-/// (-1) is never observed.
-///
-/// OogStats counts VALUE elements only (comparable to the §4.5 model's
-/// data-volume terms); the oog.bytes_h2d/d2h metrics include the pred
-/// bytes, which is what makes the paths overhead visible to telemetry.
-template <typename S>
-OogStats oog_srgemm_pred(dev::Device& device,
-                         MatrixView<const typename S::value_type> A,
-                         MatrixView<const typename S::value_type> B,
-                         MatrixView<typename S::value_type> C,
-                         MatrixView<const std::int64_t> predB,
-                         MatrixView<std::int64_t> predC,
-                         const OogConfig& cfg = {}) {
-  using T = typename S::value_type;
-  using P = std::int64_t;
-  PARFW_CHECK(A.rows() == C.rows() && B.cols() == C.cols() &&
-              A.cols() == B.rows());
-  PARFW_CHECK(predB.rows() == B.rows() && predB.cols() == B.cols());
-  PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
-  PARFW_CHECK(cfg.mx > 0 && cfg.nx > 0 && cfg.num_streams > 0);
-  OogStats stats;
-  if (C.empty() || A.cols() == 0) return stats;
-
-  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-  const std::size_t mb = (m + cfg.mx - 1) / cfg.mx;
-  const std::size_t nb = (n + cfg.nx - 1) / cfg.nx;
-  const std::size_t s = cfg.num_streams;
-
-  dev::DeviceBuffer<T> dA = device.alloc<T>(m * k);
-  dev::DeviceBuffer<T> dB = device.alloc<T>(k * n);
-  dev::DeviceBuffer<P> dPB = device.alloc<P>(k * n);
-  std::vector<dev::DeviceBuffer<T>> X;
-  std::vector<dev::DeviceBuffer<P>> XP;
-  std::vector<AlignedBuffer<T>> staging;
-  std::vector<AlignedBuffer<P>> staging_pred;
-  X.reserve(s);
-  XP.reserve(s);
-  staging.reserve(s);
-  staging_pred.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) {
-    X.push_back(device.alloc<T>(cfg.mx * cfg.nx));
-    XP.push_back(device.alloc<P>(cfg.mx * cfg.nx));
-    staging.emplace_back(cfg.mx * cfg.nx);
-    staging_pred.emplace_back(cfg.mx * cfg.nx);
-  }
-  std::vector<dev::Device::StreamPtr> streams;
-  streams.reserve(s);
-  for (std::size_t r = 0; r < s; ++r) streams.push_back(device.create_stream());
-
-  std::vector<dev::Event> a_ready(mb), b_ready(nb);
-  std::vector<bool> a_up(mb, false), b_up(nb, false);
-
-  auto upload_a = [&](std::size_t i, dev::Stream& st) {
-    const std::size_t r0 = i * cfg.mx;
-    const std::size_t nr = std::min(cfg.mx, m - r0);
-    for (std::size_t row = 0; row < nr; ++row)
-      device.memcpy_h2d(st, dA.data() + (r0 + row) * k,
-                        A.data() + (r0 + row) * A.ld(), k * sizeof(T));
-    stats.elems_h2d += nr * k;
-    if (cfg.metrics)
-      cfg.metrics->counter("oog.bytes_h2d").add(nr * k * sizeof(T));
-    a_ready[i] = st.record();
-    a_up[i] = true;
-  };
-  auto upload_b = [&](std::size_t j, dev::Stream& st) {
-    const std::size_t c0 = j * cfg.nx;
-    const std::size_t nc = std::min(cfg.nx, n - c0);
-    // Values and pred ids share the column-chunked k x n device layout.
-    for (std::size_t row = 0; row < k; ++row) {
-      device.memcpy_h2d(st, dB.data() + row * n + c0,
-                        B.data() + row * B.ld() + c0, nc * sizeof(T));
-      device.memcpy_h2d(st, dPB.data() + row * n + c0,
-                        predB.data() + row * predB.ld() + c0, nc * sizeof(P));
-    }
-    stats.elems_h2d += k * nc;
-    if (cfg.metrics)
-      cfg.metrics->counter("oog.bytes_h2d")
-          .add(k * nc * (sizeof(T) + sizeof(P)));
-    b_ready[j] = st.record();
-    b_up[j] = true;
-  };
-
-  struct Pending {
-    dev::Event done;
-    std::size_t i, j, r;
-    std::uint64_t seq;
-  };
-  std::deque<Pending> inflight;
-  std::uint64_t chunk_seq = 0;
-  const std::uint64_t dev_ctx =
-      sched::kDeviceChannelCtx + static_cast<std::uint64_t>(cfg.rank);
-
-  auto host_update = [&](const Pending& p) {
-    const std::size_t r0 = p.i * cfg.mx, c0 = p.j * cfg.nx;
-    const std::size_t nr = std::min(cfg.mx, m - r0);
-    const std::size_t nc = std::min(cfg.nx, n - c0);
-    const bool timed = cfg.trace != nullptr || cfg.metrics != nullptr;
-    const double t0 = timed ? sched::now_seconds() : 0.0;
-    MatrixView<const T> xv(staging[p.r].data(), nr, nc, cfg.nx);
-    MatrixView<const P> xpv(staging_pred[p.r].data(), nr, nc, cfg.nx);
-    srgemm::ewise_add_with_pred<S>(xv, xpv, C.sub(r0, c0, nr, nc),
-                                   predC.sub(r0, c0, nr, nc));
-    if (timed) {
-      const double t1 = sched::now_seconds();
-      if (cfg.trace)
-        cfg.trace->record(sched::TraceEvent{
-            cfg.rank, "oogHost", 0, t0, t1,
-            static_cast<std::int64_t>(nr * nc * (sizeof(T) + sizeof(P))),
-            0.0});
-      if (cfg.metrics)
-        cfg.metrics->histogram("oog.host_update_seconds").observe(t1 - t0);
-    }
-  };
-  auto retire = [&](const Pending& p) {
-    const double t0 = cfg.trace ? sched::now_seconds() : 0.0;
-    p.done.wait();
-    if (cfg.trace) {
-      sched::TraceEvent e{cfg.rank, "oogWait", 0, t0,
-                          sched::now_seconds(), 0, 0.0};
-      e.ek = sched::EventKind::kRecv;
-      e.peer = cfg.rank;
-      e.ctx = dev_ctx;
-      e.seq = p.seq;
-      cfg.trace->record(e);
-    }
-    host_update(p);
-  };
-
-  std::size_t next_stream = 0;
-  for (std::size_t i = 0; i < mb; ++i) {
-    for (std::size_t j = 0; j < nb; ++j) {
-      const std::size_t r = next_stream;
-      next_stream = (next_stream + 1) % s;
-      dev::Stream& st = *streams[r];
-      if (inflight.size() >= s) {
-        const Pending p = inflight.front();
-        inflight.pop_front();
-        retire(p);
-      }
-
-      if (!a_up[i]) upload_a(i, st);
-      if (!b_up[j]) upload_b(j, st);
-      const dev::Event a_ev = a_ready[i];
-      const dev::Event b_ev = b_ready[j];
-
-      const std::size_t r0 = i * cfg.mx, c0 = j * cfg.nx;
-      const std::size_t nr = std::min(cfg.mx, m - r0);
-      const std::size_t nc = std::min(cfg.nx, n - c0);
-
-      T* xr = X[r].data();
-      P* xpr = XP[r].data();
-      const T* a_panel = dA.data() + r0 * k;
-      const T* b_panel = dB.data() + c0;
-      const P* pb_panel = dPB.data() + c0;
-      const std::size_t ldx = cfg.nx;
-      device.launch(st, [=] {
-        a_ev.wait();
-        b_ev.wait();
-        MatrixView<T> xv(xr, nr, nc, ldx);
-        MatrixView<P> xpv(xpr, nr, nc, ldx);
-        xv.fill(S::zero());
-        xpv.fill(P{-1});  // never observed: zero() lanes cannot improve C
-        srgemm::multiply_with_pred<S>(
-            MatrixView<const T>(a_panel, nr, k, k),
-            MatrixView<const T>(b_panel, k, nc, n), xv,
-            MatrixView<const P>(pb_panel, k, nc, n), xpv);
-      });
-      device.memcpy_d2h(st, staging[r].data(), xr,
-                        ((nr - 1) * ldx + nc) * sizeof(T));
-      device.memcpy_d2h(st, staging_pred[r].data(), xpr,
-                        ((nr - 1) * ldx + nc) * sizeof(P));
-      stats.elems_d2h += nr * nc;
-
-      inflight.push_back(Pending{st.record(), i, j, r, chunk_seq});
-      if (cfg.trace) {
-        const double t = sched::now_seconds();
-        sched::TraceEvent e{
-            cfg.rank, "oogDev", 0, t, t,
-            static_cast<std::int64_t>(nr * nc * (sizeof(T) + sizeof(P))),
-            0.0};
-        e.ek = sched::EventKind::kSend;
-        e.peer = cfg.rank;
-        e.ctx = dev_ctx;
-        e.seq = chunk_seq;
-        cfg.trace->record(e);
-      }
-      ++chunk_seq;
-      if (cfg.metrics) {
-        cfg.metrics->counter("oog.bytes_d2h")
-            .add(((nr - 1) * ldx + nc) * (sizeof(T) + sizeof(P)));
-        const double depth = static_cast<double>(inflight.size());
-        cfg.metrics->gauge("oog.inflight_depth").set(depth);
-        cfg.metrics->gauge("oog.inflight_max").update_max(depth);
-      }
-      ++stats.blocks;
-    }
-  }
-
-  while (!inflight.empty()) {
-    const Pending p = inflight.front();
-    inflight.pop_front();
-    retire(p);
-  }
-  stats.blocks = mb * nb;
-  return stats;
-}
-
 }  // namespace parfw::offload

@@ -145,16 +145,7 @@ double op_cost(const sched::Op& op, dist::GridCoord coord,
   const double mx = std::min(prob.offload_mx, std::max(mloc, 1.0));
   const double nx = std::min(prob.offload_mx, std::max(nloc, 1.0));
   const int s = std::clamp(prob.offload_streams, 1, 3);
-  OogCost whole = model_oog_cost(shared, mloc, nloc, b);
-  if (prob.track_paths) {
-    // Paths: Xpred chunks come back alongside every X chunk, the
-    // row-panel pred tiles ride the B upload (the col panel has no pred
-    // sibling), and hostUpdate makes the same three passes over the
-    // int64 pred arrays as over the values.
-    const double pw = static_cast<double>(sizeof(std::int64_t));
-    whole.t1 += (mloc * nloc + nloc * b) * pw / m.hd_bw;
-    whole.t2 += 3.0 * mloc * nloc * pw / shared.dram_bw;
-  }
+  const OogCost whole = model_oog_cost(shared, mloc, nloc, b);
   const double chunk_frac = (mx * nx) / (mloc * nloc);
   return whole.total(s) + whole.fill_drain(s) * chunk_frac;
 }

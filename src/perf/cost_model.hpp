@@ -108,11 +108,6 @@ struct FwProblem {
   /// DES only: zero every compute duration to isolate the communication
   /// schedule (the regime of the paper's Figure 3 placement sweep).
   bool comm_only = false;
-  /// The predecessor-carrying schedule dist::parallel_fw runs with a pred
-  /// matrix: kPred companion broadcasts (int64 words), classic DiagUpdate
-  /// flops, and the offload pipeline's extra Xpred transfers and
-  /// hostUpdate passes — so `--variant auto` tunes paths runs honestly.
-  bool track_paths = false;
 };
 
 /// Modelled duration of one schedule op on the rank at `coord`: the one

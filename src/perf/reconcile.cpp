@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <set>
 
 #include "graph/graph.hpp"
@@ -132,7 +131,7 @@ ReconcileReport reconcile(
 
 ReconcileReport reconcile_run(const dist::GridSpec& grid, int ranks_per_node,
                               std::size_t n, const dist::DistFwOptions& opt,
-                              bool track_paths, telemetry::Registry* metrics) {
+                              telemetry::Registry* metrics) {
   using S = MinPlus<float>;
   telemetry::Registry local_reg;
   telemetry::Registry& reg = metrics != nullptr ? *metrics : local_reg;
@@ -141,7 +140,7 @@ ReconcileReport reconcile_run(const dist::GridSpec& grid, int ranks_per_node,
 
   sched::StatsTraceSink measured;
   dist::DistFwOptions run_opt = opt;
-  if (!track_paths) run_opt.diag = DiagStrategy::kLogSquaring;
+  run_opt.diag = DiagStrategy::kLogSquaring;
   run_opt.trace = &measured;
   run_opt.metrics = &reg;
 
@@ -157,14 +156,8 @@ ReconcileReport reconcile_run(const dist::GridSpec& grid, int ranks_per_node,
         const dist::GridCoord me = grid.coord_of(world.rank());
         dist::BlockCyclicMatrix<float> local(n, opt.block_size, grid, me);
         local.fill(gen);
-        std::optional<dist::BlockCyclicMatrix<std::int64_t>> pred;
-        if (track_paths) {
-          pred.emplace(n, opt.block_size, grid, me);
-          dist::init_predecessors_dist<S>(local, *pred);
-        }
         world.barrier();
-        dist::parallel_fw_resume<S>(world, local, pred ? &*pred : nullptr,
-                                    /*start_k=*/0, run_opt);
+        dist::parallel_fw_resume<S>(world, local, /*start_k=*/0, run_opt);
       },
       ropt);
   telemetry::publish_traffic_stats(reg, full);
@@ -187,7 +180,6 @@ ReconcileReport reconcile_run(const dist::GridSpec& grid, int ranks_per_node,
   prob.b = static_cast<double>(opt.block_size);
   prob.offload_mx = static_cast<double>(opt.oog.mx);
   prob.offload_streams = static_cast<int>(opt.oog.num_streams);
-  prob.track_paths = track_paths;
   std::vector<int> node_of(static_cast<std::size_t>(grid.size()));
   for (int w = 0; w < grid.size(); ++w)
     node_of[static_cast<std::size_t>(w)] = ropt.node_model.node(w);

@@ -91,16 +91,16 @@ ReconcileReport reconcile(
 /// reconcile them: dist::parallel_fw over mpisim (n x n matrix on `grid`,
 /// `ranks_per_node` ranks per node) and the DES on
 /// MachineConfig::summit(). The options map onto the DES problem
-/// (variant, block size, oog.mx, oog.num_streams, track_paths); their
-/// trace and metrics fields are replaced. Value runs pin the diagonal to
-/// log-squaring, the strategy the DES prices (paths runs always use
-/// classic). The row/column communicator split is measured alone and
+/// (variant, block size, oog.mx, oog.num_streams); their trace and
+/// metrics fields are replaced. The run pins the diagonal to
+/// log-squaring, the strategy the DES prices. A paths solve runs this same
+/// schedule (its witness pass follows the gather, outside the schedule).
+/// The row/column communicator split is measured alone and
 /// subtracted, because the schedule does not contain it. When `metrics`
 /// is set the real run records its live series there, plus its
 /// TrafficStats snapshot (telemetry::publish_traffic_stats).
 ReconcileReport reconcile_run(const dist::GridSpec& grid, int ranks_per_node,
                               std::size_t n, const dist::DistFwOptions& opt,
-                              bool track_paths,
                               telemetry::Registry* metrics = nullptr);
 
 }  // namespace parfw::perf

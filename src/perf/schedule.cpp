@@ -221,12 +221,7 @@ BuiltProgram build_fw_program(const MachineConfig& m, const FwProblem& prob,
   sp.nb = static_cast<std::size_t>(prob.n / prob.b);
   sp.b = static_cast<std::size_t>(prob.b);
   sp.word_bytes = static_cast<std::size_t>(m.word_bytes);
-  sp.pred_word_bytes = prob.track_paths ? sizeof(std::int64_t) : 0;
-  // Paths mode pins the diagonal to classic FW (log-squaring loses the
-  // argmin chain structure), exactly as the data interpreter does.
-  sp.diag_flops = diag_update_flops(sp.b, prob.track_paths
-                                              ? DiagStrategy::kClassic
-                                              : DiagStrategy::kLogSquaring);
+  sp.diag_flops = diag_update_flops(sp.b, DiagStrategy::kLogSquaring);
   const sched::Schedule schedule = sched::build_schedule(grid, sp);
 
   ProgramBuilder builder(full_node_of, total_procs);

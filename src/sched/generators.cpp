@@ -17,7 +17,7 @@ struct Gen {
   Schedule& s;
   int pr, pc;
   std::size_t nb;
-  double b, word, predw;
+  double b, word;
 
   double owned(int mine, int procs) const {
     return static_cast<double>(dist::owned_blocks(nb, mine, procs));
@@ -25,19 +25,12 @@ struct Gen {
   std::int64_t rowp_bytes(int c) const {
     return static_cast<std::int64_t>(b * owned(c, pc) * b * word);
   }
-  std::int64_t rowp_pred_bytes(int c) const {
-    return static_cast<std::int64_t>(b * owned(c, pc) * b * predw);
-  }
   std::int64_t colp_bytes(int r) const {
     return static_cast<std::int64_t>(owned(r, pr) * b * b * word);
   }
   std::int64_t diag_bytes() const {
     return static_cast<std::int64_t>(b * b * word);
   }
-  std::int64_t diag_pred_bytes() const {
-    return static_cast<std::int64_t>(b * b * predw);
-  }
-  bool paths() const { return p.pred_word_bytes > 0; }
 
   void comp(int rank, OpKind kind, std::size_t k, double flops) {
     Op op;
@@ -48,12 +41,11 @@ struct Gen {
     s.steps.push_back({rank, op});
   }
   void comm(int rank, OpKind kind, std::size_t k, CollKind coll, int phase,
-            int root, std::int64_t bytes, Payload payload = Payload::kValue) {
+            int root, std::int64_t bytes) {
     Op op;
     op.kind = kind;
     op.k = static_cast<std::uint32_t>(k);
     op.coll = coll;
-    op.payload = payload;
     op.tag = tag_of(k, phase);
     op.root = root;
     op.bytes = bytes;
@@ -66,9 +58,6 @@ struct Gen {
 
   // DiagUpdate(k) on the owner, then DiagBcast(k) across the owner's
   // process row and down its process column (always tree: latency-bound).
-  // With paths on, each diag broadcast gets a kPred companion carrying the
-  // pivot block's predecessor tile: the column panel's pred rule reads
-  // akk_pred, so the pred diag must reach both scopes.
   void diag_phase(std::size_t k) {
     const int krow = static_cast<int>(k % static_cast<std::size_t>(pr));
     const int kcol = static_cast<int>(k % static_cast<std::size_t>(pc));
@@ -76,19 +65,9 @@ struct Gen {
     for (int c = 0; c < pc; ++c)
       comm(grid.world_rank({krow, c}), OpKind::kDiagBcastRow, k, CollKind::kTree,
            kTagDiagRow, kcol, diag_bytes());
-    if (paths())
-      for (int c = 0; c < pc; ++c)
-        comm(grid.world_rank({krow, c}), OpKind::kDiagBcastRow, k,
-             CollKind::kTree, kTagDiagPredRow, kcol, diag_pred_bytes(),
-             Payload::kPred);
     for (int r = 0; r < pr; ++r)
       comm(grid.world_rank({r, kcol}), OpKind::kDiagBcastCol, k, CollKind::kTree,
            kTagDiagCol, krow, diag_bytes());
-    if (paths())
-      for (int r = 0; r < pr; ++r)
-        comm(grid.world_rank({r, kcol}), OpKind::kDiagBcastCol, k,
-             CollKind::kTree, kTagDiagPredCol, krow, diag_pred_bytes(),
-             Payload::kPred);
   }
 
   // PanelUpdate(k): the k-th process row closes its row strip, the k-th
@@ -115,13 +94,6 @@ struct Gen {
         if (!(r == krow ? roots : recvs)) continue;
         comm(grid.world_rank({r, c}), OpKind::kRowPanelBcast, k, panel_coll(),
              kTagRowPanel, krow, rowp_bytes(c));
-        // Paths: the pivot row panel's pred tile travels with it (the pred
-        // rule pred(i,j) ← pred(t,j) reads the k-th block row's preds on
-        // every rank) — the doubled row-panel volume of paths mode.
-        if (paths())
-          comm(grid.world_rank({r, c}), OpKind::kRowPanelBcast, k,
-               panel_coll(), kTagRowPanelPred, krow, rowp_pred_bytes(c),
-               Payload::kPred);
       }
   }
   void col_panel_bcast(std::size_t k, bool roots, bool recvs) {
@@ -153,10 +125,8 @@ struct Gen {
         Op op;
         op.kind = OpKind::kCheckpoint;
         op.k = static_cast<std::uint32_t>(k);
-        // Snapshot footprint: the value tiles plus, in paths mode, the
-        // predecessor tiles (checkpoint-v3 persists both).
         op.bytes = static_cast<std::int64_t>(owned(r, pr) * b * owned(c, pc) *
-                                             b * (word + predw));
+                                             b * word);
         s.steps.push_back({grid.world_rank({r, c}), op});
       }
   }
@@ -206,8 +176,7 @@ Schedule build_schedule(const dist::GridSpec& grid, const ScheduleParams& p) {
         pc,
         p.nb,
         static_cast<double>(p.b),
-        static_cast<double>(p.word_bytes),
-        static_cast<double>(p.pred_word_bytes)};
+        static_cast<double>(p.word_bytes)};
 
   const bool pipelined =
       p.variant == Variant::kPipelined || p.variant == Variant::kAsync;

@@ -37,8 +37,7 @@ namespace parfw::sched {
 // --- tag space ---------------------------------------------------------------
 //
 // The per-iteration tag space is owned HERE, by the IR: every interpreter
-// and every auxiliary schedule (e.g. the predecessor-carrying FW) derives
-// its tags from tag_of, so concurrent iterations' collectives (the ring
+// derives its tags from tag_of, so concurrent iterations' collectives (the ring
 // broadcast of iteration k+1 overlaps iteration k's) can never
 // cross-match. kTagsPerIter tags are reserved per iteration; phases are
 // the indices below.
@@ -47,10 +46,7 @@ inline constexpr int kTagDiagRow = 0;       ///< DiagBcast across the row
 inline constexpr int kTagDiagCol = 1;       ///< DiagBcast down the column
 inline constexpr int kTagRowPanel = 2;      ///< row PanelBcast (down columns)
 inline constexpr int kTagColPanel = 3;      ///< col PanelBcast (across rows)
-inline constexpr int kTagDiagPredRow = 4;   ///< paths: diag predecessors, row
-inline constexpr int kTagDiagPredCol = 5;   ///< paths: diag predecessors, col
-inline constexpr int kTagRowPanelPred = 6;  ///< paths: row-panel predecessors
-inline constexpr int kTagsPerIter = 8;
+inline constexpr int kTagsPerIter = 4;
 /// Offset keeping schedule tags clear of the small negative/positive tags
 /// the communicator layer uses internally (split, reductions, gathers).
 inline constexpr std::int32_t kTagBase = 1000;
@@ -111,19 +107,10 @@ inline bool is_comp(OpKind kind) { return !is_comm(kind); }
 /// DiagBcast, ring for bandwidth-bound PanelBcast in kAsync).
 enum class CollKind : std::uint8_t { kNone, kTree, kRing };
 
-/// What tile a comm op moves. A schedule built with pred_word_bytes > 0
-/// emits a kPred companion op (same kind/coll/root, its own tag from the
-/// pred phase space) right after each value broadcast whose tile has a
-/// predecessor sibling — the diag block (row + column) and the row panel.
-/// The column panel has no pred sibling: the pred-FW rule only ever reads
-/// predecessors from the pivot BLOCK ROW (pred(i,j) ← pred(k-row t, j)).
-enum class Payload : std::uint8_t { kValue, kPred };
-
 struct Op {
   OpKind kind = OpKind::kOuterUpdate;
   std::uint32_t k = 0;               ///< FW iteration this op belongs to
   CollKind coll = CollKind::kNone;   ///< comm ops: collective algorithm
-  Payload payload = Payload::kValue; ///< comm ops: tile contents
   std::int32_t tag = 0;              ///< comm ops: match tag (tag_of)
   std::int32_t root = -1;            ///< comm ops: root's LOCAL rank in scope
   std::int64_t bytes = 0;            ///< comm ops: payload bytes per member
@@ -177,10 +164,6 @@ struct ScheduleParams {
   std::size_t nb = 0;          ///< blocks per dimension (n / b)
   std::size_t b = 0;           ///< block size
   std::size_t word_bytes = 4;  ///< sizeof one matrix element
-  /// sizeof one predecessor id; 0 = distances only. Non-zero turns on the
-  /// payload-generic schedule: kPred companion broadcasts for the diag
-  /// block and the row panel, checkpoint footprints covering both tiles.
-  std::size_t pred_word_bytes = 0;
   double diag_flops = 0.0;     ///< cost metadata for one DiagUpdate
   /// Resume support: first pivot iteration to EXECUTE. A schedule built
   /// with start_k > 0 assumes the matrix state already reflects all
@@ -202,7 +185,6 @@ struct ScheduleParams {
   friend bool operator==(const ScheduleParams& a, const ScheduleParams& b) {
     return a.variant == b.variant && a.nb == b.nb && a.b == b.b &&
            a.word_bytes == b.word_bytes &&
-           a.pred_word_bytes == b.pred_word_bytes &&
            a.diag_flops == b.diag_flops && a.start_k == b.start_k &&
            a.checkpoint_every == b.checkpoint_every;
   }
@@ -231,7 +213,6 @@ inline std::uint64_t hash_of(const ScheduleParams& p) {
   h = hash_combine(h, p.nb);
   h = hash_combine(h, p.b);
   h = hash_combine(h, p.word_bytes);
-  h = hash_combine(h, p.pred_word_bytes);
   h = hash_combine(h, df);
   h = hash_combine(h, p.start_k);
   h = hash_combine(h, p.checkpoint_every);

@@ -274,7 +274,7 @@ inline void run_slice(MatrixView<const typename S::value_type> A,
 
 /// Ambient dispatch-level metrics (PARFW_METRICS gate): one set of series
 /// per kernel label in the global registry — the resolved {kernel, micro}
-/// pair for multiply(), kernel=argmin or kernel=pred_rows for
+/// pair for multiply(), kernel=argmin or kernel=pred_scalar for
 /// multiply_with_pred(). Recording costs two atomic adds + two histogram
 /// observes per call — measured at the dispatch granularity, not per tile,
 /// so the kernels themselves stay untouched.
@@ -334,33 +334,6 @@ inline bool spans_overlap(MatrixView<X> x, MatrixView<Y> y) {
                                             (v.rows() - 1) * v.ld() + v.cols());
   };
   return lo(x) < hi(y) && lo(y) < hi(x);
-}
-
-/// Kernel body of one predecessor product: the register-blocked argmin
-/// kernel when no output overlaps its input, else the row-buffered sweep
-/// the aliased panel forms depend on. Returns the metric label.
-template <typename S>
-inline const char* run_pred(MatrixView<const typename S::value_type> A,
-                            MatrixView<const typename S::value_type> B,
-                            MatrixView<typename S::value_type> C,
-                            MatrixView<const std::int64_t> predB,
-                            MatrixView<std::int64_t> predC) {
-  using T = typename S::value_type;
-  if constexpr (simd_ops<S>::available && simd::kNativeBytes > 0) {
-    if (!spans_overlap(C, A) && !spans_overlap(C, B) &&
-        !spans_overlap(predC, predB)) {
-      // 32-register ISAs hold 4x2 (8 value + 8 index vectors), 16-register
-      // ISAs 2x2. The k-panel keeps the kk x NR B micro-panel in half of L1.
-      constexpr std::size_t MR = simd::kNativeBytes >= 64 ? 4 : 2, NV = 2;
-      constexpr std::size_t NR = NV * simd::native_lanes<T>();
-      static const std::size_t panel_k =
-          detect_cache().l1 / (2 * NR * sizeof(T));
-      argmin_kernel<S, MR, NV>(A, B, C, predB, predC, panel_k);
-      return "kernel=argmin";
-    }
-  }
-  pred_sweep_rows<S>(A, B, C, predB, predC);
-  return "kernel=pred_rows";
 }
 
 }  // namespace detail
@@ -438,24 +411,42 @@ void multiply_with_pred_reference(MatrixView<const typename S::value_type> A,
   }
 }
 
+namespace detail {
+
+/// Kernel body of one predecessor product: the register-blocked argmin
+/// kernel where the semiring has lane-wise forms, else the scalar
+/// reference. Returns the metric label.
+template <typename S>
+inline const char* run_pred(MatrixView<const typename S::value_type> A,
+                            MatrixView<const typename S::value_type> B,
+                            MatrixView<typename S::value_type> C,
+                            MatrixView<const std::int64_t> predB,
+                            MatrixView<std::int64_t> predC) {
+  using T = typename S::value_type;
+  if constexpr (simd_ops<S>::available && simd::kNativeBytes > 0) {
+    // 32-register ISAs hold 4x2 (8 value + 8 index vectors), 16-register
+    // ISAs 2x2. The k-panel keeps the kk x NR B micro-panel in half of L1.
+    constexpr std::size_t MR = simd::kNativeBytes >= 64 ? 4 : 2, NV = 2;
+    constexpr std::size_t NR = NV * simd::native_lanes<T>();
+    static const std::size_t panel_k =
+        detect_cache().l1 / (2 * NR * sizeof(T));
+    argmin_kernel<S, MR, NV>(A, B, C, predB, predC, panel_k);
+    return "kernel=argmin";
+  } else {
+    multiply_with_pred_reference<S>(A, B, C, predB, predC);
+    return "kernel=pred_scalar";
+  }
+}
+
+}  // namespace detail
+
 /// Fused predecessor-tracking SRGEMM:
 ///     where C[i,j] improves through row t of B, predC[i,j] ← predB[t,j]
-/// (the blocked-FW pred rule: pred(i,j) ← pred(t,j), with predB carrying
-/// global vertex ids). Two deterministic kernels, chosen per call by
-/// address overlap:
-///   * no overlap of C with A or B, nor of predC with predB (outer-update
-///     tiles, look-ahead strips, offload chunks, disjoint sub-views of one
-///     pred matrix): detail::argmin_kernel, register-blocked, bit-identical
-///     to multiply_with_pred_reference;
-///   * any overlap (the aliased panel updates): detail::pred_sweep_rows.
-/// Both resolve every (i,j) to the first t attaining its minimum, which is
-/// what makes the distributed pred matrices bit-identical to the
-/// single-node blocked_floyd_warshall_paths result.
-///
-/// Aliasing: the blocked-FW panel updates deliberately alias (row panel
-/// B ≡ C, column panel A ≡ C); both are well-defined under the sweep's
-/// row-buffered order. Row-panel aliasing carries cross-row dependencies,
-/// so a caller may cut such a product into column ranges but not rows.
+/// resolving every (i,j) to the first t, in ascending order, that strictly
+/// improves on the incumbent C[i,j] (predC[i,j] stays when none does).
+/// Bit-identical to multiply_with_pred_reference. C may not overlap A or
+/// B, nor predC predB: the witness product (core/witness.hpp) and the
+/// bench's outer-update shape are its callers.
 template <typename S>
 void multiply_with_pred(MatrixView<const typename S::value_type> A,
                         MatrixView<const typename S::value_type> B,
@@ -470,6 +461,10 @@ void multiply_with_pred(MatrixView<const typename S::value_type> A,
   PARFW_CHECK(predB.rows() == B.rows() && predB.cols() == B.cols());
   PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
   if (C.empty() || A.cols() == 0) return;
+  PARFW_CHECK_MSG(!detail::spans_overlap(C, A) &&
+                      !detail::spans_overlap(C, B) &&
+                      !detail::spans_overlap(predC, predB),
+                  "multiply_with_pred: outputs overlap inputs");
   if (!telemetry::enabled()) {
     detail::run_pred<S>(A, B, C, predB, predC);
     return;
@@ -481,51 +476,6 @@ void multiply_with_pred(MatrixView<const typename S::value_type> A,
           .count();
   detail::record_dispatch_metrics(label, C.rows(), C.cols(), A.cols(), 0,
                                   secs);
-}
-
-/// Element-wise accumulate with predecessor attachment (the offload
-/// engine's hostUpdate in paths mode): where X strictly improves C, take
-/// X's value and its predecessor. When (X, Xpred) is a chunk product
-/// computed by multiply_with_pred on a zero()-filled X, this merge is
-/// bit-identical to running the fused kernel directly on C — the chunk's
-/// first-t-attaining argmin composes with the strict-improvement merge.
-template <typename S>
-void ewise_add_with_pred(MatrixView<const typename S::value_type> X,
-                         MatrixView<const std::int64_t> Xpred,
-                         MatrixView<typename S::value_type> C,
-                         MatrixView<std::int64_t> predC) {
-  PARFW_CHECK(X.rows() == C.rows() && X.cols() == C.cols());
-  PARFW_CHECK(Xpred.rows() == C.rows() && Xpred.cols() == C.cols());
-  PARFW_CHECK(predC.rows() == C.rows() && predC.cols() == C.cols());
-  using T = typename S::value_type;
-  const std::size_t rows = C.rows(), cols = C.cols();
-  for (std::size_t i = 0; i < rows; ++i) {
-    const T* x = X.data() + i * X.ld();
-    const std::int64_t* xp = Xpred.data() + i * Xpred.ld();
-    T* c = C.data() + i * C.ld();
-    std::int64_t* pc = predC.data() + i * predC.ld();
-    std::size_t j = 0;
-    if constexpr (simd_ops<S>::available) {
-      if constexpr (simd::kNativeBytes > 0) {
-        constexpr std::size_t W = simd::native_lanes<T>();
-        for (; j + W <= cols; j += W) {
-          const auto xv = simd::load<T, W>(x + j);
-          const auto cv = simd::load<T, W>(c + j);
-          const auto imp = simd_ops<S>::vimproves(xv, cv);
-          if (simd::vany(imp)) {
-            simd::store<T, W>(c + j, simd::vselect(imp, xv, cv));
-            simd::vblend_ids(imp, xp + j, pc + j);
-          }
-        }
-      }
-    }
-    for (; j < cols; ++j) {
-      if (S::less_add(x[j], c[j])) {
-        c[j] = x[j];
-        pc[j] = xp[j];
-      }
-    }
-  }
 }
 
 /// Element-wise accumulate C ← C ⊕ X (the offload engine's hostUpdate).

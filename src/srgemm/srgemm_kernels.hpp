@@ -1,8 +1,6 @@
 // Kernel bodies for SRGEMM: naive oracle, cache-tiled + register-blocked
-// kernel, and two argmin-tracking (predecessor) kernels: the
-// register-blocked argmin_kernel for operands that do not overlap, and
-// the row-buffered pred_sweep_rows whose order the aliased blocked-FW
-// panel updates depend on.
+// kernel, and the register-blocked argmin-tracking (predecessor) kernel
+// for operands that do not overlap.
 //
 // The tiled kernel follows the canonical GotoBLAS decomposition adapted to
 // semirings: C is walked in tile_m x tile_n macro tiles; for each macro
@@ -302,70 +300,6 @@ void tiled_kernel(MatrixView<const typename S::value_type> A,
                          nj, kk);
       }
     }
-  }
-}
-
-/// Fused predecessor-tracking SRGEMM:
-///     C(i,j) ← best over t of A(i,t) ⊗ B(t,j) vs the incumbent C(i,j),
-///     predC(i,j) ← predB(t*, j) for the first t* attaining that best.
-/// Row-buffered: each row's new values/preds are computed into scratch
-/// from the current operand state and committed only after the full
-/// ascending-t scan — Jacobi within a row, Gauss-Seidel across rows. The
-/// aliased blocked-FW panel updates (B ≡ C in the row panel, A ≡ C in the
-/// column panel) are therefore deterministic and independent of the vector
-/// width and of how a strip is cut into per-block calls.
-///
-/// The inner loop is the vector chain  cand = va ⊗ B-row,
-/// mask = vimproves(cand, best), blend values, widen the mask to int64
-/// lanes and blend the predB row — one branch-free pass per (t, j-vector).
-template <typename S>
-void pred_sweep_rows(MatrixView<const typename S::value_type> A,
-                     MatrixView<const typename S::value_type> B,
-                     MatrixView<typename S::value_type> C,
-                     MatrixView<const std::int64_t> predB,
-                     MatrixView<std::int64_t> predC) {
-  using T = typename S::value_type;
-  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-  AlignedBuffer<T> best_buf(n);
-  AlignedBuffer<std::int64_t> bp_buf(n);
-  T* best = best_buf.data();
-  std::int64_t* bp = bp_buf.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    std::copy_n(C.data() + i * C.ld(), n, best);
-    std::copy_n(predC.data() + i * predC.ld(), n, bp);
-    for (std::size_t t = 0; t < k; ++t) {
-      const T av = A(i, t);
-      const T* brow = B.data() + t * B.ld();
-      const std::int64_t* prow = predB.data() + t * predB.ld();
-      std::size_t j = 0;
-      if constexpr (simd_ops<S>::available) {
-        if constexpr (simd::kNativeBytes > 0) {
-          constexpr std::size_t W = simd::native_lanes<T>();
-          const auto va = simd::broadcast<T, W>(av);
-          for (; j + W <= n; j += W) {
-            const auto cand = simd_ops<S>::vmul(va, simd::load<T, W>(brow + j));
-            const auto bv = simd::load<T, W>(best + j);
-            const auto imp = simd_ops<S>::vimproves(cand, bv);
-            // Most (t, j-group) pairs improve nothing once the running min
-            // settles; skipping them keeps the predB row out of the memory
-            // stream entirely, which is where a paths sweep spends its time.
-            if (simd::vany(imp)) {
-              simd::store<T, W>(best + j, simd::vselect(imp, cand, bv));
-              simd::vblend_ids(imp, prow + j, bp + j);
-            }
-          }
-        }
-      }
-      for (; j < n; ++j) {
-        const T cand = S::mul(av, brow[j]);
-        if (S::less_add(cand, best[j])) {
-          best[j] = cand;
-          bp[j] = prow[j];
-        }
-      }
-    }
-    std::copy_n(best, n, C.data() + i * C.ld());
-    std::copy_n(bp, n, predC.data() + i * predC.ld());
   }
 }
 

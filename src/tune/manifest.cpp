@@ -103,11 +103,10 @@ std::string write_manifest(const Manifest& m) {
     char head[512];
     std::snprintf(head, sizeof head,
                   "    { \"n\": %zu, \"ranks\": %d, \"ranks_per_node\": %d, "
-                  "\"word_bytes\": %zu, \"track_paths\": %s,\n"
+                  "\"word_bytes\": %zu,\n"
                   "      \"stall_weight\": ",
                   e.workload.n, e.workload.ranks, e.workload.ranks_per_node,
-                  e.workload.word_bytes,
-                  e.workload.track_paths ? "true" : "false");
+                  e.workload.word_bytes);
     out += head;
     append_number(&out, e.stall_weight);
     char body[512];
@@ -185,16 +184,17 @@ bool read_manifest(const std::string& text, Manifest* out,
       return false;
     if (!get_bool(row, "tiled", &w.placement.tiled, error))
       return false;
-    // "track_paths" joined the key after version-1 manifests shipped; a
-    // missing field reads as false (a value-schedule row), so pre-paths
-    // caches stay valid without a version bump.
+    // Older manifests keyed paths runs apart with "track_paths". A paths
+    // solve now runs the values schedule, so such a row is a values row;
+    // where the file also holds a values row for the key, that one wins.
+    bool paths_row = false;
     if (const causal::JsonValue* tp = row.find("track_paths");
         tp != nullptr) {
       if (tp->type != causal::JsonValue::Type::kBool) {
         *error = "manifest entry \"track_paths\" must be a boolean";
         return false;
       }
-      e.workload.track_paths = tp->boolean;
+      paths_row = tp->boolean;
     }
     const causal::JsonValue* var = row.find("variant");
     if (var == nullptr || var->type != causal::JsonValue::Type::kString ||
@@ -204,6 +204,8 @@ bool read_manifest(const std::string& text, Manifest* out,
       return false;
     }
     w = w.canonical();
+    if (paths_row && out->find(e.workload, e.stall_weight) != nullptr)
+      continue;
     out->put(e);
   }
   return true;

@@ -4,9 +4,9 @@
 // the tuner picked for them, so `--variant auto` runs can skip the search
 // entirely: parfw::solve (and tools/sched_tune --manifest) look the
 // workload up by exact key — (n, ranks, ranks_per_node, word_bytes,
-// track_paths, stall_weight) — and execute the stored winner when
-// present. track_paths was added after version-1 manifests shipped; a row
-// without the field reads as false, so old caches stay valid. The stored
+// stall_weight) — and execute the stored winner when present. Rows written
+// while paths runs had their own schedule carry "track_paths"; they still
+// load, as values rows, behind any values row with the same key. The stored
 // predicted numbers ride along for the tune.* telemetry and for the
 // predicted-vs-achieved report; they are advisory, never used to alter
 // the schedule.

@@ -230,13 +230,7 @@ std::uint64_t Tuner::key_of(const Candidate& cand) const {
   p.nb = workload_.n / c.block;
   p.b = c.block;
   p.word_bytes = workload_.word_bytes;
-  // pred_word_bytes participates in hash_of, which is what keys paths
-  // workloads into their own cache universe.
-  p.pred_word_bytes =
-      workload_.track_paths ? sizeof(std::int64_t) : std::size_t{0};
-  p.diag_flops = diag_update_flops(
-      c.block, workload_.track_paths ? DiagStrategy::kClassic
-                                     : DiagStrategy::kLogSquaring);
+  p.diag_flops = diag_update_flops(c.block, DiagStrategy::kLogSquaring);
   std::uint64_t h = sched::hash_of(p);
   h = sched::hash_combine(h, static_cast<std::uint64_t>(c.placement.tiled));
   h = sched::hash_combine(h, static_cast<std::uint64_t>(c.placement.pr));
@@ -268,7 +262,6 @@ const Eval& Tuner::evaluate(const Candidate& cand) {
   prob.b = static_cast<double>(c.block);
   prob.variant = c.variant;
   prob.offload_streams = c.streams;
-  prob.track_paths = workload_.track_paths;
   const dist::GridSpec grid = c.placement.grid();
   const std::vector<int> node_of =
       c.placement.node_of(workload_.ranks_per_node);

@@ -101,18 +101,12 @@ struct Workload {
   int ranks = 0;            ///< total processes P
   int ranks_per_node = 1;   ///< NIC-domain size (paper §3.4.1)
   std::size_t word_bytes = 4;
-  /// Tune for the paths schedule: pred companion broadcasts, classic
-  /// diagonal, the offload pipeline's pred transfers. A winner tuned for
-  /// the value schedule is NOT automatically right with the row-panel
-  /// volume roughly tripled, so paths workloads are a distinct tuning
-  /// (and manifest-cache) universe.
-  bool track_paths = false;
 
   int nodes() const { return ranks / ranks_per_node; }
   friend bool operator==(const Workload& a, const Workload& b) {
     return a.n == b.n && a.ranks == b.ranks &&
            a.ranks_per_node == b.ranks_per_node &&
-           a.word_bytes == b.word_bytes && a.track_paths == b.track_paths;
+           a.word_bytes == b.word_bytes;
   }
 };
 

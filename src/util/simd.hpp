@@ -172,14 +172,6 @@ inline Vec<T, W> vselect(Vec<M, W> m, Vec<T, W> x, Vec<T, W> y) {
   static_assert(sizeof(M) == sizeof(T), "mask lanes must match value lanes");
   return {m.v ? x.v : y.v};
 }
-/// Sign-extend (or narrow) a mask to To-width lanes, e.g. an int32 float
-/// mask to the int64 lanes of a predecessor vector.
-template <typename To, typename M, std::size_t W>
-inline Vec<To, W> vmask_cast(Vec<M, W> m) {
-  Vec<To, W> r;
-  r.v = __builtin_convertvector(m.v, typename Vec<To, W>::native);
-  return r;
-}
 
 #else  // scalar fallback: same API, lane loops
 
@@ -233,18 +225,12 @@ inline Vec<T, W> vselect(Vec<M, W> m, Vec<T, W> x, Vec<T, W> y) {
   for (std::size_t i = 0; i < W; ++i) r.v[i] = m.v[i] ? x.v[i] : y.v[i];
   return r;
 }
-template <typename To, typename M, std::size_t W>
-inline Vec<To, W> vmask_cast(Vec<M, W> m) {
-  Vec<To, W> r;
-  for (std::size_t i = 0; i < W; ++i) r.v[i] = static_cast<To>(m.v[i]);
-  return r;
-}
 
 #endif  // PARFW_SIMD_VECTOR_EXT
 
 /// Half of a vector (Half = 0 low, 1 high) as a half-width value. The
 /// memcpy lowers to a register extract; it exists so wide logical vectors
-/// can be processed at native register width (see vblend_ids).
+/// can be processed at native register width (see vany).
 template <std::size_t Half, typename T, std::size_t W>
 inline Vec<T, W / 2> vhalf(Vec<T, W> a) {
   static_assert(Half < 2 && W % 2 == 0);
@@ -263,31 +249,6 @@ inline bool vany(Vec<M, W> m) {
     return m.v[0] != 0;
   } else {
     return vany(vor(vhalf<0>(m), vhalf<1>(m)));
-  }
-}
-
-/// Masked predecessor blend: lanes where the value-width mask is set take
-/// src, the rest keep dst — W int64 id lanes driven by a W-lane mask of
-/// sizeof(M)-byte lanes. When sizeof(M) < 8 the widened mask would be a
-/// 2x-native vector, and compilers scalarize selects on oversized generic
-/// vectors (GCC emits a per-lane extract/cmove storm that is slower than
-/// the scalar loop), so the widen + blend runs in two native-width halves.
-template <typename M, std::size_t W>
-inline void vblend_ids(Vec<M, W> m, const std::int64_t* src,
-                       std::int64_t* dst) {
-  if constexpr (sizeof(M) == sizeof(std::int64_t)) {
-    store<std::int64_t, W>(
-        dst, vselect(vmask_cast<std::int64_t>(m), load<std::int64_t, W>(src),
-                     load<std::int64_t, W>(dst)));
-  } else {
-    constexpr std::size_t H = W / 2;
-    store<std::int64_t, H>(
-        dst, vselect(vmask_cast<std::int64_t>(vhalf<0>(m)),
-                     load<std::int64_t, H>(src), load<std::int64_t, H>(dst)));
-    store<std::int64_t, H>(
-        dst + H,
-        vselect(vmask_cast<std::int64_t>(vhalf<1>(m)),
-                load<std::int64_t, H>(src + H), load<std::int64_t, H>(dst + H)));
   }
 }
 

@@ -15,6 +15,7 @@
 #include "core/diag_update.hpp"
 #include "core/floyd_warshall.hpp"
 #include "core/incremental.hpp"
+#include "core/witness.hpp"
 #include "dist/driver.hpp"
 #include "graph/connected_components.hpp"
 #include "graph/generators.hpp"
@@ -189,25 +190,25 @@ TEST(BlockedFw, BlockWiderThanMatrixIsOneBlock) {
   EXPECT_EQ(max_abs_diff<double>(fw_oracle(g).view(), d.view()), 0.0);
 }
 
-// The look-ahead loop generating paths, across pool sizes and the shapes
-// of BlockedFwSchedule plus n=130 with b ∈ {16, 33}. Distances must equal
-// Algorithm 1 bit for bit, and the pred matrix must not depend on the pool
-// size and must equal the pred matrix of the distributed interpreter (an
-// independent implementation of the same schedule) on an async 2x2 grid.
+// The witness pass after the look-ahead loop, across pool sizes and the
+// shapes of BlockedFwSchedule plus n=130 with b ∈ {16, 33}. Distances must
+// equal Algorithm 1 bit for bit, and the pred matrix must equal the scalar
+// witness oracle whatever the pool size, and the pred matrix of a
+// distributed paths run (async 2x2) of the same graph.
 class BlockedFwPaths
     : public ::testing::TestWithParam<std::tuple<int, FwShape>> {};
 // (pool workers, shape)
 
 struct PathsOracle {
-  Matrix<std::int64_t> single;  ///< blocked_floyd_warshall_paths, no pool
-  Matrix<std::int64_t> dist;    ///< dist::run_parallel_fw, async 2x2
+  Matrix<std::int64_t> witness;  ///< witness_oracle over Algorithm 1
+  Matrix<std::int64_t> dist;     ///< dist::run_parallel_fw, async 2x2
 };
 
 /// Both pred oracles for schedule_graph(shape.n) at block size shape.b,
 /// computed once per shape. The 2x2 layout needs n % b == 0 and at least
-/// two blocks, so its graph is padded with isolated vertices: those are
-/// never a strict improvement, so the top-left n x n preds are those of
-/// the unpadded run.
+/// two blocks, so its graph is padded with isolated vertices: they are no
+/// vertex's in-neighbour, so the top-left n x n preds are those of the
+/// unpadded graph.
 const PathsOracle& paths_oracle(FwShape shape) {
   static std::map<std::pair<int, int>, PathsOracle> cache;
   const auto key = std::pair{shape.n, shape.b};
@@ -216,10 +217,8 @@ const PathsOracle& paths_oracle(FwShape shape) {
   const auto b = static_cast<std::size_t>(shape.b);
   const Graph g = schedule_graph(shape.n);
   PathsOracle o;
-  auto d = g.distance_matrix<S>();
-  o.single = Matrix<std::int64_t>(n, n);
-  init_predecessors<S>(d.view(), o.single.view());
-  blocked_floyd_warshall_paths<S>(d.view(), o.single.view(), b);
+  o.witness = witness_oracle<S>(g.distance_matrix<S>().view(),
+                                schedule_oracle(shape.n).view());
 
   const std::size_t blocks = std::max<std::size_t>(2, (n + b - 1) / b);
   Graph padded(static_cast<vertex_t>(blocks * b));
@@ -253,18 +252,22 @@ TEST_P(BlockedFwPaths, MatchesOraclesAcrossPools) {
   const auto [workers, shape] = GetParam();
   const auto n = static_cast<std::size_t>(shape.n);
   ThreadPool pool(static_cast<std::size_t>(workers));
-  auto d = schedule_graph(shape.n).distance_matrix<S>();
-  Matrix<std::int64_t> pred(n, n);
-  init_predecessors<S>(d.view(), pred.view());
+  const auto w = schedule_graph(shape.n).distance_matrix<S>();
+  auto d = w.clone();
   BlockedFwOptions opt;
   opt.block_size = static_cast<std::size_t>(shape.b);
   opt.pool = &pool;
-  blocked_floyd_warshall<S>(d.view(), opt, pred.view());
+  blocked_floyd_warshall<S>(d.view(), opt);
   EXPECT_EQ(max_abs_diff<double>(schedule_oracle(shape.n).view(), d.view()),
             0.0);
   const PathsOracle& o = paths_oracle(shape);
-  EXPECT_EQ(pred_mismatches(o.single.view(), pred.view()), 0u);
-  EXPECT_EQ(pred_mismatches(o.dist.view(), pred.view()), 0u);
+  for (WitnessMethod m : {WitnessMethod::kScan, WitnessMethod::kProduct}) {
+    Matrix<std::int64_t> pred(n, n);
+    witness_predecessors<S>(w.view(), d.view(), pred.view(), &pool, nullptr,
+                            m);
+    EXPECT_EQ(pred_mismatches(o.witness.view(), pred.view()), 0u);
+    EXPECT_EQ(pred_mismatches(o.dist.view(), pred.view()), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -274,6 +277,151 @@ INSTANTIATE_TEST_SUITE_P(
                                          FwShape{70, 32}, FwShape{600, 32},
                                          FwShape{130, 16}, FwShape{130, 33})),
     paths_case_name);
+
+// --- Witness ---------------------------------------------------------------
+
+/// A graph whose zero-weight cycles make the witness pointers cycle: a
+/// bidirectional zero-weight ring over every third vertex of a positive
+/// ER graph, plus zero-weight 2-cycles.
+Graph zero_cycle_graph(vertex_t n) {
+  Graph g = gen::erdos_renyi(n, 0.08, 41, 1.0, 20.0, /*integral=*/true);
+  for (vertex_t v = 0; v + 3 < n; v += 3) {
+    g.add_edge(v, v + 3, 0.0);
+    g.add_edge(v + 3, v, 0.0);
+  }
+  for (vertex_t v = 1; v + 1 < n; v += 7) {
+    g.add_edge(v, v + 1, 0.0);
+    g.add_edge(v + 1, v, 0.0);
+  }
+  return g;
+}
+
+/// Every engine's pred on `g` is bit-identical to the witness oracle over
+/// its own closed matrix, and every walk is simple and sums to D exactly.
+template <typename Sr>
+void expect_engines_match_oracle(const Graph& g, std::size_t b) {
+  const auto w = g.distance_matrix<Sr>();
+  for (ApspAlgorithm alg : {ApspAlgorithm::kSequential, ApspAlgorithm::kBlocked,
+                            ApspAlgorithm::kBlockedParallel}) {
+    ApspOptions opt;
+    opt.algorithm = alg;
+    opt.block_size = b;
+    opt.track_paths = true;
+    const auto r = apsp<Sr>(g, opt);
+    const auto want = witness_oracle<Sr>(w.view(), r.dist.view());
+    EXPECT_EQ(pred_mismatches(want.view(), r.pred->view()), 0u)
+        << "algorithm " << static_cast<int>(alg);
+    EXPECT_EQ(walk_violation<Sr>(w.view(), r.dist.view(), r.pred->view()), "")
+        << "algorithm " << static_cast<int>(alg);
+  }
+}
+
+TEST(Witness, EnginesMatchOracleOnSparseIntegralEr) {
+  expect_engines_match_oracle<S>(
+      gen::erdos_renyi(150, 0.03, 5, 1.0, 100.0, /*integral=*/true), 32);
+}
+
+TEST(Witness, EnginesMatchOracleOnDenseUniform) {
+  // Dense: kAuto takes the product body.
+  const auto g = gen::dense_uniform(96, 6, 1.0, 100.0, /*integral=*/true);
+  expect_engines_match_oracle<S>(g, 32);
+  expect_engines_match_oracle<MinPlus<float>>(g, 32);
+}
+
+TEST(Witness, EnginesMatchOracleWithZeroWeightCycles) {
+  expect_engines_match_oracle<S>(zero_cycle_graph(120), 16);
+}
+
+TEST(Witness, EnginesMatchOracleOnMaxMin) {
+  expect_engines_match_oracle<MaxMin<double>>(
+      gen::erdos_renyi(100, 0.05, 8, 1.0, 50.0, /*integral=*/true), 32);
+  expect_engines_match_oracle<MaxMin<float>>(
+      gen::dense_uniform(64, 9, 1.0, 50.0, /*integral=*/true), 16);
+}
+
+TEST(Witness, EnginesMatchOracleOnBoolOrAnd) {
+  // One-byte values: the scan takes its scalar body, the product the
+  // argmin kernel's 127-deep panels. Unit weights (integral [1, 2)).
+  expect_engines_match_oracle<BoolOrAnd>(
+      gen::erdos_renyi(150, 0.02, 3, 1.0, 2.0, /*integral=*/true), 32);
+  expect_engines_match_oracle<BoolOrAnd>(
+      gen::dense_uniform(300, 4, 1.0, 2.0, /*integral=*/true), 64);
+}
+
+// Scan and product agree bit for bit on both sides of the density
+// threshold, under every pool size; kAuto picks by density; zero-weight
+// cycles and max-min ties rebuild rows as trees.
+TEST(Witness, ScanAndProductAgreeAcrossThreshold) {
+  using Sf = MinPlus<float>;
+  const vertex_t n = 160;
+  for (double p : {0.01, 0.03, detail::kWitnessProductDensity * 0.8,
+                   detail::kWitnessProductDensity * 1.5, 0.5}) {
+    const auto g = gen::erdos_renyi(n, p, 77, 1.0, 100.0, /*integral=*/true);
+    const auto w = g.distance_matrix<Sf>();
+    auto d = w.clone();
+    blocked_floyd_warshall<Sf>(d.view(), {{.block_size = 32}});
+    const auto want = witness_oracle<Sf>(w.view(), d.view());
+    for (int workers : {0, 1, 3, 7}) {
+      ThreadPool pool(static_cast<std::size_t>(workers));
+      for (WitnessMethod m : {WitnessMethod::kAuto, WitnessMethod::kScan,
+                              WitnessMethod::kProduct}) {
+        Matrix<std::int64_t> pred(n, n);
+        const WitnessStats st = witness_predecessors<Sf>(
+            w.view(), d.view(), pred.view(), &pool, nullptr, m);
+        EXPECT_EQ(pred_mismatches(want.view(), pred.view()), 0u)
+            << "p=" << p << " workers=" << workers;
+        if (m == WitnessMethod::kAuto) {
+          const bool dense = static_cast<double>(st.edges) >
+                             detail::kWitnessProductDensity * n * n;
+          EXPECT_EQ(st.method, dense ? WitnessMethod::kProduct
+                                     : WitnessMethod::kScan);
+        }
+      }
+    }
+  }
+}
+
+TEST(Witness, CyclingRowsBecomeTrees) {
+  const auto g = zero_cycle_graph(90);
+  const auto w = g.distance_matrix<S>();
+  auto d = w.clone();
+  floyd_warshall<S>(d.view());
+  Matrix<std::int64_t> pred(90, 90);
+  const WitnessStats st =
+      witness_predecessors<S>(w.view(), d.view(), pred.view());
+  EXPECT_GT(st.bfs_rows, 0u);
+  EXPECT_EQ(walk_violation<S>(w.view(), d.view(), pred.view()), "");
+  // Row 3 of 3 → 2 (1) with a zero-weight 2-cycle 1 ⇄ 2: the scan's
+  // smallest tied in-neighbour of 2 is 1 and of 1 is 2, a pointer cycle;
+  // the tree rebuild routes 3 → 2 → 1. The other rows do not cycle.
+  Graph small(4);
+  small.add_edge(3, 2, 1.0);
+  small.add_edge(1, 2, 0.0);
+  small.add_edge(2, 1, 0.0);
+  const auto sw = small.distance_matrix<S>();
+  auto sd = sw.clone();
+  floyd_warshall<S>(sd.view());
+  Matrix<std::int64_t> sp(4, 4);
+  EXPECT_EQ(witness_predecessors<S>(sw.view(), sd.view(), sp.view()).bfs_rows,
+            1u);
+  EXPECT_EQ(sp(3, 2), 3);
+  EXPECT_EQ(sp(3, 1), 2);
+  EXPECT_EQ(sp(1, 2), 1);
+  EXPECT_EQ(sp(2, 1), 2);
+}
+
+TEST(Witness, RecordsSeriesIntoTheRunRegistry) {
+  const auto g = zero_cycle_graph(60);
+  const auto w = g.distance_matrix<S>();
+  auto d = w.clone();
+  floyd_warshall<S>(d.view());
+  Matrix<std::int64_t> pred(60, 60);
+  telemetry::Registry reg;
+  const WitnessStats st = witness_predecessors<S>(
+      w.view(), d.view(), pred.view(), nullptr, &reg, WitnessMethod::kScan);
+  EXPECT_EQ(reg.histogram("paths.witness.seconds", "method=scan").count(), 1u);
+  EXPECT_EQ(reg.counter("paths.witness.bfs_rows").value(), st.bfs_rows);
+}
 
 TEST(BlockedFw, FloatPrecisionMatchesSequentialBitwise) {
   using Sf = MinPlus<float>;

@@ -11,6 +11,8 @@
 #include "dist/grid.hpp"
 #include "dist/parallel_fw.hpp"
 
+#include "oracles.hpp"
+
 namespace parfw::dist {
 namespace {
 
@@ -193,7 +195,7 @@ TEST(ParallelFw, SparseInputWithUnreachablePairs) {
   EXPECT_EQ(max_abs_diff<float>(expected.view(), result.dist.view()), 0.0);
 }
 
-// --- distributed path generation (payload-generic interpreter) -----------------
+// --- distributed path generation (values schedule + witness pass) -----------
 
 struct DistPathsCase {
   Variant variant;
@@ -202,10 +204,10 @@ struct DistPathsCase {
 
 class DistPathsParam : public ::testing::TestWithParam<DistPathsCase> {};
 
-// The payload-generic interpreter must reproduce the single-node blocked
-// paths oracle BIT-IDENTICALLY: both sides run the same argmin-tracking
-// kernel at the same call granularity, so there is no tie-break slack to
-// hide behind. Every schedulable variant, on both placements.
+// A distributed paths run must reproduce the scalar witness oracle over
+// the closed matrix BIT-IDENTICALLY, and with it the single-node
+// blocked_floyd_warshall_paths result. Every schedulable variant, on both
+// placements.
 TEST_P(DistPathsParam, PredMatrixBitIdenticalToBlockedOracle) {
   const DistPathsCase c = GetParam();
   const std::size_t n = 48, b = 8;
@@ -213,46 +215,39 @@ TEST_P(DistPathsParam, PredMatrixBitIdenticalToBlockedOracle) {
       5100 + static_cast<std::uint64_t>(c.variant) * 10 + (c.tiled ? 3 : 0),
       0.7, 1.0f, 60.0f, /*integral=*/true);
 
-  // Single-node blocked oracle with paths, same block size.
+  // Single-node blocked solve with paths, same block size, and the
+  // scalar witness oracle over its closed matrix.
   auto exp_dist = gen.full(static_cast<vertex_t>(n));
   Matrix<std::int64_t> exp_pred(n, n);
-  init_predecessors<S>(exp_dist.view(), exp_pred.view());
   blocked_floyd_warshall_paths<S>(exp_dist.view(), exp_pred.view(), b);
+  const auto witness =
+      witness_oracle<S>(gen.full(static_cast<vertex_t>(n)).view(),
+                        exp_dist.view());
 
   // tiled: 2x1 node grid of 1x2 tiles — 2x2 process grid over two nodes,
   // so the node-aware ring/tree paths are exercised without a 16-rank run.
   const auto grid =
       c.tiled ? GridSpec::tiled(2, 1, 1, 2) : GridSpec::row_major(2, 2);
-  Matrix<float> got_dist;
-  Matrix<std::int64_t> got_pred;
-  mpi::Runtime::run(grid.size(), [&](mpi::Comm& world) {
-    BlockCyclicMatrix<float> local(n, b, grid, grid.coord_of(world.rank()));
-    BlockCyclicMatrix<std::int64_t> plocal(n, b, grid,
-                                           grid.coord_of(world.rank()));
-    local.fill(gen);
-    init_predecessors_dist<S>(local, plocal);
-    DistFwOptions opt;
-    opt.variant = c.variant;
-    opt.block_size = b;
-    if (c.variant == Variant::kOffload) {
-      opt.oog.mx = opt.oog.nx = 16;
-      opt.oog.num_streams = 2;
-    }
-    parallel_fw<S>(world, local, plocal, opt);
-    auto d = local.gather(world);
-    auto p = plocal.gather(world);
-    if (world.rank() == 0) {
-      got_dist = std::move(d);
-      got_pred = std::move(p);
-    }
-  });
+  DistFwOptions opt;
+  opt.variant = c.variant;
+  opt.block_size = b;
+  if (c.variant == Variant::kOffload) {
+    opt.oog.mx = opt.oog.nx = 16;
+    opt.oog.num_streams = 2;
+  }
+  const auto run = run_parallel_fw<S>(n, gen, grid, 2, opt,
+                                      /*track_paths=*/true);
+  const Matrix<float>& got_dist = run.dist;
+  const Matrix<std::int64_t>& got_pred = run.pred;
 
   ASSERT_EQ(got_dist.rows(), n);
   EXPECT_EQ(max_abs_diff<float>(exp_dist.view(), got_dist.view()), 0.0);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t j = 0; j < n; ++j) {
       if (got_pred(i, j) != exp_pred(i, j)) ++mismatches;
+      if (got_pred(i, j) != witness(i, j)) ++mismatches;
+    }
   EXPECT_EQ(mismatches, 0u)
       << "variant=" << variant_name(c.variant) << " tiled=" << c.tiled;
 
@@ -301,28 +296,15 @@ TEST(DistPaths, RectangularGridsAlsoBitIdentical) {
                              0.7, 1.0f, 60.0f, /*integral=*/true);
     auto exp_dist = gen.full(static_cast<vertex_t>(n));
     Matrix<std::int64_t> exp_pred(n, n);
-    init_predecessors<S>(exp_dist.view(), exp_pred.view());
     blocked_floyd_warshall_paths<S>(exp_dist.view(), exp_pred.view(), b);
 
     const auto grid = GridSpec::row_major(pr, pc);
-    Matrix<float> got_dist;
-    Matrix<std::int64_t> got_pred;
-    mpi::Runtime::run(grid.size(), [&](mpi::Comm& world) {
-      BlockCyclicMatrix<float> local(n, b, grid, grid.coord_of(world.rank()));
-      BlockCyclicMatrix<std::int64_t> plocal(n, b, grid,
-                                             grid.coord_of(world.rank()));
-      local.fill(gen);
-      init_predecessors_dist<S>(local, plocal);
-      DistFwOptions opt;
-      opt.block_size = b;
-      parallel_fw<S>(world, local, plocal, opt);
-      auto d = local.gather(world);
-      auto p = plocal.gather(world);
-      if (world.rank() == 0) {
-        got_dist = std::move(d);
-        got_pred = std::move(p);
-      }
-    });
+    DistFwOptions opt;
+    opt.block_size = b;
+    const auto run = run_parallel_fw<S>(n, gen, grid, 1, opt,
+                                        /*track_paths=*/true);
+    const Matrix<float>& got_dist = run.dist;
+    const Matrix<std::int64_t>& got_pred = run.pred;
     EXPECT_EQ(max_abs_diff<float>(exp_dist.view(), got_dist.view()), 0.0)
         << pr << "x" << pc;
     std::size_t mismatches = 0;

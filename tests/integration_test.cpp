@@ -14,6 +14,8 @@
 #include "perf/experiments.hpp"
 #include "sssp/sssp.hpp"
 
+#include "oracles.hpp"
+
 namespace parfw {
 namespace {
 
@@ -194,32 +196,19 @@ TEST(DesVolume, ReorderedPlacementMovesFewerBytes) {
 // --- end-to-end miniature pipeline ---------------------------------------------
 
 TEST(Pipeline, DistributedPathsAgreeWithDijkstra) {
-  // Generate -> distribute -> solve with paths -> gather -> reconstruct
+  // Generate -> distribute -> solve -> gather -> witness -> reconstruct
   // routes -> validate against Dijkstra, the full production flow.
   using S = MinPlus<float>;
   const std::size_t n = 36, b = 6;
   DenseEntryGen<float> gen(2024, 0.35, 1.0f, 50.0f, /*integral=*/true);
   const auto grid = dist::GridSpec::tiled(1, 3, 2, 1);  // 2x3 ranks
 
-  Matrix<float> dist_m;
-  Matrix<std::int64_t> pred_m;
-  mpi::Runtime::run(grid.size(), [&](mpi::Comm& world) {
-    dist::BlockCyclicMatrix<float> local(n, b, grid,
-                                         grid.coord_of(world.rank()));
-    dist::BlockCyclicMatrix<std::int64_t> plocal(n, b, grid,
-                                                 grid.coord_of(world.rank()));
-    local.fill(gen);
-    dist::init_predecessors_dist<S>(local, plocal);
-    dist::DistFwOptions opt;
-    opt.block_size = b;
-    dist::parallel_fw<S>(world, local, plocal, opt);
-    auto d = local.gather(world);
-    auto p = plocal.gather(world);
-    if (world.rank() == 0) {
-      dist_m = std::move(d);
-      pred_m = std::move(p);
-    }
-  });
+  dist::DistFwOptions opt;
+  opt.block_size = b;
+  const auto run = dist::run_parallel_fw<S>(n, gen, grid, grid.qr() * grid.qc(),
+                                            opt, /*track_paths=*/true);
+  const Matrix<float>& dist_m = run.dist;
+  const Matrix<std::int64_t>& pred_m = run.pred;
 
   // Dijkstra oracle built from the same generator.
   Graph g(static_cast<vertex_t>(n));
@@ -250,11 +239,11 @@ TEST(Pipeline, DistributedPathsAgreeWithDijkstra) {
 }
 
 TEST(Pipeline, AutoVariantPathsBitIdenticalToBlockedOracle) {
-  // `--variant auto` with paths: the tuner resolves the schedule against
-  // the paths cost model, then the resolved run's pred matrix must still
-  // be bit-identical to the single-node blocked oracle AT THE WINNING
-  // BLOCK SIZE (resolve_auto is deterministic, so querying it up front
-  // sees the same winner solve() will use).
+  // `--variant auto` with paths: the tuner resolves the (values) schedule,
+  // then the resolved run's pred matrix must be bit-identical to the
+  // single-node blocked solve AT THE WINNING BLOCK SIZE (resolve_auto is
+  // deterministic, so querying it up front sees the same winner solve()
+  // will use) and to the scalar witness oracle.
   using S = MinPlus<float>;
   const vertex_t n = 36;
   const auto g = gen::erdos_renyi(n, 0.3, 4242, 1.0, 50.0, /*integral=*/true);
@@ -267,10 +256,8 @@ TEST(Pipeline, AutoVariantPathsBitIdenticalToBlockedOracle) {
   opt.dist.grid_cols = 2;
   opt.dist.ranks_per_node = 2;
 
-  const tune::ManifestEntry entry = resolve_auto(
-      opt.dist, static_cast<std::size_t>(n), sizeof(float),
-      /*track_paths=*/true);
-  EXPECT_TRUE(entry.workload.track_paths);
+  const tune::ManifestEntry entry =
+      resolve_auto(opt.dist, static_cast<std::size_t>(n), sizeof(float));
 
   const auto result = solve<S>(g, opt);
   ASSERT_TRUE(result.pred.has_value());
@@ -283,10 +270,14 @@ TEST(Pipeline, AutoVariantPathsBitIdenticalToBlockedOracle) {
   ASSERT_TRUE(oracle.pred.has_value());
 
   EXPECT_EQ(max_abs_diff<float>(oracle.dist.view(), result.dist.view()), 0.0);
+  const auto witness = witness_oracle<S>(g.distance_matrix<S>().view(),
+                                         oracle.dist.view());
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i)
-    for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j)
+    for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
       if ((*result.pred)(i, j) != (*oracle.pred)(i, j)) ++mismatches;
+      if ((*result.pred)(i, j) != witness(i, j)) ++mismatches;
+    }
   EXPECT_EQ(mismatches, 0u) << "winner block=" << entry.winner.block;
 }
 

@@ -32,16 +32,13 @@ using sched::Variant;
 
 /// The schedule perf::build_fw_program lowers for the same problem.
 sched::Schedule make_schedule(Variant v, const dist::GridSpec& grid,
-                              std::size_t nb, std::size_t b,
-                              bool paths = false) {
+                              std::size_t nb, std::size_t b) {
   sched::ScheduleParams sp;
   sp.variant = v;
   sp.nb = nb;
   sp.b = b;
   sp.word_bytes = sizeof(float);
-  sp.pred_word_bytes = paths ? sizeof(std::int64_t) : 0;
-  sp.diag_flops = diag_update_flops(
-      b, paths ? DiagStrategy::kClassic : DiagStrategy::kLogSquaring);
+  sp.diag_flops = diag_update_flops(b, DiagStrategy::kLogSquaring);
   return sched::build_schedule(grid, sp);
 }
 
@@ -120,52 +117,49 @@ TEST(Monitor, PredictedComputeSecondsEqualDesLowering) {
   const dist::GridSpec grids[] = {dist::GridSpec::row_major(2, 2),
                                   dist::GridSpec::tiled(2, 1, 1, 3)};
   for (const dist::GridSpec& grid : grids)
-    for (Variant v : {Variant::kBaseline, Variant::kAsync, Variant::kOffload})
-      for (bool paths : {false, true}) {
-        SCOPED_TRACE(std::string(sched::variant_name(v)) + " " +
-                     std::to_string(grid.rows()) + "x" +
-                     std::to_string(grid.cols()) +
-                     (paths ? " paths" : " values"));
-        perf::FwProblem prob;
-        prob.n = static_cast<double>(nb * b);
-        prob.b = static_cast<double>(b);
-        prob.variant = v;
-        prob.track_paths = paths;
-        std::vector<int> node_of;
-        for (int w = 0; w < grid.size(); ++w)
-          node_of.push_back(w / (grid.qr() * grid.qc()));
-        const perf::BuiltProgram des =
-            perf::build_fw_program(m, prob, grid, node_of);
-        const sched::Schedule s = make_schedule(v, grid, nb, b, paths);
+    for (Variant v : {Variant::kBaseline, Variant::kAsync, Variant::kOffload}) {
+      SCOPED_TRACE(std::string(sched::variant_name(v)) + " " +
+                   std::to_string(grid.rows()) + "x" +
+                   std::to_string(grid.cols()));
+      perf::FwProblem prob;
+      prob.n = static_cast<double>(nb * b);
+      prob.b = static_cast<double>(b);
+      prob.variant = v;
+      std::vector<int> node_of;
+      for (int w = 0; w < grid.size(); ++w)
+        node_of.push_back(w / (grid.qr() * grid.qc()));
+      const perf::BuiltProgram des =
+          perf::build_fw_program(m, prob, grid, node_of);
+      const sched::Schedule s = make_schedule(v, grid, nb, b);
 
-        for (int w = 0; w < grid.size(); ++w) {
-          std::map<std::string, double> des_secs;
-          for (const perf::Op& op : des.programs[static_cast<std::size_t>(w)])
-            if (op.kind == perf::Op::Kind::kComp)
-              des_secs[sched::op_name(static_cast<OpKind>(op.kind_src))] +=
-                  op.seconds;
+      for (int w = 0; w < grid.size(); ++w) {
+        std::map<std::string, double> des_secs;
+        for (const perf::Op& op : des.programs[static_cast<std::size_t>(w)])
+          if (op.kind == perf::Op::Kind::kComp)
+            des_secs[sched::op_name(static_cast<OpKind>(op.kind_src))] +=
+                op.seconds;
 
-          monitor::MonitorConfig cfg;
-          cfg.machine = m;
-          monitor::RunMonitor mon(cfg);
-          mon.on_schedule(s);
-          double t = 0.0;
-          std::map<std::string, double> mon_secs;
-          for (const sched::Op& op : s.rank_program(w)) {
-            if (sched::is_comp(op.kind)) mon_secs[sched::op_name(op.kind)];
-            sched::TraceEvent e;
-            e.rank = w;
-            e.name = sched::op_name(op.kind);
-            e.k = op.k;
-            e.t_begin = t;
-            e.t_end = t += 0.001;
-            mon.record(e);
-          }
-          const auto drift = mon.drift();
-          for (auto& [name, secs] : mon_secs) secs = drift.at(name).pred;
-          EXPECT_EQ(mon_secs, des_secs) << "rank " << w;
+        monitor::MonitorConfig cfg;
+        cfg.machine = m;
+        monitor::RunMonitor mon(cfg);
+        mon.on_schedule(s);
+        double t = 0.0;
+        std::map<std::string, double> mon_secs;
+        for (const sched::Op& op : s.rank_program(w)) {
+          if (sched::is_comp(op.kind)) mon_secs[sched::op_name(op.kind)];
+          sched::TraceEvent e;
+          e.rank = w;
+          e.name = sched::op_name(op.kind);
+          e.k = op.k;
+          e.t_begin = t;
+          e.t_end = t += 0.001;
+          mon.record(e);
         }
+        const auto drift = mon.drift();
+        for (auto& [name, secs] : mon_secs) secs = drift.at(name).pred;
+        EXPECT_EQ(mon_secs, des_secs) << "rank " << w;
       }
+    }
 }
 
 TEST(Incidents, CooldownAndCapSuppressRepeatFires) {

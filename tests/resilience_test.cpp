@@ -23,7 +23,10 @@
 #include "sched/trace.hpp"
 #include "serve/path_service.hpp"
 #include "serve/publish.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/crc32c.hpp"
+
+#include "oracles.hpp"
 
 namespace parfw {
 namespace {
@@ -240,26 +243,22 @@ struct SampleRankBlob {
         values(i, j) = static_cast<float>(100 * i + j);
         preds(i, j) = static_cast<std::int64_t>(1000 + 10 * i + j);
       }
-    dist::BlockCyclicMatrix<float> a(n, b, grid, me);
-    dist::BlockCyclicMatrix<std::int64_t> p(n, b, grid, me);
-    a.load(values.view());
-    p.load(preds.view());
     MemoryCheckpointStore store;
-    const std::size_t saved = dist::save_rank_checkpoint(store, a, pos, &p);
+    const std::size_t saved = dist::save_rank_blob<float>(
+        store, n, b, grid, me, pos, values.view(), preds.view(),
+        /*global=*/true);
     bytes = *store.get(key());
     EXPECT_EQ(saved, bytes.size());
   }
   static std::string key(std::uint64_t k0 = 3) {
     return dist::rank_checkpoint_key(k0, 1);
   }
-  /// Load `blob` as this rank's k0 = 3 cut; with_pred restores preds too.
-  void load(const std::vector<std::uint8_t>& blob, bool with_pred) const {
+  /// Load `blob` as this rank's k0 = 3 cut (its pred tiles are checked).
+  void load(const std::vector<std::uint8_t>& blob) const {
     MemoryCheckpointStore store;
     store.put(key(), blob);
     dist::BlockCyclicMatrix<float> a(n, b, grid, me);
-    dist::BlockCyclicMatrix<std::int64_t> p(n, b, grid, me);
-    (void)dist::load_rank_checkpoint<float>(store, 3, a,
-                                            with_pred ? &p : nullptr);
+    (void)dist::load_rank_checkpoint<float>(store, 3, a);
   }
 };
 
@@ -341,7 +340,7 @@ TEST(CheckpointFormat, V1StreamsAreRejected) {
   const std::uint32_t version = 1;
   std::memcpy(v1.data() + 8, &version, sizeof version);
   try {
-    s.load(v1, false);
+    s.load(v1);
     FAIL() << "a version-1 blob loaded";
   } catch (const check_error& e) {
     EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
@@ -357,14 +356,12 @@ TEST(CheckpointFormat, V2BlobsAreRejected) {
   const std::uint32_t version = 2;
   std::memcpy(v2.data() + 8, &version, sizeof version);
   reseal_sample(v2);
-  for (bool with_pred : {false, true}) {
-    try {
-      s.load(v2, with_pred);
-      FAIL() << "a version-2 blob loaded";
-    } catch (const check_error& e) {
-      EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
-          << e.what();
-    }
+  try {
+    s.load(v2);
+    FAIL() << "a version-2 blob loaded";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -372,12 +369,11 @@ TEST(CheckpointFormat, HostileHeadersAreRejected) {
   // Every header field, the extension fields the reader relies on, and
   // the first tile-table entry, each set to a hostile value at its
   // documented byte offset. The header CRC is recomputed after each
-  // mutation, so the checksum cannot be what rejects it: both readers
-  // (values only, values + preds) must refuse every case by validating
-  // the field — no crash, no allocation sized from the lie.
+  // mutation, so the checksum cannot be what rejects it: the reader must
+  // refuse every case by validating the field — no crash, no allocation
+  // sized from the lie.
   const SampleRankBlob s;
-  s.load(s.bytes, true);  // the unmodified blob is fine
-  s.load(s.bytes, false);
+  s.load(s.bytes);  // the unmodified blob is fine
   struct Field {
     const char* name;
     std::size_t offset;
@@ -434,9 +430,7 @@ TEST(CheckpointFormat, HostileHeadersAreRejected) {
     else
       std::memcpy(blob.data() + f.offset, &narrow, 4);
     reseal_sample(blob);
-    for (bool with_pred : {false, true})
-      EXPECT_THROW(s.load(blob, with_pred), check_error)
-          << f.name << " = " << f.value << (with_pred ? " (paths)" : "");
+    EXPECT_THROW(s.load(blob), check_error) << f.name << " = " << f.value;
   }
   // A well-formed float blob read into a double matrix.
   MemoryCheckpointStore store;
@@ -450,20 +444,18 @@ TEST(CheckpointFormat, EveryTruncationIsRejected) {
   for (std::size_t len = 0; len < s.bytes.size(); ++len) {
     const std::vector<std::uint8_t> cut(s.bytes.begin(),
                                         s.bytes.begin() + len);
-    for (bool with_pred : {false, true}) {
-      try {
-        s.load(cut, with_pred);
-        ADD_FAILURE() << len << " of " << s.bytes.size() << " bytes loaded";
-      } catch (const check_error& e) {
-        EXPECT_NE(std::string(e.what()).find(SampleRankBlob::key()),
-                  std::string::npos)
-            << e.what();
-      }
+    try {
+      s.load(cut);
+      ADD_FAILURE() << len << " of " << s.bytes.size() << " bytes loaded";
+    } catch (const check_error& e) {
+      EXPECT_NE(std::string(e.what()).find(SampleRankBlob::key()),
+                std::string::npos)
+          << e.what();
     }
   }
   std::vector<std::uint8_t> longer = s.bytes;
   longer.push_back(0);
-  EXPECT_THROW(s.load(longer, false), check_error) << "trailing byte";
+  EXPECT_THROW(s.load(longer), check_error) << "trailing byte";
 }
 
 TEST(CheckpointFormat, BlobFromAnotherCutIsRejected) {
@@ -552,9 +544,8 @@ TEST(CheckpointFormat, WholeBlobMutationSweep) {
       pub.put(key, bad);
 
       dist::BlockCyclicMatrix<float> a(n, b, grid, grid.coord_of(w));
-      dist::BlockCyclicMatrix<std::int64_t> p(n, b, grid, grid.coord_of(w));
       try {
-        (void)dist::load_rank_checkpoint<float>(pub, nb, a, &p);
+        (void)dist::load_rank_checkpoint<float>(pub, nb, a);
         ADD_FAILURE() << "resumed from a blob with byte " << at << " of '"
                       << key << "' flipped";
       } catch (const check_error& e) {
@@ -616,52 +607,62 @@ TEST(CheckpointFormat, V3RoundTripThroughStore) {
 }
 
 TEST(CheckpointFormat, PredPayloadRoundTripAndValueOnlyCompat) {
-  // Per-rank blobs carry the pred tiles after the value tiles, flagged by
-  // ext.pred_elem_size; a values reader checks but skips the pred tiles.
+  // A published paths result carries the pred tiles after the value
+  // tiles, flagged by ext.pred_elem_size: every pred tile decodes back
+  // bit-identically, and the values reader (a resume) checks but skips
+  // them. A mid-run cut is values only.
   const std::size_t n = 24, b = 4;
   const auto grid = dist::GridSpec::row_major(2, 2);
   DenseEntryGen<float> gen(303, 0.8, 1.0f, 50.0f, /*integral=*/true);
+  const Matrix<float> values = gen.full(static_cast<vertex_t>(n));
+  Matrix<std::int64_t> preds(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      preds(i, j) = static_cast<std::int64_t>(7 * i + 3 * j) - 5;
 
+  dist::SchedulePosition pos;
+  pos.k0 = 3;
+  pos.sched_op_index = 17;
   for (int w = 0; w < grid.size(); ++w) {
     const auto me = grid.coord_of(w);
-    dist::BlockCyclicMatrix<float> a(n, b, grid, me);
-    dist::BlockCyclicMatrix<std::int64_t> p(n, b, grid, me);
-    a.fill(gen);
-    dist::init_predecessors_dist<S>(a, p);
-
     MemoryCheckpointStore store;
-    dist::SchedulePosition pos;
-    pos.k0 = 3;
-    pos.sched_op_index = 17;
-    dist::save_rank_checkpoint<float>(store, a, pos, &p);
-
-    // Paths round trip: both payloads restored bit-identically.
-    dist::BlockCyclicMatrix<float> a2(n, b, grid, me);
-    dist::BlockCyclicMatrix<std::int64_t> p2(n, b, grid, me);
-    const auto got = dist::load_rank_checkpoint<float>(store, 3, a2, &p2);
-    EXPECT_EQ(got.k0, 3u);
-    EXPECT_EQ(got.sched_op_index, 17u);
-    EXPECT_EQ(max_abs_diff<float>(a.local().view(), a2.local().view()), 0.0);
+    dist::save_rank_blob<float>(store, n, b, grid, me, pos, values.view(),
+                                preds.view(), /*global=*/true);
+    const std::string key = dist::rank_checkpoint_key(3, w);
+    const std::vector<std::uint8_t> blob = *store.get(key);
+    dist::RankBlobLayout l = dist::decode_rank_blob_header(blob, key);
+    dist::decode_rank_blob_table(l, blob, key);
+    ASSERT_EQ(l.ext.pred_elem_size, sizeof(std::int64_t));
     std::size_t mism = 0;
-    for (std::size_t i = 0; i < p.local().rows(); ++i)
-      for (std::size_t j = 0; j < p.local().cols(); ++j)
-        if (p.local()(i, j) != p2.local()(i, j)) ++mism;
+    for (std::size_t t = 0; t < l.tiles.size(); ++t) {
+      const std::uint8_t* at = blob.data() + l.tile_slice(t, true).range.offset;
+      for (std::size_t r = 0; r < b; ++r)
+        for (std::size_t c = 0; c < b; ++c) {
+          std::int64_t got;
+          std::memcpy(&got, at + (r * b + c) * sizeof got, sizeof got);
+          mism += got != preds(l.tiles[t].block_row * b + r,
+                               l.tiles[t].block_col * b + c);
+        }
+    }
     EXPECT_EQ(mism, 0u) << "rank " << w;
 
-    // A values-only reader may consume a pred-carrying blob (trailing
-    // payload unread)...
-    dist::BlockCyclicMatrix<float> a3(n, b, grid, me);
-    dist::load_rank_checkpoint<float>(store, 3, a3);
-    EXPECT_EQ(max_abs_diff<float>(a.local().view(), a3.local().view()), 0.0);
+    // The values reader consumes the pred-carrying blob.
+    dist::BlockCyclicMatrix<float> a(n, b, grid, me), want(n, b, grid, me);
+    want.load(values.view());
+    const auto got = dist::load_rank_checkpoint<float>(store, 3, a);
+    EXPECT_EQ(got.k0, 3u);
+    EXPECT_EQ(got.sched_op_index, 17u);
+    EXPECT_EQ(max_abs_diff<float>(want.local().view(), a.local().view()), 0.0);
 
-    // ...but a paths resume from a values-only blob must be a hard error:
-    // predecessors cannot be reconstructed from distances.
+    // A cut is values only and round-trips the same tiles.
     MemoryCheckpointStore vstore;
-    dist::save_rank_checkpoint<float>(vstore, a, pos);
-    dist::BlockCyclicMatrix<float> a4(n, b, grid, me);
-    dist::BlockCyclicMatrix<std::int64_t> p4(n, b, grid, me);
-    EXPECT_THROW(dist::load_rank_checkpoint<float>(vstore, 3, a4, &p4),
-                 std::exception);
+    dist::save_rank_checkpoint<float>(vstore, want, pos);
+    const std::vector<std::uint8_t> vblob = *vstore.get(key);
+    EXPECT_EQ(dist::decode_rank_blob_header(vblob, key).ext.pred_elem_size, 0u);
+    dist::BlockCyclicMatrix<float> a2(n, b, grid, me);
+    (void)dist::load_rank_checkpoint<float>(vstore, 3, a2);
+    EXPECT_EQ(max_abs_diff<float>(want.local().view(), a2.local().view()),
+              0.0);
   }
 }
 
@@ -866,18 +867,20 @@ INSTANTIATE_TEST_SUITE_P(
 class CrashRestartPaths : public ::testing::TestWithParam<CrashCase> {};
 
 TEST_P(CrashRestartPaths, PredMatrixBitIdenticalAfterRestart) {
-  // Paths runs go through the SAME supervision loop: a crash past a
-  // committed cut restores distances AND predecessors from the blob, and
-  // the finished pred matrix must match the single-node blocked oracle
-  // bit-for-bit — exactly as an uninterrupted paths run does.
+  // Paths runs go through the SAME supervision loop and the same values
+  // schedule: wherever a crash lands — before the first cut, between cuts,
+  // late — the resumed run's distances and its witness pred matrix must
+  // match the single-node blocked solve and the scalar witness oracle
+  // bit-for-bit, exactly as an uninterrupted paths run does.
   const CrashCase c = GetParam();
   const std::size_t n = 96, b = 16;
   DenseEntryGen<float> gen(5242 + static_cast<std::uint64_t>(c.variant),
                            0.85, 1.0f, 90.0f, /*integral=*/true);
   auto exp_dist = gen.full(static_cast<vertex_t>(n));
   Matrix<std::int64_t> exp_pred(n, n);
-  init_predecessors<S>(exp_dist.view(), exp_pred.view());
   blocked_floyd_warshall_paths<S>(exp_dist.view(), exp_pred.view(), b);
+  const auto witness = witness_oracle<S>(
+      gen.full(static_cast<vertex_t>(n)).view(), exp_dist.view());
 
   const auto grid = c.tiled ? dist::GridSpec::tiled(1, 2, 2, 1)
                             : dist::GridSpec::row_major(2, 2);
@@ -891,38 +894,40 @@ TEST_P(CrashRestartPaths, PredMatrixBitIdenticalAfterRestart) {
     opt.oog.num_streams = 2;
   }
 
-  // The crash coordinate indexes the PATHS schedule (pred companion ops
-  // included), so build it with pred_word_bytes set.
+  // The crash coordinate indexes the schedule a paths run executes: the
+  // values schedule.
   sched::ScheduleParams sp;
   sp.variant = c.variant;
   sp.nb = n / b;
   sp.b = b;
   sp.word_bytes = sizeof(float);
-  sp.pred_word_bytes = sizeof(std::int64_t);
   sp.checkpoint_every = 2;
-  const auto schedule = sched::build_schedule(grid, sp);
-  const auto crash_at =
-      static_cast<std::int64_t>(schedule.steps.size() * 6 / 10);
+  const auto len = static_cast<std::int64_t>(
+      sched::build_schedule(grid, sp).steps.size());
 
-  MemoryCheckpointStore store;
-  opt.resilience.checkpoint_every = 2;
-  opt.resilience.store = &store;
-  opt.faults.seed = 99;
-  opt.faults.crash_rank = 1;
-  opt.faults.crash_at_op = crash_at;
+  for (const std::int64_t tenth : {1, 4, 6, 9}) {
+    const std::int64_t crash_at = len * tenth / 10;
+    MemoryCheckpointStore store;
+    opt.resilience.checkpoint_every = 2;
+    opt.resilience.store = &store;
+    opt.faults.seed = 99;
+    opt.faults.crash_rank = 1;
+    opt.faults.crash_at_op = crash_at;
 
-  const auto result = dist::run_parallel_fw<S>(n, gen, grid, rpn, opt,
-                                               /*track_paths=*/true);
-  EXPECT_GE(result.restarts, 1) << "the injected crash must have fired";
-  EXPECT_EQ(max_abs_diff<float>(exp_dist.view(), result.dist.view()), 0.0);
-  ASSERT_EQ(result.pred.rows(), n);
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (result.pred(i, j) != exp_pred(i, j)) ++mismatches;
-  EXPECT_EQ(mismatches, 0u)
-      << "variant=" << sched::variant_name(c.variant) << " tiled=" << c.tiled
-      << " crash_at=" << crash_at;
+    const auto result = dist::run_parallel_fw<S>(n, gen, grid, rpn, opt,
+                                                 /*track_paths=*/true);
+    EXPECT_GE(result.restarts, 1) << "the injected crash must have fired";
+    EXPECT_EQ(max_abs_diff<float>(exp_dist.view(), result.dist.view()), 0.0);
+    ASSERT_EQ(result.pred.rows(), n);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        mismatches += (result.pred(i, j) != exp_pred(i, j)) +
+                      (result.pred(i, j) != witness(i, j));
+    EXPECT_EQ(mismatches, 0u)
+        << "variant=" << sched::variant_name(c.variant) << " tiled=" << c.tiled
+        << " crash_at=" << crash_at;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1103,8 +1108,16 @@ TEST(SolveFrontDoor, DistributedTrackPaths) {
   opt.algorithm = ApspAlgorithm::kDistributed;
   opt.track_paths = true;
   opt.block_size = 16;
+  telemetry::Registry reg;
+  opt.dist.metrics = &reg;
   const auto r = solve<S>(g, opt);
   ASSERT_TRUE(r.pred.has_value());
+  // The witness pass reports into the run's registry.
+  EXPECT_EQ(reg.histogram("paths.witness.seconds", "method=scan").count() +
+                reg.histogram("paths.witness.seconds", "method=product")
+                    .count(),
+            1u);
+  EXPECT_EQ(reg.counter("paths.witness.bfs_rows").value(), 0u);
 
   // Every finite path must replay to its reported distance.
   const std::size_t n = 64;

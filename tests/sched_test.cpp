@@ -78,8 +78,7 @@ TEST(TagSpace, ConcurrentIterationsNeverAlias) {
 TEST(TagSpace, PhaseConstantsStayInsideTheIterationBlock) {
   for (int phase :
        {sched::kTagDiagRow, sched::kTagDiagCol, sched::kTagRowPanel,
-        sched::kTagColPanel, sched::kTagDiagPredRow, sched::kTagDiagPredCol,
-        sched::kTagRowPanelPred}) {
+        sched::kTagColPanel}) {
     EXPECT_GE(phase, 0);
     EXPECT_LT(phase, sched::kTagsPerIter);
   }
@@ -88,10 +87,10 @@ TEST(TagSpace, PhaseConstantsStayInsideTheIterationBlock) {
 
 TEST(TagSpace, PathsScheduleTagsIdentifyOneCollective) {
   // Injectivity extended from the raw (k, phase) map to the GENERATED
-  // pred-carrying schedules: in every variant's paths schedule a tag
-  // names exactly one logical collective — all steps sharing a tag agree
-  // on (k, kind, payload, coll, bytes) — so a value broadcast can never
-  // cross-match its kPred companion even when both are in flight.
+  // schedules a paths solve runs — the values schedule, since the witness
+  // pass follows the gather: in every variant a tag names exactly one
+  // logical collective — all steps sharing a tag agree on (k, kind, coll,
+  // bytes) — and every comm op's tag is tag_of(k, its phase).
   const auto grid = dist::GridSpec::row_major(2, 3);
   const std::size_t nb = 6, b = 4;
   for (Variant v : kAllVariants) {
@@ -100,32 +99,23 @@ TEST(TagSpace, PathsScheduleTagsIdentifyOneCollective) {
     sp.nb = nb;
     sp.b = b;
     sp.word_bytes = sizeof(float);
-    sp.pred_word_bytes = sizeof(std::int64_t);
-    sp.diag_flops = diag_update_flops(b, DiagStrategy::kClassic);
+    sp.diag_flops = diag_update_flops(b, DiagStrategy::kLogSquaring);
     const sched::Schedule s = sched::build_schedule(grid, sp);
 
-    using Key = std::tuple<std::uint32_t, int, int, int, std::int64_t>;
+    using Key = std::tuple<std::uint32_t, int, int, std::int64_t>;
     std::map<std::int32_t, Key> owner;
-    std::map<OpKind, std::size_t> value_comm, pred_comm;
+    std::map<OpKind, std::size_t> comm;
     for (const sched::Step& step : s.steps) {
       const sched::Op& op = step.op;
       if (!sched::is_comm(op.kind)) continue;
-      const bool pred = op.payload == sched::Payload::kPred;
-      (pred ? pred_comm : value_comm)[op.kind]++;
-      if (pred) {
-        // The pred phase space: companion tags, never the value phases.
-        const int phase = op.kind == OpKind::kDiagBcastRow
-                              ? sched::kTagDiagPredRow
-                          : op.kind == OpKind::kDiagBcastCol
-                              ? sched::kTagDiagPredCol
-                              : sched::kTagRowPanelPred;
-        EXPECT_NE(op.kind, OpKind::kColPanelBcast) << variant_name(v);
-        EXPECT_EQ(op.tag, sched::tag_of(op.k, phase)) << variant_name(v);
-        EXPECT_EQ(op.bytes % static_cast<std::int64_t>(sizeof(std::int64_t)),
-                  0);
-      }
-      const Key key{op.k, static_cast<int>(op.kind),
-                    static_cast<int>(op.payload), static_cast<int>(op.coll),
+      comm[op.kind]++;
+      const int phase = op.kind == OpKind::kDiagBcastRow   ? sched::kTagDiagRow
+                        : op.kind == OpKind::kDiagBcastCol ? sched::kTagDiagCol
+                        : op.kind == OpKind::kRowPanelBcast
+                            ? sched::kTagRowPanel
+                            : sched::kTagColPanel;
+      EXPECT_EQ(op.tag, sched::tag_of(op.k, phase)) << variant_name(v);
+      const Key key{op.k, static_cast<int>(op.kind), static_cast<int>(op.coll),
                     op.bytes};
       auto [it, fresh] = owner.emplace(op.tag, key);
       if (!fresh) {
@@ -134,16 +124,9 @@ TEST(TagSpace, PathsScheduleTagsIdentifyOneCollective) {
             << " shared by two distinct collectives";
       }
     }
-    // Every value broadcast with a pred sibling has exactly one companion
-    // per member; the column panel has none (the pred rule never reads it).
-    EXPECT_EQ(pred_comm[OpKind::kDiagBcastRow],
-              value_comm[OpKind::kDiagBcastRow]) << variant_name(v);
-    EXPECT_EQ(pred_comm[OpKind::kDiagBcastCol],
-              value_comm[OpKind::kDiagBcastCol]) << variant_name(v);
-    EXPECT_EQ(pred_comm[OpKind::kRowPanelBcast],
-              value_comm[OpKind::kRowPanelBcast]) << variant_name(v);
-    EXPECT_EQ(pred_comm[OpKind::kColPanelBcast], 0u) << variant_name(v);
-    EXPECT_GT(pred_comm[OpKind::kRowPanelBcast], 0u) << variant_name(v);
+    for (OpKind kind : {OpKind::kDiagBcastRow, OpKind::kDiagBcastCol,
+                        OpKind::kRowPanelBcast, OpKind::kColPanelBcast})
+      EXPECT_GT(comm[kind], 0u) << variant_name(v);
   }
 }
 
@@ -152,8 +135,8 @@ TEST(TagSpace, RelayHandshakeOffsetsFitTheMatchKey) {
   // tag + (1 << 22) and tag + (1 << 23). Plain tags must stay below
   // 1 << 22 so the three ranges never collide and everything fits the
   // simulator's 24-bit match-key tag field. That holds up to
-  // k = 524161 — n ≈ 400M vertices at b = 768, two orders of magnitude
-  // past the paper's largest run.
+  // k = 1048325 — n ≈ 800M vertices at b = 768, more than two orders of
+  // magnitude past the paper's largest run.
   const std::size_t max_k = ((std::size_t{1} << 22) - sched::kTagBase) /
                                 sched::kTagsPerIter -
                             1;
@@ -551,17 +534,19 @@ TEST(CrossValidation, TracingDoesNotChangeResults) {
 // real interpreter (mpisim) and the DES, and the two must agree EXACTLY
 // on total and internode wire bytes (also through the live
 // mpi.send_bytes counter) and on every compute phase's op count and
-// flops — for every variant x placement, values and paths.
+// flops — for every variant x placement. A paths solve runs the same
+// schedule: its instances check that the driver's paths run moves exactly
+// the bytes of its values run (the witness pass follows the gather).
 class DesVsReal
     : public ::testing::TestWithParam<std::tuple<Variant, bool, bool>> {};
 
-perf::ReconcileReport reconcile_case(Variant variant, bool tiled,
-                                     bool track_paths,
-                                     telemetry::Registry* reg = nullptr,
-                                     std::size_t n = 96) {
+dist::GridSpec reconcile_grid(bool tiled) {
+  return tiled ? dist::GridSpec::tiled(2, 1, 1, 2)
+               : dist::GridSpec::row_major(2, 2);
+}
+
+dist::DistFwOptions reconcile_options(Variant variant) {
   const std::size_t b = 8;
-  const dist::GridSpec grid = tiled ? dist::GridSpec::tiled(2, 1, 1, 2)
-                                    : dist::GridSpec::row_major(2, 2);
   dist::DistFwOptions opt;
   opt.variant = variant;
   opt.block_size = b;
@@ -569,14 +554,20 @@ perf::ReconcileReport reconcile_case(Variant variant, bool tiled,
     opt.oog.mx = opt.oog.nx = 2 * b;
     opt.oog.num_streams = 2;
   }
-  return perf::reconcile_run(grid, /*ranks_per_node=*/2, n, opt, track_paths,
-                             reg);
+  return opt;
+}
+
+perf::ReconcileReport reconcile_case(Variant variant, bool tiled,
+                                     telemetry::Registry* reg = nullptr,
+                                     std::size_t n = 96) {
+  return perf::reconcile_run(reconcile_grid(tiled), /*ranks_per_node=*/2, n,
+                             reconcile_options(variant), reg);
 }
 
 TEST_P(DesVsReal, WireBytesMatchExactly) {
   const auto [variant, tiled, paths] = GetParam();
   telemetry::Registry reg;
-  const perf::ReconcileReport rep = reconcile_case(variant, tiled, paths, &reg);
+  const perf::ReconcileReport rep = reconcile_case(variant, tiled, &reg);
   SCOPED_TRACE(rep.table());
 
   EXPECT_GT(rep.measured_wire.bytes_total, 0);
@@ -592,10 +583,20 @@ TEST_P(DesVsReal, WireBytesMatchExactly) {
       std::string("phase=OuterUpdate,variant=") + variant_name(variant);
   EXPECT_GT(reg.histogram("fw.phase.seconds", labels).count(), 0u);
 
-  // Paths must move strictly more than a value run (the kPred companions).
+  // Paths: the driver's paths run moves exactly its values run's bytes,
+  // total and internode — no predecessor crosses the wire.
   if (paths) {
-    EXPECT_GT(rep.measured_wire.bytes_total,
-              reconcile_case(variant, tiled, false).measured_wire.bytes_total);
+    using S = MinPlus<float>;
+    const DenseEntryGen<float> gen(7, 0.85, 1.0f, 90.0f, /*integral=*/true);
+    const auto run = [&](bool track_paths) {
+      return dist::run_parallel_fw<S>(96, gen, reconcile_grid(tiled), 2,
+                                      reconcile_options(variant), track_paths)
+          .traffic;
+    };
+    const mpi::TrafficStats values = run(false), with_paths = run(true);
+    EXPECT_GT(with_paths.bytes_total, 0u);
+    EXPECT_EQ(with_paths.bytes_total, values.bytes_total);
+    EXPECT_EQ(with_paths.bytes_internode, values.bytes_internode);
   }
 }
 
@@ -620,10 +621,10 @@ TEST_P(MetricsVsDes, SendBytesMatchPrediction) {
   const auto [variant, tiled] = GetParam();
   telemetry::Registry reg;
   const perf::ReconcileReport first =
-      reconcile_case(variant, tiled, /*track_paths=*/false, &reg, 64);
+      reconcile_case(variant, tiled, &reg, 64);
   const std::uint64_t after_first = reg.counter("mpi.send_bytes").value();
   const perf::ReconcileReport second =
-      reconcile_case(variant, tiled, /*track_paths=*/false, &reg, 64);
+      reconcile_case(variant, tiled, &reg, 64);
   SCOPED_TRACE(second.table());
 
   EXPECT_TRUE(first.bytes_match());

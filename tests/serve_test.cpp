@@ -41,6 +41,8 @@
 #include "telemetry/metrics.hpp"
 #include "util/crc32c.hpp"
 
+#include "oracles.hpp"
+
 namespace parfw {
 namespace {
 
@@ -436,8 +438,9 @@ class ServedCrashResume : public ::testing::TestWithParam<ServeCase> {};
 
 TEST_P(ServedCrashResume, ServedBitIdenticalToGatheredOracle) {
   // The manifest under test is written by a run that CRASHED, resumed
-  // from a committed cut, finished, and then published in situ — the
-  // full production lifecycle. Every served answer must match the
+  // from a committed cut, finished, and was then published by the driver
+  // — the full production lifecycle. Its pred matrix must be the witness
+  // of its closed matrix, and every served answer must match the
   // in-memory oracle built from the gathered matrices bit for bit.
   const ServeCase c = GetParam();
   const std::size_t n = 96, b = 16;
@@ -459,7 +462,6 @@ TEST_P(ServedCrashResume, ServedBitIdenticalToGatheredOracle) {
   sp.nb = n / b;
   sp.b = b;
   sp.word_bytes = sizeof(float);
-  sp.pred_word_bytes = sizeof(std::int64_t);
   sp.checkpoint_every = 2;
   const auto schedule = sched::build_schedule(grid, sp);
 
@@ -476,6 +478,11 @@ TEST_P(ServedCrashResume, ServedBitIdenticalToGatheredOracle) {
                                             /*track_paths=*/true);
   ASSERT_GE(run.restarts, 1) << "the injected crash must have fired";
 
+  // The gathered pred is the witness of the gathered matrix.
+  const auto want = witness_oracle<S>(gen.full(n).view(), run.dist.view());
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      ASSERT_EQ(run.pred(i, j), want(i, j)) << i << "," << j;
   ApspResult<float> oracle;
   oracle.dist = run.dist.clone();
   oracle.pred.emplace(run.pred.clone());

@@ -339,6 +339,52 @@ TEST(Manifest, RoundTripsThroughJson) {
   EXPECT_EQ(back.find(e.workload, 1.0)->winner.block, 512u);
 }
 
+TEST(Manifest, RowsKeyedByTrackPathsStillLoad) {
+  // Manifests written while paths runs had their own schedule carry a
+  // "track_paths" key. Such a row loads as the workload's values row,
+  // unless the file also holds a values row for the same key, which wins
+  // whatever the order.
+  const auto row = [](bool paths, const char* variant) {
+    return std::string("{\"n\": 96, \"ranks\": 4, \"ranks_per_node\": 2, "
+                       "\"word_bytes\": 4, \"track_paths\": ") +
+           (paths ? "true" : "false") +
+           ", \"stall_weight\": 1, \"variant\": \"" + variant +
+           "\", \"tiled\": false, \"pr\": 2, \"pc\": 2, \"kr\": 1, "
+           "\"kc\": 1, \"block\": 16, \"streams\": 3, "
+           "\"predicted_makespan\": 1, \"predicted_stall_share\": 0, "
+           "\"default_makespan\": 1, \"default_stall_share\": 0}";
+  };
+  tune::Workload w;
+  w.n = 96;
+  w.ranks = 4;
+  w.ranks_per_node = 2;
+  tune::Manifest m;
+  std::string err;
+  ASSERT_TRUE(tune::read_manifest(
+      "{\"version\": 1, \"entries\": [" + row(true, "baseline") + "]}", &m,
+      &err))
+      << err;
+  ASSERT_NE(m.find(w, 1.0), nullptr);
+  EXPECT_EQ(m.find(w, 1.0)->winner.variant, sched::Variant::kBaseline);
+  for (const bool values_first : {false, true}) {
+    const std::string a = row(true, "baseline"), b = row(false, "pipelined");
+    ASSERT_TRUE(tune::read_manifest(
+        "{\"version\": 1, \"entries\": [" + (values_first ? b : a) + ", " +
+            (values_first ? a : b) + "]}",
+        &m, &err))
+        << err;
+    ASSERT_EQ(m.entries.size(), 1u);
+    EXPECT_EQ(m.find(w, 1.0)->winner.variant, sched::Variant::kPipelined);
+  }
+  EXPECT_FALSE(tune::read_manifest(
+      "{\"version\": 1, \"entries\": [" +
+          std::string(row(true, "async")).replace(
+              row(true, "async").find("true"), 4, "1") +
+          "]}",
+      &m, &err));
+  EXPECT_NE(err.find("track_paths"), std::string::npos) << err;
+}
+
 TEST(Manifest, RejectsMalformedDocuments) {
   tune::Manifest m;
   std::string err;
@@ -398,7 +444,6 @@ std::string two_row_manifest() {
   e.workload.n = 96;
   e.workload.ranks = 4;
   e.workload.ranks_per_node = 2;
-  e.workload.track_paths = true;
   e.winner.variant = sched::Variant::kAsync;
   e.winner.placement.pr = 2;
   e.winner.placement.pc = 2;

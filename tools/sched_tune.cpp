@@ -80,8 +80,7 @@ bool validate_winner(const tune::Workload& w, const tune::Candidate& win,
 
   Timer wall;
   const perf::ReconcileReport rep =
-      perf::reconcile_run(win.placement.grid(), w.ranks_per_node, w.n, opt,
-                          w.track_paths);
+      perf::reconcile_run(win.placement.grid(), w.ranks_per_node, w.n, opt);
   const double real_seconds = wall.seconds();
   // The tuner priced the winner on its own build of the same schedule.
   const bool ok = rep.bytes_match() && rep.exact_mismatches().empty() &&

@@ -154,7 +154,7 @@ int run_metrics(const CliArgs& args, dist::Variant variant) {
   telemetry::Registry reg;
   perf::ReconcileReport rep =
       perf::reconcile_run(grid, std::max(1, grid.size() / 2), n, opt,
-                          /*track_paths=*/false, &reg);
+                          &reg);
   rep.share_band = args.get_double("band", 0.25);
 
   std::printf("variant %s, %dx%d grid (%s), n=%zu b=%zu\n",
