@@ -3,10 +3,13 @@
 //
 // Here the kernel is the CPU substitute, so the comparable claim is each
 // rung of the kernel hierarchy's fraction of what this host can do:
-//   naive → tiled (scalar) → packed (scalar) → SIMD (explicit vectors)
-// with the SIMD rung dispatched through srgemm::Config (DESIGN.md §4.1a).
-// "Auto" is what every caller gets by default. The paper-scale V100
-// number is reproduced by the performance model in the figure benches.
+//   naive → tiled (scalar) → SIMD (explicit vectors)
+// Every rung runs the one cache-derived tile geometry the solvers run
+// (srgemm::detail::geometry(), DESIGN.md §4.1a); the explicit rungs call
+// the kernel body directly, "Auto" goes through multiply() the way every
+// caller does, so on a SIMD build BM_SrgemmAuto and BM_SrgemmSimd measure
+// the same kernel. The paper-scale V100 number is reproduced by the
+// performance model in the figure benches.
 //
 // Baseline numbers live in BENCH_srgemm.json (regenerate with
 //   bench_srgemm_micro --benchmark_out=BENCH_srgemm.json
@@ -31,11 +34,23 @@ parfw::Matrix<float> make(std::size_t r, std::size_t c, std::uint64_t seed) {
   return m;
 }
 
-void run_square(benchmark::State& state, const parfw::srgemm::Config& cfg) {
+using parfw::srgemm::Kernel;
+
+/// One product with an explicit kernel body (kAuto = the multiply() front
+/// door), packing its operands the way multiply() does.
+void product(Kernel k, parfw::MatrixView<const float> A,
+             parfw::MatrixView<const float> B, parfw::MatrixView<float> C) {
+  if (k == Kernel::kAuto)
+    parfw::srgemm::multiply<S>(A, B, C);
+  else
+    parfw::srgemm::detail::run_slice<S>(A, B, C, k, /*prepacked=*/false);
+}
+
+void run_square(benchmark::State& state, Kernel k) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   auto A = make(n, n, 1), B = make(n, n, 2), C = make(n, n, 3);
   for (auto _ : state) {
-    parfw::srgemm::multiply<S>(A.view(), B.view(), C.view(), cfg);
+    product(k, A.view(), B.view(), C.view());
     benchmark::DoNotOptimize(C.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -44,19 +59,13 @@ void run_square(benchmark::State& state, const parfw::srgemm::Config& cfg) {
       benchmark::Counter::kIsRate);
 }
 
-parfw::srgemm::Config with_kernel(parfw::srgemm::Kernel k) {
-  parfw::srgemm::Config cfg = parfw::srgemm::Config::tuned();
-  cfg.kernel = k;
-  return cfg;
-}
-
 void BM_SrgemmNaive(benchmark::State& state) {
-  run_square(state, with_kernel(parfw::srgemm::Kernel::kNaive));
+  run_square(state, Kernel::kNaive);
 }
 BENCHMARK(BM_SrgemmNaive)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_SrgemmTiledScalar(benchmark::State& state) {
-  run_square(state, with_kernel(parfw::srgemm::Kernel::kTiled));
+  run_square(state, Kernel::kTiled);
 }
 BENCHMARK(BM_SrgemmTiledScalar)
     ->Arg(128)
@@ -64,16 +73,8 @@ BENCHMARK(BM_SrgemmTiledScalar)
     ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SrgemmPackedScalar(benchmark::State& state) {
-  run_square(state, with_kernel(parfw::srgemm::Kernel::kPacked));
-}
-BENCHMARK(BM_SrgemmPackedScalar)
-    ->Arg(256)
-    ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_SrgemmSimd(benchmark::State& state) {
-  run_square(state, with_kernel(parfw::srgemm::Kernel::kSimd));
+  run_square(state, Kernel::kSimd);
 }
 BENCHMARK(BM_SrgemmSimd)
     ->Arg(128)
@@ -82,9 +83,9 @@ BENCHMARK(BM_SrgemmSimd)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-/// What a caller with a default Config{} gets (kAuto dispatch).
+/// What every caller gets: multiply()'s kAuto dispatch.
 void BM_SrgemmAuto(benchmark::State& state) {
-  run_square(state, parfw::srgemm::Config{});
+  run_square(state, Kernel::kAuto);
 }
 BENCHMARK(BM_SrgemmAuto)->Arg(512)->Unit(benchmark::kMillisecond);
 
@@ -93,9 +94,8 @@ BENCHMARK(BM_SrgemmAuto)->Arg(512)->Unit(benchmark::kMillisecond);
 void BM_SrgemmSimdPrepacked(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   auto A = make(n, n, 1), B = make(n, n, 2), C = make(n, n, 3);
-  auto cfg = parfw::srgemm::Config::tuned();
   for (auto _ : state) {
-    parfw::srgemm::multiply_prepacked<S>(A.view(), B.view(), C.view(), cfg);
+    parfw::srgemm::multiply_prepacked<S>(A.view(), B.view(), C.view());
     benchmark::DoNotOptimize(C.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -108,22 +108,22 @@ BENCHMARK(BM_SrgemmSimdPrepacked)
     ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
-void run_panel(benchmark::State& state, const parfw::srgemm::Config& cfg) {
+void run_panel(benchmark::State& state, Kernel k) {
   // The blocked-FW hot shape: (m, n, k) = (local, local, b).
-  const std::size_t m = 1024, k = static_cast<std::size_t>(state.range(0));
-  auto A = make(m, k, 1), B = make(k, m, 2), C = make(m, m, 3);
+  const std::size_t m = 1024, kk = static_cast<std::size_t>(state.range(0));
+  auto A = make(m, kk, 1), B = make(kk, m, 2), C = make(m, m, 3);
   for (auto _ : state) {
-    parfw::srgemm::multiply<S>(A.view(), B.view(), C.view(), cfg);
+    product(k, A.view(), B.view(), C.view());
     benchmark::DoNotOptimize(C.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
-      parfw::srgemm::flops(m, m, k) * static_cast<double>(state.iterations()) /
+      parfw::srgemm::flops(m, m, kk) * static_cast<double>(state.iterations()) /
           1e9,
       benchmark::Counter::kIsRate);
 }
 
 void BM_SrgemmPanelShapeScalar(benchmark::State& state) {
-  run_panel(state, with_kernel(parfw::srgemm::Kernel::kTiled));
+  run_panel(state, Kernel::kTiled);
 }
 BENCHMARK(BM_SrgemmPanelShapeScalar)
     ->Arg(64)
@@ -132,7 +132,7 @@ BENCHMARK(BM_SrgemmPanelShapeScalar)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SrgemmPanelShapeSimd(benchmark::State& state) {
-  run_panel(state, with_kernel(parfw::srgemm::Kernel::kSimd));
+  run_panel(state, Kernel::kSimd);
 }
 BENCHMARK(BM_SrgemmPanelShapeSimd)
     ->Arg(64)

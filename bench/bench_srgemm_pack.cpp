@@ -6,12 +6,13 @@
 // copies for dense streaming in the O(mnk) loop — the GotoBLAS recipe the
 // paper's CUTLASS kernel applies on the GPU side via shared-memory tiles.
 //
-// Three rungs are measured on strided panels: the scalar kernels
-// (unpacked vs packed — note the packed kernel now packs each A tile once
-// per (i0,k0), not once per column panel), the SIMD kernel, and the
-// *persistent* prepacked path: one panel snapshot feeding every
-// MinPlusOuter product of a blocked-FW round, the way blocked_fw's round
-// tiles and parallel_fw run (BM_FwRound*).
+// Three rungs are measured on strided panels, all on the one cache-derived
+// tile geometry every multiply runs (srgemm::detail::geometry()): the
+// scalar kernel on the raw views, the SIMD kernel that packs each A tile
+// once per (i0,k0) and each B row panel once per k0, and the *persistent*
+// prepacked path: one panel snapshot feeding every MinPlusOuter product of
+// a blocked-FW round, the way blocked_fw's round tiles and parallel_fw run
+// (BM_FwRound*).
 #include <benchmark/benchmark.h>
 
 #include "graph/graph.hpp"
@@ -42,10 +43,9 @@ void run_panel(benchmark::State& state, parfw::srgemm::Kernel kernel) {
   const std::size_t m = 1024, n = 1024,
                     k = static_cast<std::size_t>(state.range(0));
   StridedOperands ops(m, n, k);
-  auto cfg = parfw::srgemm::Config::tuned();
-  cfg.kernel = kernel;
   for (auto _ : state) {
-    parfw::srgemm::multiply<S>(ops.a, ops.b, ops.c, cfg);
+    parfw::srgemm::detail::run_slice<S>(ops.a, ops.b, ops.c, kernel,
+                                        /*prepacked=*/false);
     benchmark::DoNotOptimize(ops.c.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -57,11 +57,6 @@ void BM_PanelShapeUnpacked(benchmark::State& state) {
   run_panel(state, parfw::srgemm::Kernel::kTiled);
 }
 BENCHMARK(BM_PanelShapeUnpacked)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_PanelShapePacked(benchmark::State& state) {
-  run_panel(state, parfw::srgemm::Kernel::kPacked);
-}
-BENCHMARK(BM_PanelShapePacked)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_PanelShapeSimd(benchmark::State& state) {
   run_panel(state, parfw::srgemm::Kernel::kSimd);
@@ -103,14 +98,13 @@ double fw_round_flops(std::size_t n, std::size_t b) {
 void BM_FwRoundRepack(benchmark::State& state) {
   const std::size_t n = 1024, b = static_cast<std::size_t>(state.range(0));
   FwRound fw(n, b);
-  auto cfg = parfw::srgemm::Config::tuned();
   for (auto _ : state) {
     fw.quadrants([&](std::size_t r0, std::size_t nr, std::size_t c0,
                      std::size_t nc) {
       if (nr == 0 || nc == 0) return;
       parfw::srgemm::multiply<S>(fw.a.sub(r0, fw.k0, nr, b),
                                  fw.a.sub(fw.k0, c0, b, nc),
-                                 fw.a.sub(r0, c0, nr, nc), cfg);
+                                 fw.a.sub(r0, c0, nr, nc));
     });
     benchmark::DoNotOptimize(fw.a.data());
   }
@@ -126,7 +120,6 @@ BENCHMARK(BM_FwRoundRepack)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 void BM_FwRoundPrepacked(benchmark::State& state) {
   const std::size_t n = 1024, b = static_cast<std::size_t>(state.range(0));
   FwRound fw(n, b);
-  auto cfg = parfw::srgemm::Config::tuned();
   parfw::Matrix<float> row_panel(b, n), col_panel(n, b);
   for (auto _ : state) {
     row_panel.view().copy_from(fw.a.sub(fw.k0, 0, b, n));
@@ -136,7 +129,7 @@ void BM_FwRoundPrepacked(benchmark::State& state) {
       if (nr == 0 || nc == 0) return;
       parfw::srgemm::multiply_prepacked<S>(col_panel.sub(r0, 0, nr, b),
                                            row_panel.sub(0, c0, b, nc),
-                                           fw.a.sub(r0, c0, nr, nc), cfg);
+                                           fw.a.sub(r0, c0, nr, nc));
     });
     benchmark::DoNotOptimize(fw.a.data());
   }

@@ -56,7 +56,6 @@ namespace parfw {
 struct BlockedFwOptions : SolveCommon {
   /// Pool whose workers drain each round's tiles; nullptr = sequential.
   ThreadPool* pool = nullptr;
-  srgemm::Config gemm{};
 };
 
 namespace detail {
@@ -107,7 +106,6 @@ void blocked_floyd_warshall_range(
   PARFW_CHECK_MSG(start_block <= nb, "resume point beyond the last block");
   if (start_block == nb) return;
 
-  const srgemm::Config& cfg = opt.gemm;
   const std::size_t workers = opt.pool != nullptr ? opt.pool->size() : 0;
 
   // Per-solve scratch: DiagUpdate's squaring buffer and the two halves of
@@ -129,7 +127,7 @@ void blocked_floyd_warshall_range(
   auto pivot = [&](std::size_t k) {
     const auto [k0, bk] = block_range(k);
     auto akk = a.sub(k0, k0, bk, bk);
-    diag_update<S>(akk, opt.diag, scratch.view(), cfg);
+    diag_update<S>(akk, opt.diag, scratch.view());
     // PanelUpdate on the panel parts left/above and right/below A(k,k).
     // The panels are dense strips already, so the kernel reads them in
     // place instead of packing a copy per call.
@@ -138,8 +136,8 @@ void blocked_floyd_warshall_range(
       if (nc == 0) continue;
       const auto row = a.sub(k0, c0, bk, nc);
       const auto col = a.sub(c0, k0, nc, bk);
-      srgemm::multiply_prepacked<S>(akk, row, row, cfg);
-      srgemm::multiply_prepacked<S>(col, akk, col, cfg);
+      srgemm::multiply_prepacked<S>(akk, row, row);
+      srgemm::multiply_prepacked<S>(col, akk, col);
     }
     if (nb == 1) return;
     row_snap[k % 2].sub(0, 0, bk, n).copy_from(a.sub(k0, 0, bk, n));
@@ -186,7 +184,7 @@ void blocked_floyd_warshall_range(
         const auto lhs = col_panel.sub(x.r0, 0, x.nr, bk);
         const auto rhs = row_panel.sub(0, x.c0, bk, x.nc);
         const auto dst = a.sub(x.r0, x.c0, x.nr, x.nc);
-        srgemm::multiply_prepacked<S>(lhs, rhs, dst, cfg);
+        srgemm::multiply_prepacked<S>(lhs, rhs, dst);
         if (t < n_ahead &&
             ahead_left.fetch_sub(1, std::memory_order_acq_rel) == 1)
           pivot(k + 1);

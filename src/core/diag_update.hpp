@@ -42,8 +42,7 @@ inline std::size_t log_squaring_steps(std::size_t b) {
 template <typename S>
 void diag_update(MatrixView<typename S::value_type> block,
                  DiagStrategy strategy = DiagStrategy::kClassic,
-                 MatrixView<typename S::value_type> scratch = {},
-                 const srgemm::Config& cfg = {}) {
+                 MatrixView<typename S::value_type> scratch = {}) {
   static_assert(is_idempotent<S>(), "DiagUpdate requires idempotent semiring");
   using T = typename S::value_type;
   PARFW_CHECK(block.rows() == block.cols());
@@ -73,7 +72,7 @@ void diag_update(MatrixView<typename S::value_type> block,
   for (std::size_t s = 0; s < steps; ++s) {
     tmp.copy_from(block);
     // block ← block ⊕ tmp ⊗ tmp ( = A ⊕ A² ; with unit diagonal A² ⊇ A )
-    srgemm::multiply<S>(tmp, tmp, block, cfg);
+    srgemm::multiply<S>(tmp, tmp, block);
   }
 }
 

@@ -27,11 +27,6 @@ void* Device::raw_alloc(std::size_t bytes, std::size_t align) {
       throw DeviceOutOfMemory(bytes, cfg_.memory_bytes - used);
     if (bytes_in_use_.compare_exchange_weak(used, used + bytes)) break;
   }
-  allocs_.fetch_add(1);
-  std::uint64_t prev = peak_.load();
-  while (prev < used + bytes &&
-         !peak_.compare_exchange_weak(prev, used + bytes)) {
-  }
   const std::size_t a = std::max<std::size_t>(align, 64);
   const std::size_t rounded = (bytes + a - 1) / a * a;
   void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded);
@@ -76,44 +71,25 @@ void Device::throttle(const TransferModel& m, std::size_t bytes) {
     std::this_thread::sleep_for(std::chrono::duration<double>(secs));
 }
 
-void Device::accumulate_seconds(std::atomic<double>& acc, double s) {
-  double cur = acc.load(std::memory_order_relaxed);
-  while (!acc.compare_exchange_weak(cur, cur + s, std::memory_order_relaxed)) {
-  }
-}
-
 void Device::memcpy_h2d(Stream& s, void* dst_dev, const void* src_host,
                         std::size_t bytes) {
-  bytes_h2d_.fetch_add(bytes);
   const TransferModel model = cfg_.h2d;
-  auto* busy = &h2d_seconds_;
   s.enqueue([=] {
-    const auto t0 = std::chrono::steady_clock::now();
     throttle(model, bytes);
     std::memcpy(dst_dev, src_host, bytes);
-    accumulate_seconds(*busy, std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count());
   });
 }
 
 void Device::memcpy_d2h(Stream& s, void* dst_host, const void* src_dev,
                         std::size_t bytes) {
-  bytes_d2h_.fetch_add(bytes);
   const TransferModel model = cfg_.d2h;
-  auto* busy = &d2h_seconds_;
   s.enqueue([=] {
-    const auto t0 = std::chrono::steady_clock::now();
     throttle(model, bytes);
     std::memcpy(dst_host, src_dev, bytes);
-    accumulate_seconds(*busy, std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count());
   });
 }
 
 void Device::launch(Stream& s, std::function<void()> kernel) {
-  kernels_.fetch_add(1);
   s.enqueue(std::move(kernel));
 }
 
@@ -124,28 +100,6 @@ void Device::synchronize() {
     snapshot = streams_;
   }
   for (Stream* s : snapshot) s->synchronize();
-}
-
-DeviceCounters Device::counters() const {
-  DeviceCounters c;
-  c.bytes_h2d = bytes_h2d_.load();
-  c.bytes_d2h = bytes_d2h_.load();
-  c.kernels_launched = kernels_.load();
-  c.allocs = allocs_.load();
-  c.peak_bytes_in_use = peak_.load();
-  c.h2d_seconds = h2d_seconds_.load();
-  c.d2h_seconds = d2h_seconds_.load();
-  return c;
-}
-
-void Device::reset_counters() {
-  bytes_h2d_ = 0;
-  bytes_d2h_ = 0;
-  kernels_ = 0;
-  allocs_ = 0;
-  peak_ = bytes_in_use_.load();
-  h2d_seconds_ = 0.0;
-  d2h_seconds_ = 0.0;
 }
 
 }  // namespace parfw::dev

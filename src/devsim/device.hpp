@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -56,21 +55,6 @@ struct DeviceConfig {
   std::size_t memory_bytes = std::size_t{512} << 20;  ///< default 512 MiB
   TransferModel h2d{};
   TransferModel d2h{};
-};
-
-/// Traffic/usage counters, readable at any time (atomics). The transfer
-/// busy-seconds measure the stream workers' wall time inside copies
-/// (throttle sleep + memcpy), so bytes / seconds is the achieved link
-/// utilisation when a TransferModel is active. Tests read them to check
-/// the offload pipeline's traffic; no registry exports them.
-struct DeviceCounters {
-  std::uint64_t bytes_h2d = 0;
-  std::uint64_t bytes_d2h = 0;
-  std::uint64_t kernels_launched = 0;
-  std::uint64_t allocs = 0;
-  std::uint64_t peak_bytes_in_use = 0;
-  double h2d_seconds = 0.0;  ///< stream-worker busy time in H2D copies
-  double d2h_seconds = 0.0;  ///< stream-worker busy time in D2H copies
 };
 
 class Device;
@@ -154,8 +138,6 @@ class Device {
   std::size_t memory_bytes() const { return cfg_.memory_bytes; }
   std::size_t bytes_in_use() const { return bytes_in_use_.load(); }
   std::size_t bytes_free() const { return cfg_.memory_bytes - bytes_in_use(); }
-  DeviceCounters counters() const;
-  void reset_counters();
 
  private:
   template <typename T>
@@ -164,14 +146,9 @@ class Device {
   void* raw_alloc(std::size_t bytes, std::size_t align);
   void raw_free(void* p, std::size_t bytes) noexcept;
   static void throttle(const TransferModel& m, std::size_t bytes);
-  static void accumulate_seconds(std::atomic<double>& acc, double s);
 
   DeviceConfig cfg_;
   std::atomic<std::size_t> bytes_in_use_{0};
-  std::atomic<std::uint64_t> peak_{0};
-  std::atomic<std::uint64_t> bytes_h2d_{0}, bytes_d2h_{0}, kernels_{0},
-      allocs_{0};
-  std::atomic<double> h2d_seconds_{0.0}, d2h_seconds_{0.0};
 
   std::mutex streams_mu_;
   std::vector<Stream*> streams_;  // registry for synchronize(); not owning

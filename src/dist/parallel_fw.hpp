@@ -70,7 +70,6 @@ using sched::variant_name;
 /// core/solve_options.hpp).
 struct DistFwOptions : SolveCommon {
   Variant variant = Variant::kAsync;
-  srgemm::Config gemm{};
   /// kOffload: per-rank simulated device capacity and chunking.
   std::size_t device_memory_bytes = std::size_t{256} << 20;
   offload::OogConfig oog{};
@@ -229,7 +228,7 @@ void parallel_fw_resume(mpi::Comm& world,
       case sched::OpKind::kDiagUpdate: {
         // Owner closes A(k,k) in place and snapshots it into akk.
         auto dk = a.block(a.local_row(k), a.local_col(k));
-        diag_update<S>(dk, opt.diag, diag_scratch.view(), opt.gemm);
+        diag_update<S>(dk, opt.diag, diag_scratch.view());
         akk.view().copy_from(dk);
         break;
       }
@@ -244,14 +243,14 @@ void parallel_fw_resume(mpi::Comm& world,
         // diagonal block, for which the update is an idempotent no-op).
         if (nlc == 0) break;
         auto strip = local.sub(a.local_row(k) * b, 0, b, nlc * b);
-        srgemm::multiply<S>(akk.view(), strip, strip, opt.gemm);
+        srgemm::multiply<S>(akk.view(), strip, strip);
         rowp.view().copy_from(strip);
         break;
       }
       case sched::OpKind::kPanelUpdateCol: {
         if (nlr == 0) break;
         auto strip = local.sub(0, a.local_col(k) * b, nlr * b, b);
-        srgemm::multiply<S>(strip, akk.view(), strip, opt.gemm);
+        srgemm::multiply<S>(strip, akk.view(), strip);
         colp.view().copy_from(strip);
         break;
       }
@@ -279,7 +278,7 @@ void parallel_fw_resume(mpi::Comm& world,
         const std::size_t k1 = k + 1;
         auto strip = local.sub(a.local_row(k1) * b, 0, b, nlc * b);
         auto cp_blk = colp.sub(a.local_row(k1) * b, 0, b, b);
-        srgemm::multiply_prepacked<S>(cp_blk, rowp.view(), strip, opt.gemm);
+        srgemm::multiply_prepacked<S>(cp_blk, rowp.view(), strip);
         break;
       }
       case sched::OpKind::kLookaheadCol: {
@@ -287,7 +286,7 @@ void parallel_fw_resume(mpi::Comm& world,
         const std::size_t k1 = k + 1;
         auto strip = local.sub(0, a.local_col(k1) * b, nlr * b, b);
         auto rp_blk = rowp.sub(0, a.local_col(k1) * b, b, b);
-        srgemm::multiply_prepacked<S>(colp.view(), rp_blk, strip, opt.gemm);
+        srgemm::multiply_prepacked<S>(colp.view(), rp_blk, strip);
         break;
       }
       case sched::OpKind::kOuterUpdate: {
@@ -301,8 +300,7 @@ void parallel_fw_resume(mpi::Comm& world,
           (void)offload::oog_srgemm<S>(*device, colp.view(), rowp.view(),
                                        local, oog);
         } else {
-          srgemm::multiply_prepacked<S>(colp.view(), rowp.view(), local,
-                                        opt.gemm);
+          srgemm::multiply_prepacked<S>(colp.view(), rowp.view(), local);
         }
         break;
       }

@@ -4,34 +4,11 @@
 #include <sstream>
 
 #include "causal/graph.hpp"
+#include "telemetry/export.hpp"
 
 namespace parfw::monitor {
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using telemetry::json_escape;
 
 IncidentLog::IncidentLog(IncidentConfig cfg, sched::RingTraceSink* ring)
     : cfg_(std::move(cfg)), ring_(ring) {}

@@ -35,7 +35,6 @@ struct OogConfig {
   std::size_t mx = 2048;       ///< device buffer rows
   std::size_t nx = 2048;       ///< device buffer cols
   std::size_t num_streams = 3; ///< s; 1 = fully serial, 3 = full overlap
-  srgemm::Config gemm{};       ///< device-kernel tiling
   /// When set, each retired chunk's hostUpdate is recorded ("oogHost",
   /// bytes = chunk size) on the sched::now_seconds() timeline, plus the
   /// device-pipeline handoff pair: "oogDev" (kSend instant at chunk
@@ -198,7 +197,6 @@ OogStats oog_srgemm(dev::Device& device,
       T* xr = X[r].data();
       const T* a_panel = dA.data() + r0 * k;
       const T* b_panel = dB.data() + c0;
-      const srgemm::Config gemm = cfg.gemm;
       const std::size_t ldx = cfg.nx;
       device.launch(st, [=] {
         a_ev.wait();  // cross-stream dependency on the cached uploads
@@ -209,7 +207,7 @@ OogStats oog_srgemm(dev::Device& device,
         // in their row/column — the prepacked fast path (§4.4).
         srgemm::multiply_prepacked<S>(MatrixView<const T>(a_panel, nr, k, k),
                                       MatrixView<const T>(b_panel, k, nc, n),
-                                      xv, gemm);
+                                      xv);
       });
       // d2hXfer of the nr x nc chunk (row-wise to keep staging layout).
       device.memcpy_d2h(st, staging[r].data(), xr,

@@ -11,10 +11,11 @@
 // this is its CPU substitute with the same blocked structure: an L2-sized
 // macro tile, a k-panel loop, and a register-blocked micro-kernel. The
 // kernel hierarchy (DESIGN.md §4.1a) is
-//     naive → tiled (scalar) → packed (scalar) → SIMD (packed) → prepacked
-// selected at runtime by Config::kernel; kAuto resolves to the explicit
-// SIMD kernel whenever the semiring has simd_ops (MinPlus/MaxMin/BoolOr/
-// PlusTimes) and falls back to the scalar tiled kernel otherwise. Every
+//     naive → tiled (scalar) → SIMD (packed) → prepacked
+// and every multiply runs one configuration: kAuto resolves to the SIMD
+// kernel whenever the semiring has simd_ops (MinPlus/MaxMin/BoolOr/
+// PlusTimes) and to the scalar tiled kernel otherwise, on the one
+// cache-derived tile geometry of the process (detail::geometry()). Every
 // call runs on the calling thread: the callers (blocked FW's tile loop,
 // the distributed ranks) own the parallelism.
 #pragma once
@@ -39,11 +40,10 @@ namespace parfw::srgemm {
 
 /// Which kernel body services a multiply() call.
 enum class Kernel {
-  kAuto,    ///< SIMD if the semiring has simd_ops, else scalar tiled
-  kNaive,   ///< triple loop (the oracle)
-  kTiled,   ///< scalar register-blocked kernel on the raw views
-  kPacked,  ///< scalar kernel + GotoBLAS operand packing
-  kSimd,    ///< explicit-SIMD micro-kernel + operand packing
+  kAuto,   ///< SIMD if the semiring has simd_ops, else scalar tiled
+  kNaive,  ///< triple loop (the oracle)
+  kTiled,  ///< scalar register-blocked kernel on the raw views
+  kSimd,   ///< explicit-SIMD micro-kernel + operand packing
 };
 
 inline const char* kernel_name(Kernel k) {
@@ -51,7 +51,6 @@ inline const char* kernel_name(Kernel k) {
     case Kernel::kAuto: return "auto";
     case Kernel::kNaive: return "naive";
     case Kernel::kTiled: return "tiled";
-    case Kernel::kPacked: return "packed";
     case Kernel::kSimd: return "simd";
   }
   return "?";
@@ -62,7 +61,6 @@ inline const char* kernel_name(Kernel k) {
 enum class MicroShape {
   kAuto,  ///< pick from the vector ISA width
   k4x4,   ///< 4 rows x 4 vectors — fewest B reloads, 21 live registers
-  k8x2,   ///< 8 rows x 2 vectors — deepest broadcast reuse
   k4x2,   ///< 4 rows x 2 vectors — fits 16-register ISAs (AVX2/SSE)
 };
 
@@ -70,28 +68,10 @@ inline const char* micro_name(MicroShape m) {
   switch (m) {
     case MicroShape::kAuto: return "auto";
     case MicroShape::k4x4: return "4x4";
-    case MicroShape::k8x2: return "8x2";
     case MicroShape::k4x2: return "4x2";
   }
   return "?";
 }
-
-/// Kernel selection and tiling parameters. Defaults are tuned for a
-/// ~1 MiB L2: 64x256 C macro-tiles with 256-deep k panels. Config::tuned()
-/// derives tile sizes from the actual cache geometry instead. The PARFW_*
-/// environment pins (see README) are applied inside the multiply driver,
-/// so they take effect for every Config, tuned or default-constructed.
-struct Config {
-  std::size_t tile_m = 64;
-  std::size_t tile_n = 256;
-  std::size_t tile_k = 256;
-  Kernel kernel = Kernel::kAuto;
-  MicroShape micro = MicroShape::kAuto;
-
-  /// Cache-geometry-derived configuration. Deterministic for a fixed
-  /// machine profile (computed once, then cached).
-  static Config tuned();
-};
 
 namespace detail {
 
@@ -121,21 +101,34 @@ inline std::size_t round_down(std::size_t x, std::size_t mult,
   return r < lo ? lo : r;
 }
 
-inline Config tuned_uncached() {
-  Config cfg;
-  const CacheGeometry cache = detect_cache();
-  // GotoBLAS sizing against a nominal 4-byte element and 64-wide NR:
-  //  * tile_k: a kk x NR B micro-panel should fill at most half of L1.
-  //  * tile_m: the packed tile_m x tile_k A tile at most half of L2.
-  //  * tile_n: bounded so the packed B row panel stays a few MiB.
-  constexpr std::size_t elem = 4, nr = 64;
-  cfg.tile_k = std::clamp<std::size_t>(
-      round_down(cache.l1 / (2 * nr * elem), 32, 32), 32, 512);
-  cfg.tile_m = std::clamp<std::size_t>(
-      round_down(cache.l2 / (2 * cfg.tile_k * elem), 8, 32), 32, 512);
-  cfg.tile_n = 512;
+/// The tile geometry every multiply runs: tile_m x tile_n C macro-tiles
+/// consumed in tile_k-deep k panels, plus the L1 size the argmin kernel
+/// cuts its k panels to.
+struct Geometry {
+  std::size_t l1 = 0;
+  std::size_t tile_m = 0, tile_n = 0, tile_k = 0;
+};
 
-  return cfg;
+/// GotoBLAS sizing against a nominal 4-byte element and 64-wide NR:
+///  * tile_k: a kk x NR B micro-panel should fill at most half of L1.
+///  * tile_m: the packed tile_m x tile_k A tile at most half of L2.
+///  * tile_n: bounded so the packed B row panel stays a few MiB.
+inline Geometry geometry_for(const CacheGeometry& cache) {
+  constexpr std::size_t elem = 4, nr = 64;
+  Geometry g;
+  g.l1 = cache.l1;
+  g.tile_k = std::clamp<std::size_t>(
+      round_down(cache.l1 / (2 * nr * elem), 32, 32), 32, 512);
+  g.tile_m = std::clamp<std::size_t>(
+      round_down(cache.l2 / (2 * g.tile_k * elem), 8, 32), 32, 512);
+  g.tile_n = 512;
+  return g;
+}
+
+/// This host's geometry, probed once per process.
+inline const Geometry& geometry() {
+  static const Geometry g = geometry_for(detect_cache());
+  return g;
 }
 
 inline Kernel parse_kernel(const char* e, Kernel fallback) {
@@ -143,7 +136,6 @@ inline Kernel parse_kernel(const char* e, Kernel fallback) {
   const std::string v(e);
   if (v == "naive") return Kernel::kNaive;
   if (v == "tiled") return Kernel::kTiled;
-  if (v == "packed") return Kernel::kPacked;
   if (v == "simd") return Kernel::kSimd;
   if (v == "auto") return Kernel::kAuto;
   return fallback;  // unrecognised values are ignored
@@ -153,20 +145,17 @@ inline MicroShape parse_micro(const char* e, MicroShape fallback) {
   if (e == nullptr) return fallback;
   const std::string v(e);
   if (v == "4x4") return MicroShape::k4x4;
-  if (v == "8x2") return MicroShape::k8x2;
   if (v == "4x2") return MicroShape::k4x2;
   if (v == "auto") return MicroShape::kAuto;
   return fallback;
 }
 
-/// PARFW_* environment pins, read once per process so every resolution is
-/// deterministic. Applied inside multiply_impl so they reach EVERY driver
-/// (blocked FW, distributed, offload, benches) no matter which options
-/// struct the Config travelled through — not only Config::tuned() callers.
+/// PARFW_KERNEL / PARFW_MICRO ablation pins, read once per process so
+/// every resolution is deterministic; every multiply resolves through
+/// them.
 struct EnvPins {
   Kernel kernel = Kernel::kAuto;
   MicroShape micro = MicroShape::kAuto;
-  std::size_t tile_m = 0, tile_n = 0, tile_k = 0;  // 0 = not pinned
 };
 
 inline const EnvPins& env_pins() {
@@ -174,28 +163,9 @@ inline const EnvPins& env_pins() {
     EnvPins p;
     p.kernel = parse_kernel(std::getenv("PARFW_KERNEL"), Kernel::kAuto);
     p.micro = parse_micro(std::getenv("PARFW_MICRO"), MicroShape::kAuto);
-    if (const char* e = std::getenv("PARFW_TILE_M"))
-      p.tile_m = std::max<std::size_t>(1, std::strtoull(e, nullptr, 10));
-    if (const char* e = std::getenv("PARFW_TILE_N"))
-      p.tile_n = std::max<std::size_t>(1, std::strtoull(e, nullptr, 10));
-    if (const char* e = std::getenv("PARFW_TILE_K"))
-      p.tile_k = std::max<std::size_t>(1, std::strtoull(e, nullptr, 10));
     return p;
   }();
   return pins;
-}
-
-/// Fold the env pins into a caller-supplied config. Kernel/micro pins only
-/// fill fields left at kAuto (an explicit programmatic choice wins); tile
-/// pins always win — that is what "pin" means for an ablation run.
-inline Config apply_env_pins(Config cfg) {
-  const EnvPins& p = env_pins();
-  if (cfg.kernel == Kernel::kAuto) cfg.kernel = p.kernel;
-  if (cfg.micro == MicroShape::kAuto) cfg.micro = p.micro;
-  if (p.tile_m != 0) cfg.tile_m = p.tile_m;
-  if (p.tile_n != 0) cfg.tile_n = p.tile_n;
-  if (p.tile_k != 0) cfg.tile_k = p.tile_k;
-  return cfg;
 }
 
 /// kAuto → concrete kernel for semiring S on this build's ISA. The SIMD
@@ -208,7 +178,7 @@ inline Kernel resolve_kernel(Kernel k) {
     if (simd_ops<S>::available && simd::kNativeBytes > 0) return Kernel::kSimd;
     return Kernel::kTiled;
   }
-  if (k == Kernel::kSimd && !simd_ops<S>::available) return Kernel::kPacked;
+  if (k == Kernel::kSimd && !simd_ops<S>::available) return Kernel::kTiled;
   return k;
 }
 
@@ -218,57 +188,36 @@ inline MicroShape resolve_micro(MicroShape m) {
   return simd::kNativeBytes >= 64 ? MicroShape::k4x4 : MicroShape::k4x2;
 }
 
-/// Stamp out the SIMD macro-kernel for the resolved fragment shape.
-template <typename S>
-inline void run_simd(MatrixView<const typename S::value_type> A,
-                     MatrixView<const typename S::value_type> B,
-                     MatrixView<typename S::value_type> C, const Config& cfg,
-                     bool pack) {
-  if constexpr (simd_ops<S>::available) {
-    switch (resolve_micro(cfg.micro)) {
-      case MicroShape::k8x2:
-        tiled_kernel_simd<S, 8, 2>(A, B, C, cfg.tile_m, cfg.tile_n,
-                                   cfg.tile_k, pack);
-        break;
-      case MicroShape::k4x2:
-        tiled_kernel_simd<S, 4, 2>(A, B, C, cfg.tile_m, cfg.tile_n,
-                                   cfg.tile_k, pack);
-        break;
-      case MicroShape::k4x4:
-      default:
-        tiled_kernel_simd<S, 4, 4>(A, B, C, cfg.tile_m, cfg.tile_n,
-                                   cfg.tile_k, pack);
-        break;
-    }
-  } else {
-    (void)A; (void)B; (void)C; (void)cfg; (void)pack;
-    PARFW_CHECK_MSG(false, "SIMD kernel requested for a semiring without "
-                           "simd_ops");
-  }
-}
-
-/// Kernel body of one product. `prepacked` suppresses operand packing —
-/// the operands are promised to be panel-resident already.
+/// Kernel body of one product on the process geometry, with the micro
+/// shape the PARFW_MICRO pin resolves to. `prepacked` suppresses operand
+/// packing — the operands are promised to be panel-resident already.
 template <typename S>
 inline void run_slice(MatrixView<const typename S::value_type> A,
                       MatrixView<const typename S::value_type> B,
-                      MatrixView<typename S::value_type> C, const Config& cfg,
-                      Kernel kernel, bool prepacked) {
+                      MatrixView<typename S::value_type> C, Kernel kernel,
+                      bool prepacked) {
+  const Geometry& g = geometry();
   switch (kernel) {
     case Kernel::kNaive:
       naive_kernel<S>(A, B, C);
-      break;
-    case Kernel::kPacked:
-      tiled_kernel_packed<S>(A, B, C, cfg.tile_m, cfg.tile_n, cfg.tile_k);
-      break;
+      return;
     case Kernel::kSimd:
-      run_simd<S>(A, B, C, cfg, /*pack=*/!prepacked);
-      break;
+      if constexpr (simd_ops<S>::available) {
+        if (resolve_micro(env_pins().micro) == MicroShape::k4x2)
+          tiled_kernel_simd<S, 4, 2>(A, B, C, g.tile_m, g.tile_n, g.tile_k,
+                                     !prepacked);
+        else
+          tiled_kernel_simd<S, 4, 4>(A, B, C, g.tile_m, g.tile_n, g.tile_k,
+                                     !prepacked);
+        return;
+      }
+      PARFW_CHECK_MSG(false, "SIMD kernel requested for a semiring without "
+                             "simd_ops");
+      return;
     case Kernel::kTiled:
     case Kernel::kAuto:
-    default:
-      tiled_kernel<S>(A, B, C, cfg.tile_m, cfg.tile_n, cfg.tile_k);
-      break;
+      tiled_kernel<S>(A, B, C, g.tile_m, g.tile_n, g.tile_k);
+      return;
   }
 }
 
@@ -297,25 +246,24 @@ template <typename S>
 inline void multiply_impl(MatrixView<const typename S::value_type> A,
                           MatrixView<const typename S::value_type> B,
                           MatrixView<typename S::value_type> C,
-                          const Config& caller_cfg, bool prepacked) {
-  const Config cfg = apply_env_pins(caller_cfg);
-  const Kernel kernel = resolve_kernel<S>(cfg.kernel);
+                          bool prepacked) {
+  const Kernel kernel = resolve_kernel<S>(env_pins().kernel);
   if (!telemetry::enabled()) {
-    run_slice<S>(A, B, C, cfg, kernel, prepacked);
+    run_slice<S>(A, B, C, kernel, prepacked);
     return;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  run_slice<S>(A, B, C, cfg, kernel, prepacked);
+  run_slice<S>(A, B, C, kernel, prepacked);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   std::string labels = std::string("kernel=") + kernel_name(kernel);
   if (kernel == Kernel::kSimd)
-    labels += std::string(",micro=") + micro_name(resolve_micro(cfg.micro));
+    labels +=
+        std::string(",micro=") + micro_name(resolve_micro(env_pins().micro));
   // Operand footprint staged through the pack buffers (A and B panels).
   const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-  const bool packs =
-      !prepacked && (kernel == Kernel::kPacked || kernel == Kernel::kSimd);
+  const bool packs = !prepacked && kernel == Kernel::kSimd;
   record_dispatch_metrics(
       labels, m, n, k,
       packs ? (m * k + k * n) * sizeof(typename S::value_type) : 0, secs);
@@ -338,11 +286,6 @@ inline bool spans_overlap(MatrixView<X> x, MatrixView<Y> y) {
 
 }  // namespace detail
 
-inline Config Config::tuned() {
-  static const Config cached = detail::tuned_uncached();
-  return cached;
-}
-
 /// C ← C ⊕ A ⊗ B. Dimensions are validated; views may alias only if
 /// the semiring is idempotent AND the caller understands blocked-FW
 /// in-place semantics (PanelUpdate aliases A or B with C deliberately,
@@ -350,14 +293,14 @@ inline Config Config::tuned() {
 template <typename S>
 void multiply(MatrixView<const typename S::value_type> A,
               MatrixView<const typename S::value_type> B,
-              MatrixView<typename S::value_type> C, const Config& cfg = {}) {
+              MatrixView<typename S::value_type> C) {
   PARFW_CHECK_MSG(A.rows() == C.rows() && B.cols() == C.cols() &&
                       A.cols() == B.rows(),
                   "srgemm shape mismatch: C(" << C.rows() << "x" << C.cols()
                       << ") += A(" << A.rows() << "x" << A.cols() << ") * B("
                       << B.rows() << "x" << B.cols() << ")");
   if (C.empty() || A.cols() == 0) return;
-  detail::multiply_impl<S>(A, B, C, cfg, /*prepacked=*/false);
+  detail::multiply_impl<S>(A, B, C, /*prepacked=*/false);
 }
 
 /// C ← C ⊕ A ⊗ B where A and B are already panel-resident: dense (or
@@ -369,15 +312,14 @@ void multiply(MatrixView<const typename S::value_type> A,
 template <typename S>
 void multiply_prepacked(MatrixView<const typename S::value_type> A,
                         MatrixView<const typename S::value_type> B,
-                        MatrixView<typename S::value_type> C,
-                        const Config& cfg = {}) {
+                        MatrixView<typename S::value_type> C) {
   PARFW_CHECK_MSG(A.rows() == C.rows() && B.cols() == C.cols() &&
                       A.cols() == B.rows(),
                   "srgemm shape mismatch: C(" << C.rows() << "x" << C.cols()
                       << ") += A(" << A.rows() << "x" << A.cols() << ") * B("
                       << B.rows() << "x" << B.cols() << ")");
   if (C.empty() || A.cols() == 0) return;
-  detail::multiply_impl<S>(A, B, C, cfg, /*prepacked=*/true);
+  detail::multiply_impl<S>(A, B, C, /*prepacked=*/true);
 }
 
 /// Scalar reference for multiply_with_pred: the oracle the fused kernel
@@ -428,9 +370,8 @@ inline const char* run_pred(MatrixView<const typename S::value_type> A,
     // ISAs 2x2. The k-panel keeps the kk x NR B micro-panel in half of L1.
     constexpr std::size_t MR = simd::kNativeBytes >= 64 ? 4 : 2, NV = 2;
     constexpr std::size_t NR = NV * simd::native_lanes<T>();
-    static const std::size_t panel_k =
-        detect_cache().l1 / (2 * NR * sizeof(T));
-    argmin_kernel<S, MR, NV>(A, B, C, predB, predC, panel_k);
+    argmin_kernel<S, MR, NV>(A, B, C, predB, predC,
+                             geometry().l1 / (2 * NR * sizeof(T)));
     return "kernel=argmin";
   } else {
     multiply_with_pred_reference<S>(A, B, C, predB, predC);

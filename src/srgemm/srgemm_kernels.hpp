@@ -86,70 +86,6 @@ inline void edge_kernel(const typename S::value_type* a, std::size_t lda,
   }
 }
 
-/// Register-tiled sweep of an mm x nn macro tile: scalar MR x NR
-/// micro-kernels over the interior, scalar edge kernels on the fringe.
-template <typename S, std::size_t MR, std::size_t NR>
-inline void scalar_sweep(const typename S::value_type* a, std::size_t lda,
-                         const typename S::value_type* b, std::size_t ldb,
-                         typename S::value_type* c, std::size_t ldc,
-                         std::size_t mm, std::size_t nn, std::size_t kk) {
-  std::size_t i = 0;
-  for (; i + MR <= mm; i += MR) {
-    std::size_t j = 0;
-    for (; j + NR <= nn; j += NR)
-      micro_kernel<S, MR, NR>(a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                              ldc, kk);
-    if (j < nn)
-      edge_kernel<S>(a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc, MR,
-                     nn - j, kk);
-  }
-  if (i < mm)
-    edge_kernel<S>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, mm - i, nn, kk);
-}
-
-/// Packing variant: A macro-tiles and B panels are copied into contiguous
-/// scratch before the register sweep (GotoBLAS-style). Wins when the
-/// operands are strided views of a much wider matrix — the blocked-FW
-/// panel shapes — by keeping the k-loop streams inside one page each.
-///
-/// Loop order is k0 → i0 → j0: the whole kk x n row panel of B is packed
-/// once per k0 and every A macro-tile is packed exactly once per (i0, k0).
-/// (The original k0 → j0 → i0 order repacked each A tile once per column
-/// panel, i.e. n/tile_n times — measured at ~25% of runtime on panel
-/// shapes; see bench_srgemm_pack.)
-template <typename S>
-void tiled_kernel_packed(MatrixView<const typename S::value_type> A,
-                         MatrixView<const typename S::value_type> B,
-                         MatrixView<typename S::value_type> C,
-                         std::size_t tile_m, std::size_t tile_n,
-                         std::size_t tile_k) {
-  using T = typename S::value_type;
-  constexpr std::size_t MR = 4, NR = 16;
-  const std::size_t m = C.rows(), n = C.cols(), k = A.cols();
-  AlignedBuffer<T> a_pack(tile_m * tile_k);
-  AlignedBuffer<T> b_pack(std::min(tile_k, k) * n);
-
-  for (std::size_t k0 = 0; k0 < k; k0 += tile_k) {
-    const std::size_t kk = std::min(tile_k, k - k0);
-    // Pack B(k0:k0+kk, :) contiguous (ldb = n), shared by every (i0, j0).
-    for (std::size_t t = 0; t < kk; ++t)
-      std::copy_n(B.data() + (k0 + t) * B.ld(), n, b_pack.data() + t * n);
-    for (std::size_t i0 = 0; i0 < m; i0 += tile_m) {
-      const std::size_t mi = std::min(tile_m, m - i0);
-      // Pack A(i0:i0+mi, k0:k0+kk) contiguous (lda = kk) — once per tile.
-      for (std::size_t i = 0; i < mi; ++i)
-        std::copy_n(A.data() + (i0 + i) * A.ld() + k0, kk,
-                    a_pack.data() + i * kk);
-      for (std::size_t j0 = 0; j0 < n; j0 += tile_n) {
-        const std::size_t nj = std::min(tile_n, n - j0);
-        scalar_sweep<S, MR, NR>(a_pack.data(), kk, b_pack.data() + j0, n,
-                                C.data() + i0 * C.ld() + j0, C.ld(), mi, nj,
-                                kk);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Explicit-SIMD kernels.
 // ---------------------------------------------------------------------------
@@ -210,11 +146,14 @@ inline void simd_sweep(const typename S::value_type* a, std::size_t lda,
     edge_kernel<S>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, mm - i, nn, kk);
 }
 
-/// SIMD macro-kernel. With `pack` set, operands stream through the same
-/// k0 → i0 → j0 pack schedule as tiled_kernel_packed (B row panel packed
-/// once per k0, A tile once per (i0, k0)); without it the sweep runs
-/// directly on the views — the path multiply_prepacked uses when the
-/// caller already owns contiguous panels.
+/// SIMD macro-kernel. With `pack` set, A macro-tiles and B panels are
+/// copied into contiguous scratch before the register sweep (GotoBLAS-
+/// style), which keeps the k-loop streams inside one page each when the
+/// operands are strided views of a much wider matrix. The loop order is
+/// k0 → i0 → j0: the whole kk x n row panel of B is packed once per k0
+/// and every A macro-tile exactly once per (i0, k0). Without `pack` the
+/// sweep runs directly on the views — the path multiply_prepacked uses
+/// when the caller already owns contiguous panels.
 template <typename S, std::size_t MR, std::size_t NV>
 void tiled_kernel_simd(MatrixView<const typename S::value_type> A,
                        MatrixView<const typename S::value_type> B,
@@ -241,7 +180,7 @@ void tiled_kernel_simd(MatrixView<const typename S::value_type> A,
     return;
   }
 
-  AlignedBuffer<T> a_pack(tile_m * tile_k);
+  AlignedBuffer<T> a_pack(std::min(tile_m, m) * std::min(tile_k, k));
   AlignedBuffer<T> b_pack(std::min(tile_k, k) * n);
   for (std::size_t k0 = 0; k0 < k; k0 += tile_k) {
     const std::size_t kk = std::min(tile_k, k - k0);

@@ -83,16 +83,33 @@ std::string prom_labels(const std::string& labels,
   return out;
 }
 
-void json_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
+void json_string(std::ostream& os, const std::string& s) {
+  os << '"' << json_escape(s) << '"';
 }
 
 }  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 void to_json(const Registry& r, std::ostream& os) {
   const std::vector<MetricRow> rows = r.snapshot();
@@ -102,15 +119,15 @@ void to_json(const Registry& r, std::ostream& os) {
     if (!first) os << ",";
     first = false;
     os << "\n  {\"name\":";
-    json_escaped(os, row.name);
+    json_string(os, row.name);
     os << ",\"labels\":{";
     bool lf = true;
     for (const auto& [k, v] : parse_labels(row.labels)) {
       if (!lf) os << ",";
       lf = false;
-      json_escaped(os, k);
+      json_string(os, k);
       os << ":";
-      json_escaped(os, v);
+      json_string(os, v);
     }
     os << "},\"type\":\"" << kind_name(row.kind) << "\",";
     switch (row.kind) {

@@ -15,6 +15,11 @@
 
 namespace parfw::telemetry {
 
+/// `s` as the body of a JSON string literal: quote, backslash and every
+/// control character escaped (\n, \t, else \u00XX). Shared by to_json
+/// and the incident log (monitor/incident.cpp).
+std::string json_escape(const std::string& s);
+
 /// JSON document: {"metrics":[{"name":...,"labels":{...},"type":...,...}]}.
 /// Counters print as integers; histograms as
 /// {count,sum,min,max,p50,p95,p99}.

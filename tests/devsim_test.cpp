@@ -1,5 +1,5 @@
 // Simulated-device tests: memory capacity, stream ordering, events,
-// cross-stream concurrency, transfer accounting, throttling.
+// cross-stream concurrency, copies, throttling.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,18 +36,6 @@ TEST(DeviceMemory, FreeingReturnsCapacity) {
   EXPECT_EQ(d.bytes_in_use(), 0u);
   auto b = d.alloc<double>(128);  // now fits
   EXPECT_TRUE(b.valid());
-}
-
-TEST(DeviceMemory, PeakTracksHighWater) {
-  DeviceConfig cfg;
-  cfg.memory_bytes = 4096;
-  Device d(cfg);
-  {
-    auto a = d.alloc<char>(1000);
-    auto b = d.alloc<char>(2000);
-  }
-  auto c = d.alloc<char>(100);
-  EXPECT_EQ(d.counters().peak_bytes_in_use, 3000u);
 }
 
 TEST(DeviceBuffer, MoveSemantics) {
@@ -129,9 +117,8 @@ TEST(Transfers, CopyAndAccounting) {
   d.memcpy_d2h(*s, back.data(), dev.data(), 256 * sizeof(float));
   s->synchronize();
   EXPECT_EQ(back, host);
-  const auto c = d.counters();
-  EXPECT_EQ(c.bytes_h2d, 256 * sizeof(float));
-  EXPECT_EQ(c.bytes_d2h, 256 * sizeof(float));
+  // Copies stage through the allocation; they claim no device memory.
+  EXPECT_EQ(d.bytes_in_use(), 256 * sizeof(float));
 }
 
 TEST(Transfers, ThrottledCopyTakesModelledTime) {
@@ -145,16 +132,6 @@ TEST(Transfers, ThrottledCopyTakesModelledTime) {
   d.memcpy_h2d(*s, dev.data(), host.data(), host.size());
   s->synchronize();
   EXPECT_GE(t.seconds(), 0.045);  // modelled 50 ms
-}
-
-TEST(Counters, KernelLaunchesCounted) {
-  Device d;
-  auto s = d.create_stream();
-  for (int i = 0; i < 7; ++i) d.launch(*s, [] {});
-  s->synchronize();
-  EXPECT_EQ(d.counters().kernels_launched, 7u);
-  d.reset_counters();
-  EXPECT_EQ(d.counters().kernels_launched, 0u);
 }
 
 TEST(Device, SynchronizeDrainsAllStreams) {

@@ -65,8 +65,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{256, 256, 64, 64, 3}));
 
 TEST(OogSrgemm, PanelsUploadedExactlyOnce) {
-  // Panel caching (§4.4): bytes_h2d counted by the device must equal the
-  // logical volume — uploading a panel twice would double it.
+  // Panel caching (§4.4): the oog.bytes_h2d the pipeline records must
+  // equal the logical volume — uploading a panel twice would double it.
   const std::size_t m = 96, n = 96, k = 16;
   auto A = random_panel(m, k, 7);
   auto B = random_panel(k, n, 8);
@@ -75,9 +75,11 @@ TEST(OogSrgemm, PanelsUploadedExactlyOnce) {
   offload::OogConfig cfg;
   cfg.mx = cfg.nx = 32;  // 3x3 chunk grid: each panel reused 3 times
   cfg.num_streams = 3;
+  telemetry::Registry reg;
+  cfg.metrics = &reg;
   offload::oog_srgemm<S>(device, A.view(), B.view(), C.view(), cfg);
   device.synchronize();
-  EXPECT_EQ(device.counters().bytes_h2d, (m + n) * k * sizeof(float));
+  EXPECT_EQ(reg.counter("oog.bytes_h2d").value(), (m + n) * k * sizeof(float));
 }
 
 TEST(OogSrgemm, RespectsDeviceCapacity) {

@@ -1,10 +1,13 @@
-// SRGEMM kernel tests: tiled kernel vs naive oracle across shapes and
-// semirings, the fused pred kernel vs its scalar oracle, element-wise ops.
+// SRGEMM kernel tests: every kernel body vs the naive oracle across shapes
+// and semirings, the auto dispatch, the fused pred kernel vs its scalar
+// oracle, element-wise ops.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <type_traits>
+#include <vector>
 
 #include "semiring/semiring.hpp"
 #include "srgemm/srgemm.hpp"
@@ -98,36 +101,6 @@ TEST(Srgemm, AccumulatesIntoC) {
   srgemm::multiply<S>(A.view(), B.view(), C.view());
   for (std::size_t i = 0; i < 2; ++i)
     for (std::size_t j = 0; j < 2; ++j) EXPECT_EQ(C(i, j), 1.0f);
-}
-
-TEST(Srgemm, PackedKernelMatchesUnpacked) {
-  using S = MinPlus<float>;
-  for (auto [m, n, k] : {std::tuple{65, 130, 70}, std::tuple{4, 16, 256},
-                         std::tuple{129, 257, 300}}) {
-    auto A = random_matrix<float>(m, k, 71, 0.05);
-    auto B = random_matrix<float>(k, n, 72, 0.05);
-    auto C0 = random_matrix<float>(m, n, 73);
-    auto C1 = C0.clone();
-    srgemm::Config packed{};
-    packed.kernel = srgemm::Kernel::kPacked;
-    srgemm::multiply<S>(A.view(), B.view(), C0.view());
-    srgemm::multiply<S>(A.view(), B.view(), C1.view(), packed);
-    EXPECT_EQ(max_abs_diff<float>(C0.view(), C1.view()), 0.0)
-        << m << "x" << n << "x" << k;
-  }
-}
-
-TEST(Srgemm, PackedKernelOnStridedViews) {
-  using S = MinPlus<float>;
-  auto big = random_matrix<float>(300, 300, 74);
-  auto expected = big.clone();
-  srgemm::Config packed{};
-  packed.kernel = srgemm::Kernel::kPacked;
-  srgemm::multiply<S>(expected.sub(0, 0, 100, 50), expected.sub(0, 100, 50, 80),
-                      expected.sub(100, 100, 100, 80));
-  srgemm::multiply<S>(big.sub(0, 0, 100, 50), big.sub(0, 100, 50, 80),
-                      big.sub(100, 100, 100, 80), packed);
-  EXPECT_EQ(max_abs_diff<float>(expected.view(), big.view()), 0.0);
 }
 
 TEST(Srgemm, ShapeMismatchThrows) {
@@ -361,24 +334,72 @@ TEST(SrgemmPred, DispatchMetricsLabelEachKernel) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-variant cross-validation: every dispatchable kernel must produce a
+// Kernel-variant cross-validation: every kernel body must produce a
 // bit-identical distance matrix to the naive oracle, on fringe shapes (m,
 // n, k not multiples of MR/NR/tile sizes) and on strided sub-views, for
-// all three vectorizable FW semirings.
+// all vectorizable FW semirings. The bodies are called directly with small
+// macro tiles, so every shape crosses several tile boundaries whatever
+// this host's cache geometry; the multiply()/multiply_prepacked() front
+// doors run alongside them on the process geometry.
 // ---------------------------------------------------------------------------
 
-const srgemm::Kernel kAllKernels[] = {
-    srgemm::Kernel::kNaive, srgemm::Kernel::kTiled, srgemm::Kernel::kPacked,
-    srgemm::Kernel::kSimd};
+/// One kernel body on small macro tiles, named for failure messages.
+template <typename S>
+struct KernelBody {
+  using T = typename S::value_type;
+  const char* name;
+  void (*run)(MatrixView<const T>, MatrixView<const T>, MatrixView<T>);
+};
 
-srgemm::Config variant_cfg(srgemm::Kernel k) {
-  // Small tiles so the test shapes cross several tile boundaries.
-  srgemm::Config cfg;
-  cfg.kernel = k;
-  cfg.tile_m = 16;
-  cfg.tile_n = 32;
-  cfg.tile_k = 24;
-  return cfg;
+template <typename S>
+std::vector<KernelBody<S>> kernel_bodies() {
+  using T = typename S::value_type;
+  using A = MatrixView<const T>;
+  using C = MatrixView<T>;
+  constexpr std::size_t tm = 16, tn = 32, tk = 24;
+  return {
+      {"naive", [](A a, A b, C c) { srgemm::detail::naive_kernel<S>(a, b, c); }},
+      {"tiled",
+       [](A a, A b, C c) {
+         srgemm::detail::tiled_kernel<S>(a, b, c, tm, tn, tk);
+       }},
+      {"simd 4x4",
+       [](A a, A b, C c) {
+         srgemm::detail::tiled_kernel_simd<S, 4, 4>(a, b, c, tm, tn, tk, true);
+       }},
+      {"simd 4x4 prepacked",
+       [](A a, A b, C c) {
+         srgemm::detail::tiled_kernel_simd<S, 4, 4>(a, b, c, tm, tn, tk, false);
+       }},
+      {"simd 4x2",
+       [](A a, A b, C c) {
+         srgemm::detail::tiled_kernel_simd<S, 4, 2>(a, b, c, tm, tn, tk, true);
+       }},
+      {"simd 4x2 prepacked",
+       [](A a, A b, C c) {
+         srgemm::detail::tiled_kernel_simd<S, 4, 2>(a, b, c, tm, tn, tk, false);
+       }},
+      {"multiply", [](A a, A b, C c) { srgemm::multiply<S>(a, b, c); }},
+      {"multiply_prepacked",
+       [](A a, A b, C c) { srgemm::multiply_prepacked<S>(a, b, c); }},
+  };
+}
+
+/// Every kernel body on C ⊕= A ⊗ B against the naive oracle, exactly.
+template <typename S>
+void expect_all_kernels_match(MatrixView<const typename S::value_type> A,
+                              MatrixView<const typename S::value_type> B,
+                              const Matrix<typename S::value_type>& C0,
+                              const std::string& what) {
+  using T = typename S::value_type;
+  auto expected = C0.clone();
+  srgemm::multiply_reference<S>(A, B, expected.view());
+  for (const KernelBody<S>& body : kernel_bodies<S>()) {
+    auto C = C0.clone();
+    body.run(A, B, C.view());
+    EXPECT_EQ(max_abs_diff<T>(expected.view(), C.view()), 0.0)
+        << body.name << " " << what;
+  }
 }
 
 template <typename S>
@@ -402,20 +423,10 @@ void check_all_kernels(std::uint64_t seed, double inf_prob) {
     fill(A);
     fill(B);
     fill(C0);
-    auto expected = C0.clone();
-    srgemm::multiply_reference<S>(A.view(), B.view(), expected.view());
-    for (srgemm::Kernel kern : kAllKernels) {
-      auto C = C0.clone();
-      srgemm::multiply<S>(A.view(), B.view(), C.view(), variant_cfg(kern));
-      EXPECT_EQ(max_abs_diff<T>(expected.view(), C.view()), 0.0)
-          << "kernel " << static_cast<int>(kern) << " shape " << m << "x" << n
-          << "x" << k;
-    }
-    auto Cp = C0.clone();
-    srgemm::multiply_prepacked<S>(A.view(), B.view(), Cp.view(),
-                                  variant_cfg(srgemm::Kernel::kSimd));
-    EXPECT_EQ(max_abs_diff<T>(expected.view(), Cp.view()), 0.0)
-        << "prepacked shape " << m << "x" << n << "x" << k;
+    expect_all_kernels_match<S>(A.view(), B.view(), C0,
+                                "shape " + std::to_string(m) + "x" +
+                                    std::to_string(n) + "x" +
+                                    std::to_string(k));
   }
 }
 
@@ -446,14 +457,7 @@ TEST(SrgemmKernels, IntegralSaturationWithNegativeWeights) {
   fill(A);
   fill(B);
   fill(C0);
-  auto expected = C0.clone();
-  srgemm::multiply_reference<S>(A.view(), B.view(), expected.view());
-  for (srgemm::Kernel kern : kAllKernels) {
-    auto C = C0.clone();
-    srgemm::multiply<S>(A.view(), B.view(), C.view(), variant_cfg(kern));
-    EXPECT_EQ(max_abs_diff<std::int32_t>(expected.view(), C.view()), 0.0)
-        << "kernel " << static_cast<int>(kern);
-  }
+  expect_all_kernels_match<S>(A.view(), B.view(), C0, "37x53x29");
 }
 
 TEST(SrgemmKernels, AllVariantsMatchReferenceMaxMin) {
@@ -474,53 +478,90 @@ TEST(SrgemmKernels, AllVariantsMatchReferenceBoolOr) {
     fill(A);
     fill(B);
     fill(C0);
-    auto expected = C0.clone();
-    srgemm::multiply_reference<S>(A.view(), B.view(), expected.view());
-    for (srgemm::Kernel kern : kAllKernels) {
-      auto C = C0.clone();
-      srgemm::multiply<S>(A.view(), B.view(), C.view(), variant_cfg(kern));
-      EXPECT_EQ(max_abs_diff<std::uint8_t>(expected.view(), C.view()), 0.0)
-          << "kernel " << static_cast<int>(kern);
-    }
+    expect_all_kernels_match<S>(A.view(), B.view(), C0,
+                                "shape " + std::to_string(m) + "x" +
+                                    std::to_string(n) + "x" +
+                                    std::to_string(k));
   }
 }
 
 TEST(SrgemmKernels, AllVariantsOnStridedSubViews) {
   // Operands carved out of one backing matrix with ld >> cols — the
-  // blocked-FW panel pattern — for every kernel plus the prepacked entry.
+  // blocked-FW panel pattern — for every kernel body.
   using S = MinPlus<float>;
   auto big = random_matrix<float>(260, 260, 105, 0.05);
-  auto A = big.sub(3, 7, 60, 41);
-  auto B = big.sub(70, 11, 41, 83);
-  auto C0 = random_matrix<float>(60, 83, 106);
-  auto expected = C0.clone();
-  srgemm::multiply_reference<S>(A, B, expected.view());
-  for (srgemm::Kernel kern : kAllKernels) {
-    auto C = C0.clone();
-    srgemm::multiply<S>(A, B, C.view(), variant_cfg(kern));
-    EXPECT_EQ(max_abs_diff<float>(expected.view(), C.view()), 0.0)
-        << "kernel " << static_cast<int>(kern);
-  }
-  auto Cp = C0.clone();
-  srgemm::multiply_prepacked<S>(A, B, Cp.view(),
-                                variant_cfg(srgemm::Kernel::kSimd));
-  EXPECT_EQ(max_abs_diff<float>(expected.view(), Cp.view()), 0.0);
+  const auto C0 = random_matrix<float>(60, 83, 106);
+  expect_all_kernels_match<S>(big.sub(3, 7, 60, 41), big.sub(70, 11, 41, 83),
+                              C0, "strided");
 }
 
-TEST(SrgemmConfig, AutotuneIsDeterministic) {
-  // Same machine profile + environment → same configuration, every call.
-  const srgemm::Config a = srgemm::Config::tuned();
-  const srgemm::Config b = srgemm::Config::tuned();
-  EXPECT_EQ(a.tile_m, b.tile_m);
-  EXPECT_EQ(a.tile_n, b.tile_n);
-  EXPECT_EQ(a.tile_k, b.tile_k);
-  EXPECT_EQ(a.kernel, b.kernel);
-  EXPECT_EQ(a.micro, b.micro);
-  // Tuned tiles are sane: nonzero and bounded by the clamps in tuned().
-  EXPECT_GE(a.tile_k, 32u);
-  EXPECT_LE(a.tile_k, 512u);
-  EXPECT_GE(a.tile_m, 32u);
-  EXPECT_LE(a.tile_m, 512u);
+TEST(SrgemmDispatch, AutoRunsTheSimdKernelOnVectorBuilds) {
+  // A silent fallback to a scalar kernel would keep every result right and
+  // cost ~20x in time, so the dispatch itself is pinned here.
+  if constexpr (simd::kNativeBytes == 0) {
+    GTEST_SKIP() << "no vector ISA in this build";
+  } else {
+    using srgemm::Kernel;
+    EXPECT_EQ(srgemm::detail::resolve_kernel<MinPlus<float>>(Kernel::kAuto),
+              Kernel::kSimd);
+    EXPECT_EQ(srgemm::detail::resolve_kernel<MinPlus<double>>(Kernel::kAuto),
+              Kernel::kSimd);
+    EXPECT_EQ(
+        srgemm::detail::resolve_kernel<MinPlus<std::int32_t>>(Kernel::kAuto),
+        Kernel::kSimd);
+    EXPECT_EQ(srgemm::detail::resolve_kernel<MaxMin<float>>(Kernel::kAuto),
+              Kernel::kSimd);
+    EXPECT_EQ(srgemm::detail::resolve_kernel<MaxMin<double>>(Kernel::kAuto),
+              Kernel::kSimd);
+    EXPECT_EQ(srgemm::detail::resolve_kernel<BoolOrAnd>(Kernel::kAuto),
+              Kernel::kSimd);
+    EXPECT_EQ(srgemm::detail::resolve_kernel<PlusTimes<double>>(Kernel::kAuto),
+              Kernel::kSimd);
+
+    // The PARFW_KERNEL / PARFW_MICRO ablation pins override the auto
+    // dispatch this checks.
+    const auto& pins = srgemm::detail::env_pins();
+    if (pins.kernel != Kernel::kAuto ||
+        pins.micro != srgemm::MicroShape::kAuto)
+      GTEST_SKIP() << "PARFW_KERNEL / PARFW_MICRO set";
+    const std::string labels = std::string("kernel=simd,micro=") +
+                               (simd::kNativeBytes >= 64 ? "4x4" : "4x2");
+    using S = MinPlus<float>;
+    auto& reg = telemetry::Registry::global();
+    const bool was = telemetry::enabled();
+    telemetry::set_enabled(true);
+    auto& calls = reg.counter("srgemm.calls", labels);
+    const std::uint64_t calls0 = calls.value();
+    auto A = random_matrix<float>(9, 20, 108);
+    auto B = random_matrix<float>(20, 33, 109);
+    auto C = random_matrix<float>(9, 33, 110);
+    srgemm::multiply<S>(A.view(), B.view(), C.view());
+    telemetry::set_enabled(was);
+    EXPECT_EQ(calls.value(), calls0 + 1) << labels;
+  }
+}
+
+TEST(SrgemmGeometry, CacheDerivedAndBounded) {
+  // The GotoBLAS rule on a 48 KiB L1 / 2 MiB L2 host, and on the fallback
+  // sizes used when the OS reports none.
+  using srgemm::detail::CacheGeometry;
+  using srgemm::detail::geometry_for;
+  const auto big = geometry_for(CacheGeometry{48 * 1024, 2 * 1024 * 1024});
+  EXPECT_EQ(big.tile_m, 512u);
+  EXPECT_EQ(big.tile_n, 512u);
+  EXPECT_EQ(big.tile_k, 96u);
+  EXPECT_EQ(big.l1, 48u * 1024);
+  const auto fallback = geometry_for(CacheGeometry{});
+  EXPECT_EQ(fallback.tile_m, 512u);
+  EXPECT_EQ(fallback.tile_k, 64u);
+  // This host's geometry is probed once and stays inside the clamps.
+  const auto& g = srgemm::detail::geometry();
+  EXPECT_EQ(&g, &srgemm::detail::geometry());
+  EXPECT_GE(g.tile_k, 32u);
+  EXPECT_LE(g.tile_k, 512u);
+  EXPECT_GE(g.tile_m, 32u);
+  EXPECT_LE(g.tile_m, 512u);
+  EXPECT_GT(g.l1, 0u);
 }
 
 TEST(Srgemm, EwiseAdd) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "causal/trace_io.hpp"
 #include "telemetry/adapters.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -192,6 +193,10 @@ void fill_golden(Registry& reg) {
 TEST(ExportGolden, Json) {
   Registry reg;
   fill_golden(reg);
+  // Label values are free text: quotes, backslashes and control
+  // characters must come out escaped.
+  const std::string note = "a\tb\nc \"d\" \\e\x01";
+  reg.counter("io.notes", "note=" + note).add(1);
   std::ostringstream os;
   telemetry::to_json(reg, os);
   // p50/p95/p99 all cover the 1024 bucket; the geometric midpoint
@@ -200,6 +205,9 @@ TEST(ExportGolden, Json) {
       "{\"metrics\":[\n"
       "  {\"name\":\"fw.rounds\",\"labels\":{\"variant\":\"async\"},"
       "\"type\":\"counter\",\"value\":12},\n"
+      "  {\"name\":\"io.notes\",\"labels\":"
+      "{\"note\":\"a\\tb\\nc \\\"d\\\" \\\\e\\u0001\"},"
+      "\"type\":\"counter\",\"value\":1},\n"
       "  {\"name\":\"mpi.msg_bytes\",\"labels\":{\"coll\":\"ring\"},"
       "\"type\":\"histogram\",\"count\":3,\"sum\":2304,\"min\":256,"
       "\"max\":1024,\"p50\":1024,\"p95\":1024,\"p99\":1024},\n"
@@ -207,6 +215,19 @@ TEST(ExportGolden, Json) {
       "\"type\":\"gauge\",\"value\":3}\n"
       "]}\n";
   EXPECT_EQ(os.str(), expected);
+
+  // The document parses, and the label reads back as written (the
+  // parser passes \u escapes through verbatim).
+  causal::JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(causal::parse_json(os.str(), &doc, &err)) << err;
+  const causal::JsonValue* metrics = doc.find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_EQ(metrics->arr.size(), 4u);
+  const causal::JsonValue* label = metrics->arr[1].find("labels");
+  ASSERT_NE(label, nullptr);
+  ASSERT_NE(label->find("note"), nullptr);
+  EXPECT_EQ(label->find("note")->str, "a\tb\nc \"d\" \\e\\u0001");
 }
 
 TEST(ExportGolden, Prometheus) {
